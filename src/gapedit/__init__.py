@@ -7,7 +7,7 @@ with three preprocessing regimes: none, A only, or both strings.
 
 from __future__ import annotations
 
-from .greedy import GapVerdict, GreedyTrace, greedy_match
+from .greedy import GapVerdict, GreedyTrace, check_gap_params, greedy_match
 from .hashing import HashConfig, OpCounters
 from .instances import (Instance, gen_large_side, gen_periodic, gen_planted,
                         load_instance, save_instance)
@@ -37,6 +37,7 @@ def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
     A, "twosided" preprocesses both (cells computed lazily from A's
     hashes), "exact" uses the brute-force alignment referee.
     """
+    check_gap_params(a, b, k)
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
     counters = OpCounters()

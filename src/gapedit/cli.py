@@ -92,13 +92,21 @@ def cmd_exact(args) -> int:
     return 0
 
 
+def _usage_error(command: str, err: ValueError) -> int:
+    print(f"gapedit {command}: error: {err}", file=sys.stderr)
+    return 2
+
+
 def cmd_gap(args) -> int:
-    a = _read_string(args.a, args.sigma)
-    b = _read_string(args.b, args.sigma)
     seed = _default_seed(args.seed)
-    _warn_params(len(b), args.k)
-    t0 = time.perf_counter()
-    verdict, counters = gap_match(a, b, args.k, mode=args.mode, seed=seed)
+    try:
+        a = _read_string(args.a, args.sigma)
+        b = _read_string(args.b, args.sigma)
+        _warn_params(len(b), args.k)
+        t0 = time.perf_counter()
+        verdict, counters = gap_match(a, b, args.k, mode=args.mode, seed=seed)
+    except ValueError as err:
+        return _usage_error("gap", err)
     _emit({"schema": RECORD_SCHEMA, "command": "gap", "mode": args.mode,
            "n": len(b), "k": args.k, "seed": seed,
            "verdict": verdict.value, "counters": asdict(counters),
@@ -107,12 +115,16 @@ def cmd_gap(args) -> int:
 
 
 def cmd_wave(args) -> int:
-    a = _read_string(args.a, args.sigma)
-    b = _read_string(args.b, args.sigma)
     seed = _default_seed(args.seed)
-    _warn_params(len(b), args.k)
-    t0 = time.perf_counter()
-    verdict, counters = gap_wave(a, b, args.k, args.ell, args.mode, seed=seed)
+    try:
+        a = _read_string(args.a, args.sigma)
+        b = _read_string(args.b, args.sigma)
+        _warn_params(len(b), args.k)
+        t0 = time.perf_counter()
+        verdict, counters = gap_wave(a, b, args.k, args.ell, args.mode,
+                                     seed=seed)
+    except ValueError as err:
+        return _usage_error("wave", err)
     _emit({"schema": RECORD_SCHEMA, "command": "wave", "mode": args.mode,
            "n": len(b), "k": args.k, "ell": args.ell, "seed": seed,
            "verdict": verdict.value, "counters": asdict(counters),

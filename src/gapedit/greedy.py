@@ -28,6 +28,17 @@ class GreedyTrace:
     hints: list = field(default_factory=list)
 
 
+def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
+    """Raise ValueError unless k >= 1, 1 <= ell <= k (when given) and the
+    strings have equal lengths."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if ell is not None and not 1 <= ell <= k:
+        raise ValueError("need 1 <= l <= k")
+    if len(a) != len(b):
+        raise ValueError("equal lengths required")
+
+
 def greedy_match(a, b, k: int, oracle, trace: GreedyTrace | None = None) -> GapVerdict:
     """Run 2k + 1 oracle rounds starting at B-position 1.
 
@@ -35,11 +46,8 @@ def greedy_match(a, b, k: int, oracle, trace: GreedyTrace | None = None) -> GapV
     longest-alignment value for B starting at i_b). Returns SMALL iff the
     cursor passes position n.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    check_gap_params(a, b, k)
     n = len(b)
-    if len(a) != n:
-        raise ValueError("equal lengths required")
     i_b = 1
     for _ in range(2 * k + 1):
         if i_b > n:

@@ -10,19 +10,47 @@ binary searches and one modular combination:
 with H over the first lo (resp. hi) sampled positions. An empty range
 hashes to 0. Shifted views reuse the same base positions with an additive
 offset, so the two sides of a comparison always sample the same set.
+
+The prefix hashes are built without a loop, from the identity
+
+    H[t] = x^t * sum_{s <= t} c_s x^-s   (mod p = 2^61 - 1)
+
+Each x^-s < 2^61 is split into limbs x^-s = u_s + v_s 2^31 with u_s < 2^31
+and v_s < 2^30, and the sums of c_s u_s and c_s v_s are running sums in
+uint64. With m sampled positions and every symbol c_s <= c (the sentinel
+sigma + 1 included) they stay below m c 2^31, exact while m c < 2^33. For
+larger m c (a huge alphabet, or m near MAX_N) c_s x^-s is reduced mod p
+first and its own limbs are summed; those sums stay below m 2^31 <= 2^57.
+Both sums are folded mod p (2^61 = 1 mod p) and multiplied by x^t, so H
+equals the recurrence bit for bit. The tables x^t and the limbs of x^-t
+depend only on (x, p, m); all views of one decision share them through a
+small cache, which holds tables of up to 2^16 positions only, so a large
+decision leaves no tables behind.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mers61 import P61, mulmod, mulmod_vec, submod_vec
+from .mers61 import (P61, fold_limbs, limbs, mulmod, mulmod_limbs, mulmod_vec,
+                     submod_vec)
 
 MAX_N = 1 << 26
+
+# c_s times a limb (< 2^31) summed over m positions stays below 2^64
+# while m * max(c) < 2^33
+_DIRECT_LIMIT = 1 << 33
+
+# Power tables (5 uint64 per position) stay cached after a build only up to
+# this many positions. The views of one decision share an entry, and a
+# one-sided, a wave and a two-sided query on the same A use three.
+_CACHED_M = 1 << 16
 
 
 @dataclass
@@ -108,6 +136,59 @@ def draw_sample(n: int, granularity: int, rng: np.random.Generator,
     return SampleSet(idx, n, rate)
 
 
+@functools.lru_cache(maxsize=4)
+def _cached_power_tables(x: int, p: int, m: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    tables = _power_tables(x, p, m)
+    for table in tables:
+        table.flags.writeable = False  # every caller gets the same arrays
+    return tables
+
+
+def _power_tables(x: int, p: int, m: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x^t for t = 0..m, and the limbs of x^t and of x^-t for t = 1..m."""
+    # x^t as x^(q s) * x^r for t = q s + r, from two tables of about
+    # sqrt(m) entries each
+    s = math.isqrt(m) + 1
+    small = [1] * s
+    for i in range(1, s):
+        small[i] = mulmod(small[i - 1], x)
+    step = mulmod(small[-1], x)  # x^s
+    big = [1] * (m // s + 1)
+    for i in range(1, len(big)):
+        big[i] = mulmod(big[i - 1], step)
+    xpow = mulmod_vec(np.array(big, dtype=np.uint64)[:, None],
+                      np.array(small, dtype=np.uint64)[None, :]).ravel()[:m + 1]
+    # x^-t = x^(m - t) * x^-m, and x^-m = x^(p - 1 - m) by Fermat
+    xinv = mulmod_vec(xpow[:m][::-1], np.uint64(pow(x, p - 1 - m, p)))
+    return xpow, limbs(xpow[1:]), limbs(xinv)
+
+
+def _prefix_hashes(syms: np.ndarray, top: int, x: int, p: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """(H, x-powers) for symbols c_1..c_m, each at most `top`.
+
+    H[t] = x^t * (sum over s <= t of c_s x^-s), summed exactly in uint64
+    over the two limbs of each summand and folded mod p once at the end.
+    """
+    m = syms.size
+    if m <= _CACHED_M:
+        xpow, fwd, inv = _cached_power_tables(x, p, m)
+    else:
+        xpow, fwd, inv = _power_tables(x, p, m)
+    c = syms.astype(np.uint64)
+    if m * top < _DIRECT_LIMIT:
+        parts = inv * c  # c_s times each limb of x^-s
+    else:
+        # symbols too large for the limb sums: reduce c_s x^-s first
+        parts = limbs(mulmod_limbs(c, inv[0], inv[1]))
+    sums = np.cumsum(parts, axis=1)
+    h = np.zeros(m + 1, dtype=np.uint64)
+    h[1:] = mulmod_limbs(fold_limbs(sums[0], sums[1]), fwd[0], fwd[1])
+    return h, xpow
+
+
 class RollingHashState:
     """Prefix hashes over one shifted view of a sample set on one string."""
 
@@ -116,35 +197,26 @@ class RollingHashState:
         n = len(string)
         if n > MAX_N:
             raise ValueError("string too long for collision guarantee")
+        if cfg.p != P61:
+            raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
         if cfg.p <= n * n * (string.sigma + 1):
             raise ValueError("modulus too small for this length and alphabet")
+        if cfg.x % cfg.p == 0:
+            raise ValueError("hash base must be nonzero mod p")
         self.cfg = cfg
         self.samples = samples
         self.counters = counters if counters is not None else OpCounters()
         syms = string.gather(samples.positions())
-        m = syms.size
-        h = np.zeros(m + 1, dtype=np.uint64)
-        acc = 0
-        x, p = cfg.x, cfg.p
-        for t in range(m):
-            acc = (acc * x + int(syms[t])) % p
-            h[t + 1] = acc
-        self.prefix = h
-        self.counters.init_steps += m
-        # powers of x up to the number of sampled positions
-        xp = np.zeros(m + 1, dtype=np.uint64)
-        xp[0] = 1
-        v = 1
-        for t in range(1, m + 1):
-            v = (v * x) % p
-            xp[t] = v
-        self.xpow = xp
+        # reads outside [1, n] give the sentinel sigma + 1
+        self.prefix, self.xpow = _prefix_hashes(syms, string.sigma + 1,
+                                                cfg.x, cfg.p)
+        self.counters.init_steps += syms.size
 
     def _locate(self, i: int, j: int) -> tuple[int, int]:
         base = self.samples.indices
         off = self.samples.offset
-        lo = int(np.searchsorted(base, i - off, side="left"))
-        hi = int(np.searchsorted(base, j - off, side="right"))
+        lo = int(base.searchsorted(i - off, side="left"))
+        hi = int(base.searchsorted(j - off, side="right"))
         return lo, hi
 
     def retrieve(self, i: int, j: int) -> int:
@@ -163,12 +235,63 @@ class RollingHashState:
         i_arr = np.asarray(i_arr, dtype=np.int64)
         j_arr = np.asarray(j_arr, dtype=np.int64)
         self.counters.retrievals += int(i_arr.size)
-        lo = np.searchsorted(base, i_arr - off, side="left")
-        hi = np.searchsorted(base, j_arr - off, side="right")
+        lo = base.searchsorted(i_arr - off, side="left")
+        hi = base.searchsorted(j_arr - off, side="right")
         cnt = np.maximum(hi - lo, 0)
         head = mulmod_vec(self.prefix[lo], self.xpow[cnt])
         out = submod_vec(self.prefix[np.maximum(hi, lo)], head)
         return np.where(cnt > 0, out, np.uint64(0))
+
+
+class ViewStack:
+    """Shifted views of one sample set, read together.
+
+    Views that share `samples.indices` locate a window at the same pair of
+    prefix rows, each at its own offset: view v's hash of [i + off_v,
+    j + off_v] is H_v[h] - H_v[l] x^(h - l), with l and h the counts of
+    base positions below i and up to j. The prefixes are held once, in an
+    (m + 1) x V matrix whose columns the states read as their `prefix`.
+    """
+
+    def __init__(self, states: list[RollingHashState],
+                 counters: OpCounters):
+        base = states[0].samples.indices
+        if any(st.samples.indices is not base for st in states):
+            raise ValueError("views must share one sample set")
+        self.counters = counters
+        self.p = states[0].cfg.p
+        self.xpow = states[0].xpow
+        self.positions = base.tolist()
+        self.prefix = np.stack([st.prefix for st in states], axis=1)
+        for v, st in enumerate(states):
+            st.prefix = self.prefix[:, v]
+
+    def first_collision(self, i: int, j: int, a_cols: range, b_cols: range
+                        ) -> tuple[int, int] | None:
+        """Scan views a_cols in order for the first whose hash of base
+        window [i, j] equals that of some view in b_cols; return it with the
+        first such b column. Every hash taken counts as one retrieval: all
+        of b_cols, then a_cols up to the hit."""
+        pos = self.positions
+        lo = bisect_left(pos, i)
+        hi = max(bisect_right(pos, j), lo)
+        lo_row = self.prefix[lo].tolist()
+        hi_row = self.prefix[hi].tolist()
+        xp = int(self.xpow[hi - lo])
+        p = self.p
+        b_hashes = {}
+        for v in b_cols:
+            b_hashes.setdefault((hi_row[v] - lo_row[v] * xp) % p, v)
+        taken = len(b_cols)
+        hit = None
+        for v in a_cols:
+            taken += 1
+            w = b_hashes.get((hi_row[v] - lo_row[v] * xp) % p)
+            if w is not None:
+                hit = v, w
+                break
+        self.counters.retrievals += taken
+        return hit
 
 
 def sidecar_dump(cfg: HashConfig, samples: SampleSet) -> str:

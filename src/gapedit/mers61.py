@@ -2,7 +2,9 @@
 
 Scalar paths use plain Python integers (arbitrary precision makes the
 straightforward expressions exact). The vector paths split 64-bit operands
-into 32-bit halves so products never overflow numpy's uint64.
+into 32-bit halves (`mulmod_vec`), or residues into 31-bit limbs when one
+factor's limbs are kept in a table (`mulmod_limbs`), so products never
+overflow numpy's uint64.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ P61 = (1 << 61) - 1
 _MASK32 = np.uint64(0xFFFFFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK61 = np.uint64(P61)
+_SHIFT61 = np.uint64(61)
+_LIMB_BITS = np.uint64(31)
+_LIMB_MASK = np.uint64((1 << 31) - 1)
+_SHIFT30 = np.uint64(30)
+_MASK30 = np.uint64((1 << 30) - 1)
+_ONE = np.uint64(1)
 
 
 def mulmod(a: int, b: int) -> int:
@@ -21,14 +29,14 @@ def mulmod(a: int, b: int) -> int:
 
 
 def _fold61(v: np.ndarray) -> np.ndarray:
-    # v < 2^63; one fold brings it under 2^62, a conditional subtract finishes.
-    v = (v >> np.uint64(61)) + (v & _MASK61)
-    v = (v >> np.uint64(61)) + (v & _MASK61)
-    return np.where(v >= _MASK61, v - _MASK61, v)
+    """Reduce any uint64 values mod p. One shift-fold leaves v <= p + 7;
+    where v >= p, v - p is smaller, and where v < p it wraps past 2^63."""
+    v = (v >> _SHIFT61) + (v & _MASK61)
+    return np.minimum(v, v - _MASK61)
 
 
 def mulmod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise (a * b) mod (2^61 - 1) for uint64 arrays with values < p."""
+    """Elementwise (a * b) mod (2^61 - 1) for uint64 arrays with values < 2^62."""
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
     ah = a >> np.uint64(32)
@@ -36,18 +44,48 @@ def mulmod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bh = b >> np.uint64(32)
     bl = b & _MASK32
     # a*b = ah*bh*2^64 + (ah*bl + al*bh)*2^32 + al*bl, with 2^64 = 8 (mod p).
-    hi = ah * bh  # < 2^58
-    mid = ah * bl + al * bh  # < 2^62
+    hi = ah * bh  # < 2^60
+    mid = ah * bl + al * bh  # < 2^63
     lo = al * bl  # < 2^64
     mid_hi = mid >> np.uint64(29)  # mid = mid_hi*2^29 + mid_lo; mid*2^32 = mid_hi*2^61 + mid_lo*2^32
     mid_lo = mid & _MASK29
-    acc = (hi << np.uint64(3)) + mid_hi + (mid_lo << np.uint64(32))
-    acc = _fold61(acc)
-    lo = _fold61(lo)
+    acc = (hi << np.uint64(3)) + mid_hi + (mid_lo << np.uint64(32))  # < 2^64
+    # half-fold both terms (each ends <= p + 7), so their sum cannot wrap
+    acc = (acc >> _SHIFT61) + (acc & _MASK61)
+    lo = (lo >> _SHIFT61) + (lo & _MASK61)
     return _fold61(acc + lo)
+
+
+def mulmod_limbs(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
+                 ) -> np.ndarray:
+    """Elementwise a * (b_lo + b_hi 2^31) mod (2^61 - 1), for uint64 a <= p + 7
+    and limbs b_lo < 2^31, b_hi < 2^30 (see `limbs`)."""
+    a_lo = a & _LIMB_MASK
+    a_hi = a >> _LIMB_BITS  # <= 2^30
+    # a*b = a_lo*b_lo + mid*2^31 + a_hi*b_hi*2^62, with 2^62 = 2 (mod p);
+    # mid*2^31 = (mid >> 30)*2^61 + (mid mod 2^30)*2^31
+    mid = a_lo * b_hi + a_hi * b_lo  # < 2^62
+    v = (a_lo * b_lo + (mid >> _SHIFT30) + ((mid & _MASK30) << _LIMB_BITS)
+         + ((a_hi * b_hi) << _ONE))  # < 2^63 + 2^32
+    return _fold61(v)
+
+
+def fold_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo + hi 2^31 mod (2^61 - 1) for any uint64 lo, hi, left <= p + 2 (as
+    `mulmod_limbs` accepts). hi 2^31 = (hi >> 30) 2^61 + (hi mod 2^30) 2^31,
+    and 2^61 = 1 (mod p)."""
+    v = ((lo >> _SHIFT61) + (lo & _MASK61) + (hi >> _SHIFT30)
+         + ((hi & _MASK30) << _LIMB_BITS))  # < 2^62 + 2^35
+    return (v >> _SHIFT61) + (v & _MASK61)
+
+
+def limbs(a: np.ndarray) -> np.ndarray:
+    """The 31-bit limbs (a mod 2^31, a >> 31) of residues a < p, stacked."""
+    return np.stack([a & _LIMB_MASK, a >> _LIMB_BITS])
 
 
 def submod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.uint64)
     b = np.asarray(b, dtype=np.uint64)
-    return np.where(a >= b, a - b, a + _MASK61 - b)
+    d = a - b  # wraps past 2^63 where a < b, and then d + p is the residue
+    return np.minimum(d, d + _MASK61)

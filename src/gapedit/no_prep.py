@@ -17,16 +17,19 @@ and building a view folds each sampled position once, so construction
 takes (3r + 1) * |S| folds. For k > 4 ln n that is about
 12 n ln n / sqrt(k), the n / sqrt(k) law up to its log factor. Once the
 rate saturates at 1 (k <= 4 ln n) it is (3r + 1) * n, linear in n. Each
-probe adds at most 3r + 1 range retrievals on top.
+probe adds at most 3r + 1 range retrievals on top. Since every view shares
+the sample, a probe window lands on the same pair of prefix rows in each
+view: a probe is one locate (two binary searches) plus reads of those two
+rows of a ViewStack, then at most 3r + 1 modular combinations. The fold
+and retrieval counts are the same as when each view was searched on its
+own.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
+from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
                       draw_sample)
 from .strings import ByteString
 
@@ -59,6 +62,9 @@ class NoPrepOracle:
                                     self.counters)
             for b_off in range(r)
         }
+        # columns: A views a = -r..r, then B views b_off = 0..r-1
+        self.views = ViewStack([*self.a_states.values(),
+                                *self.b_states.values()], self.counters)
         self.last_hint = None
 
     def _probe(self, i_b: int, d: int) -> tuple[bool, int | None]:
@@ -68,14 +74,13 @@ class NoPrepOracle:
         hi = i_b + d - k - 1
         if hi < lo:
             return True, None
-        b_hashes = {}
-        for b_off, st in self.b_states.items():
-            b_hashes.setdefault(st.retrieve(lo - b_off, hi - b_off), b_off)
-        for a_coef, st in self.a_states.items():
-            h = st.retrieve(lo + a_coef * r, hi + a_coef * r)
-            if h in b_hashes:
-                return True, a_coef * r + b_hashes[h]
-        return False, None
+        # every view reads base window [lo, hi] at its own offset
+        hit = self.views.first_collision(lo, hi, range(2 * r + 1),
+                                         range(2 * r + 1, 3 * r + 1))
+        if hit is None:
+            return False, None
+        a_col, b_col = hit
+        return True, (a_col - r) * r + (b_col - 2 * r - 1)
 
     def max_align(self, i_b: int) -> int:
         """Largest probed window length that still collides; at least

@@ -43,6 +43,17 @@ class TwoSidedIndex:
         self.a_state = a_state
         self.counters = counters if counters is not None else OpCounters()
 
+    @property
+    def counters(self) -> OpCounters:
+        return self._counters
+
+    @counters.setter
+    def counters(self, counters: OpCounters) -> None:
+        # A's rows read by `member` are work of whoever holds the index now
+        self._counters = counters
+        if self.a_state is not None:
+            self.a_state.counters = counters
+
     @classmethod
     def preprocess(cls, a: ByteString, k: int, cfg: HashConfig,
                    materialize: bool = False,

@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from .greedy import GapVerdict
+from .greedy import GapVerdict, check_gap_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      draw_sample)
+                      ViewStack, draw_sample)
 from .one_sided import OneSidedIndex, anchor_positions
 from .strings import ByteString
 
@@ -54,11 +54,8 @@ class WaveTable:
 def greedy_wave(a: ByteString, b: ByteString, k: int, ell: int, oracle,
                 table: WaveTable | None = None) -> GapVerdict:
     """Run k wave rounds; SMALL iff diagonal 0 reaches past n."""
-    if k < 1 or ell < 1 or ell > k:
-        raise ValueError("need 1 <= l <= k")
+    check_gap_params(a, b, k, ell)
     n = len(b)
-    if len(a) != n:
-        raise ValueError("equal lengths required")
     diagonals = list(range(-(k // ell) * ell, (k // ell) * ell + 1, ell))
 
     def extend(m: int, j: int) -> int:
@@ -140,6 +137,9 @@ class NoPrepShiftOracle:
                                  self.counters)
             for bo in range(r)
         }
+        # columns: A views ac = -2r..2r, then B views bo = 0..r-1
+        self.views = ViewStack([*self.a_states.values(),
+                                *self.b_states.values()], self.counters)
         self.last_hint = None
 
     def _probe(self, i_a: int, i_b: int, d: int) -> bool:
@@ -149,17 +149,17 @@ class NoPrepShiftOracle:
         hi = i_b + d - ell - 1
         if hi < lo:
             return True
-        b_hashes = {}
-        for bo, st in self.b_states.items():
-            b_hashes.setdefault(st.retrieve(lo - bo, hi - bo), bo)
         a_lo = max(math.floor((delta - ell) / r), -2 * r)
         a_hi = min(math.ceil((delta + ell) / r), 2 * r)
-        for ac in range(a_lo, a_hi + 1):
-            h = self.a_states[ac].retrieve(lo + ac * r, hi + ac * r)
-            if h in b_hashes:
-                self.last_hint = ac * r + b_hashes[h] - delta
-                return True
-        return False
+        # every view reads base window [lo, hi] at its own offset
+        hit = self.views.first_collision(
+            lo, hi, range(a_lo + 2 * r, a_hi + 2 * r + 1),
+            range(4 * r + 1, 5 * r + 1))
+        if hit is None:
+            return False
+        a_col, b_col = hit
+        self.last_hint = (a_col - 2 * r) * r + (b_col - 4 * r - 1) - delta
+        return True
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
@@ -371,6 +371,7 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
     itself only touches prebuilt state; "exact" uses the brute-force
     referee oracle.
     """
+    check_gap_params(a, b, k, ell)
     if cfg is None:
         cfg = HashConfig.from_seed(seed)
     query_counters = OpCounters()

@@ -1,9 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from gapedit.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -100,3 +105,40 @@ class TestBenchAndSelftest:
         out = capsys.readouterr().out
         assert "selftest: ok" in out
         assert "FAIL" not in out
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("argv", [
+        ["gap", "--k", "0", "--mode", "noprep"],
+        ["gap", "--k", "-3", "--mode", "onesided"],
+        ["wave", "--k", "4", "--ell", "0", "--mode", "noprep"],
+        ["wave", "--k", "4", "--ell", "5", "--mode", "twosided"],
+    ])
+    def test_one_line_usage_error(self, small_pair, capsys, argv):
+        cmd, *opts = argv
+        code = main([cmd, str(small_pair) + ".a", str(small_pair) + ".b",
+                     "--sigma", "64", "--seed", "1", *opts])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"gapedit {cmd}: error: ")
+        assert "Traceback" not in err
+
+    def test_unequal_lengths(self, small_pair, tmp_path, capsys):
+        short = tmp_path / "short.b"
+        short.write_bytes(Path(str(small_pair) + ".b").read_bytes()[:-1])
+        code = main(["gap", str(small_pair) + ".a", str(short), "--k", "4",
+                     "--sigma", "64", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and "equal lengths" in err
+
+    def test_module_exits_2_without_traceback(self, small_pair):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gapedit.cli", "gap", str(small_pair) + ".a",
+             str(small_pair) + ".b", "--k", "0", "--mode", "noprep",
+             "--seed", "1", "--sigma", "64"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 2
+        assert proc.stderr.strip() == "gapedit gap: error: k must be at least 1"
+        assert "Traceback" not in proc.stderr

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gapedit import hashing
 from gapedit.hashing import (HashConfig, OpCounters, RollingHashState,
-                             SampleSet, draw_sample, sample_rate,
+                             SampleSet, ViewStack, draw_sample, sample_rate,
                              sidecar_dump, sidecar_load)
-from gapedit.mers61 import P61, mulmod, mulmod_vec, submod_vec
+from gapedit.mers61 import (P61, _fold61, fold_limbs, limbs, mulmod,
+                            mulmod_limbs, mulmod_vec, submod_vec)
 from gapedit.strings import ByteString
 
 
@@ -35,6 +37,177 @@ class TestMersenne61:
         got = submod_vec(np.array([a], dtype=np.uint64),
                          np.array([b], dtype=np.uint64))
         assert int(got[0]) == (a - b) % P61
+
+    def test_fold_edge_values(self):
+        vals = [0, 1, P61 - 1, P61, P61 + 1, 2 * P61, P61 + 7, (1 << 62) - 1,
+                (1 << 63) - 1, (1 << 64) - 1]
+        got = _fold61(np.array(vals, dtype=np.uint64))
+        assert [int(v) for v in got] == [v % P61 for v in vals]
+
+    def test_mulmod_vec_edge_values(self):
+        # exact for operands below 2^62, which includes p itself
+        vals = [0, 1, 2, P61 - 2, P61 - 1, P61, P61 + 1, 1 << 61,
+                (1 << 62) - 1]
+        a, b = np.meshgrid(np.array(vals, dtype=np.uint64),
+                           np.array(vals, dtype=np.uint64))
+        got = mulmod_vec(a.ravel(), b.ravel())
+        assert [int(v) for v in got] == [
+            (int(x) * int(y)) % P61 for x, y in zip(a.ravel(), b.ravel())]
+
+    @given(st.integers(0, P61 + 7), st.integers(0, P61 - 1))
+    @settings(max_examples=200, deadline=None)
+    @example(P61 + 7, P61 - 1)
+    @example(P61, P61 - 1)
+    @example(0, 0)
+    def test_mulmod_limbs_matches_bigint(self, a, b):
+        lo, hi = limbs(np.array([b], dtype=np.uint64))
+        got = mulmod_limbs(np.array([a], dtype=np.uint64), lo, hi)
+        assert int(got[0]) == (a * b) % P61
+        assert int(lo[0]) + (int(hi[0]) << 31) == b
+
+    @given(st.integers(0, (1 << 64) - 1), st.integers(0, (1 << 64) - 1))
+    @settings(max_examples=200, deadline=None)
+    @example((1 << 64) - 1, (1 << 64) - 1)
+    @example(P61, 0)
+    def test_fold_limbs_matches_bigint(self, lo, hi):
+        got = int(fold_limbs(np.array([lo], dtype=np.uint64),
+                             np.array([hi], dtype=np.uint64))[0])
+        assert got <= P61 + 2 and got % P61 == (lo + (hi << 31)) % P61
+
+    def test_submod_edge_values(self):
+        vals = [0, 1, P61 - 2, P61 - 1]
+        for a in vals:
+            got = submod_vec(np.array(vals, dtype=np.uint64),
+                             np.full(len(vals), a, dtype=np.uint64))
+            assert [int(v) for v in got] == [(b - a) % P61 for b in vals]
+
+
+def reference_prefix(symbols, x):
+    """The scalar recurrence H[t] = H[t-1] * x + c_t mod p."""
+    out, h = [0], 0
+    for c in symbols:
+        h = (h * x + c) % P61
+        out.append(h)
+    return out
+
+
+@st.composite
+def views(draw):
+    """A string, a sampled view of it (possibly empty, possibly shifted
+    past either end) and a hash base; sigma reaches the modulus guard."""
+    n = draw(st.integers(1, 40))
+    limit = (P61 - 1) // (n * n) - 1  # largest sigma the guard admits
+    sigma = draw(st.one_of(st.integers(1, 300),
+                           st.integers(max(1, limit - (1 << 20)), limit)))
+    data = draw(st.lists(st.integers(1, sigma), min_size=n, max_size=n))
+    idx = sorted(draw(st.sets(st.integers(1, n))))
+    offset = draw(st.integers(-n - 2, n + 2))
+    x = draw(st.integers(1, P61 - 1))
+    string = ByteString(np.array(data, dtype=np.int64), sigma)
+    samples = SampleSet(np.array(idx, dtype=np.int64), n, 1.0, offset)
+    return string, samples, HashConfig(x=x)
+
+
+class TestVectorisedPrefix:
+    @given(views())
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_matches_scalar_recurrence(self, view):
+        string, samples, cfg = view
+        state = RollingHashState(string, samples, cfg)
+        symbols = [string.at(int(t)) for t in samples.positions()]
+        assert [int(h) for h in state.prefix] == reference_prefix(symbols,
+                                                                  cfg.x)
+        assert [int(v) for v in state.xpow] == [
+            pow(cfg.x, t, P61) for t in range(len(symbols) + 1)]
+
+    def test_long_view_matches_scalar_recurrence(self):
+        rng = np.random.default_rng(21)
+        s = bstr(rng, 5000, sigma=255)
+        samples = draw_sample(5000, 3, rng).shift(-17)
+        cfg = HashConfig.from_seed(22)
+        state = RollingHashState(s, samples, cfg)
+        symbols = [int(c) for c in s.gather(samples.positions())]
+        assert [int(h) for h in state.prefix] == reference_prefix(symbols,
+                                                                  cfg.x)
+
+    def test_views_past_the_cache_limit_leave_no_tables(self, monkeypatch):
+        monkeypatch.setattr(hashing, "_CACHED_M", 100)
+        rng = np.random.default_rng(26)
+        s = bstr(rng, 300, sigma=255)
+        samples = draw_sample(300, 1, rng)
+        cfg = HashConfig.from_seed(27)
+        hashing._cached_power_tables.cache_clear()
+        state = RollingHashState(s, samples, cfg)
+        assert hashing._cached_power_tables.cache_info().currsize == 0
+        symbols = [int(c) for c in s.gather(samples.positions())]
+        assert [int(h) for h in state.prefix] == reference_prefix(symbols,
+                                                                  cfg.x)
+        RollingHashState(s, SampleSet(samples.indices[:100], 300, 1.0), cfg)
+        assert hashing._cached_power_tables.cache_info().currsize == 1
+
+    def test_rejects_zero_base_and_other_moduli(self):
+        s = bstr(np.random.default_rng(23), 10)
+        samples = SampleSet(np.arange(1, 11), 10, 1.0)
+        for cfg in (HashConfig(x=0), HashConfig(x=P61),
+                    HashConfig(x=5, p=(1 << 31) - 1)):
+            with pytest.raises(ValueError):
+                RollingHashState(s, samples, cfg)
+
+
+class TestViewStack:
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_collision_matches_per_view_retrieve(self, seed, r, data):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 120))
+        a = bstr(rng, n, sigma=2)
+        b = bstr(rng, n, sigma=2)
+        samples = draw_sample(n, int(rng.integers(1, 60)), rng)
+        cfg = HashConfig.from_seed(seed)
+        views = ([(a, c * r) for c in range(-r, r + 1)]
+                 + [(b, -c) for c in range(r)])
+        ref = [RollingHashState(s, samples.shift(o), cfg) for s, o in views]
+        ctr = OpCounters()
+        states = [RollingHashState(s, samples.shift(o), cfg, ctr)
+                  for s, o in views]
+        stack = ViewStack(states, ctr)
+        v = len(views)
+        i = data.draw(st.integers(-5, n + 5))
+        j = data.draw(st.integers(i - 3, n + 8))
+        a_lo = data.draw(st.integers(0, 2 * r + 1))
+        a_cols = range(a_lo, data.draw(st.integers(a_lo, 2 * r + 1)))
+        b_cols = range(2 * r + 1, v)
+        # the scan both noprep oracles used: B views into a dict, then A
+        # views in order until one hash is in it
+        taken, b_hashes, want = 0, {}, None
+        for col in b_cols:
+            st_ = ref[col]
+            off = st_.samples.offset
+            b_hashes.setdefault(st_.retrieve(i + off, j + off), col)
+            taken += 1
+        for col in a_cols:
+            st_ = ref[col]
+            off = st_.samples.offset
+            h = st_.retrieve(i + off, j + off)
+            taken += 1
+            if h in b_hashes:
+                want = (col, b_hashes[h])
+                break
+        assert stack.first_collision(i, j, a_cols, b_cols) == want
+        assert ctr.retrievals == taken
+        # the states now read their prefixes from the stack's columns
+        for col, st_ in enumerate(states):
+            assert np.shares_memory(st_.prefix, stack.prefix)
+            assert list(st_.prefix) == list(ref[col].prefix)
+
+    def test_rejects_views_of_different_samples(self):
+        rng = np.random.default_rng(24)
+        s = bstr(rng, 50)
+        cfg = HashConfig.from_seed(25)
+        one = RollingHashState(s, draw_sample(50, 10, rng), cfg)
+        two = RollingHashState(s, draw_sample(50, 10, rng), cfg)
+        with pytest.raises(ValueError):
+            ViewStack([one, two], OpCounters())
 
 
 class TestSampling:
@@ -143,6 +316,16 @@ class TestRollingHash:
         s = bstr(np.random.default_rng(13), 10)
         with pytest.raises(ValueError):
             RollingHashState(s, SampleSet(np.arange(1, 11), 10, 1.0), cfg)
+
+    def test_modulus_guard_on_alphabet_size(self):
+        # the Mersenne modulus itself, but n^2 (sigma + 1) >= p
+        s = ByteString(np.arange(1, 11), P61 // 100)
+        samples = SampleSet(np.arange(1, 11), 10, 1.0)
+        with pytest.raises(ValueError, match="modulus too small"):
+            RollingHashState(s, samples, HashConfig(x=5))
+        # one symbol fewer passes it
+        s = ByteString(np.arange(1, 11), (P61 - 1) // 100 - 1)
+        assert RollingHashState(s, samples, HashConfig(x=5)).prefix.size == 11
 
 
 class TestConfig:

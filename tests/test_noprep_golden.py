@@ -1,0 +1,111 @@
+"""Recorded noprep decisions on a fixed-seed grid.
+
+`tests/data/noprep_golden.json` holds, for every cell below, the verdict,
+the greedy trace or wave table and the `OpCounters` of one noprep
+decision, recorded before the hash layer was vectorised. Any change to
+hashing, sampling or the oracles' scan order shows up here as a diff.
+
+Regenerate (only when a change is meant to alter these results):
+
+    PYTHONPATH=src python tests/test_noprep_golden.py
+"""
+
+import json
+import math
+from dataclasses import asdict
+from pathlib import Path
+
+from gapedit import GreedyTrace, WaveTable, gap_match, gap_wave
+from gapedit.instances import gen_large_side, gen_planted
+from gapedit.wave import NEG_INF
+
+GOLDEN = Path(__file__).parent / "data" / "noprep_golden.json"
+
+# (n, sigma, k, instance seed, hash seed, far threshold or None)
+GREEDY_CELLS = [
+    (256, 4, 2, 1, 11, None),
+    (512, 16, 4, 2, 12, None),
+    (1024, 16, 16, 3, 13, None),
+    (1024, 16, 48, 4, 14, None),
+    (2048, 64, 48, 5, 15, None),
+    (2048, 16, 100, 6, 16, None),
+    (512, 64, 2, 7, 17, 161),
+    (1024, 64, 3, 8, 18, 361),
+]
+
+# (n, sigma, k, ell, instance seed, hash seed, far threshold or None)
+WAVE_CELLS = [
+    (256, 8, 9, 3, 21, 31, None),
+    (512, 16, 9, 3, 22, 32, None),
+    (1024, 16, 16, 4, 23, 33, None),
+    (1024, 16, 48, 8, 24, 34, None),
+    (2048, 16, 64, 32, 26, 36, None),
+    (512, 64, 4, 2, 25, 35, 161),
+]
+
+
+def _instance(n, sigma, k, seed, far):
+    if far is None:
+        return gen_planted(n, sigma, k, seed=seed)
+    return gen_large_side(n, sigma, far, seed=seed)
+
+
+def _row(row):
+    return [[j, None if v == NEG_INF else int(v)] for j, v in sorted(row.items())]
+
+
+def compute_grid() -> dict:
+    greedy = []
+    for n, sigma, k, iseed, hseed, far in GREEDY_CELLS:
+        inst = _instance(n, sigma, k, iseed, far)
+        trace = GreedyTrace()
+        verdict, ctr = gap_match(inst.a, inst.b, k, mode="noprep", seed=hseed,
+                                 trace=trace)
+        greedy.append({"cell": [n, sigma, k, iseed, hseed, far],
+                       "verdict": verdict.value, "counters": asdict(ctr),
+                       "starts": trace.starts, "jumps": trace.jumps,
+                       "hints": trace.hints})
+    wave = []
+    for n, sigma, k, ell, iseed, hseed, far in WAVE_CELLS:
+        inst = _instance(n, sigma, k, iseed, far)
+        table = WaveTable()
+        verdict, ctr = gap_wave(inst.a, inst.b, k, ell, "noprep", seed=hseed,
+                                table=table)
+        wave.append({"cell": [n, sigma, k, ell, iseed, hseed, far],
+                     "verdict": verdict.value, "counters": asdict(ctr),
+                     "rows": [_row(r) for r in table.rows]})
+    return {"greedy": greedy, "wave": wave}
+
+
+def test_noprep_decisions_match_recorded_grid():
+    want = json.loads(GOLDEN.read_text())
+    got = json.loads(json.dumps(compute_grid()))
+    assert len(got["greedy"]) == len(want["greedy"])
+    assert len(got["wave"]) == len(want["wave"])
+    for g, w in zip(got["greedy"] + got["wave"], want["greedy"] + want["wave"]):
+        assert g == w, f"cell {w['cell']} differs"
+
+
+def test_grid_covers_both_verdicts_and_sampling_regimes():
+    want = json.loads(GOLDEN.read_text())
+    verdicts = {c["verdict"] for c in want["greedy"]}
+    assert verdicts == {"small", "large"}
+    assert {c["verdict"] for c in want["wave"]} == {"small", "large"}
+    # both sampling regimes: saturated (k <= 4 ln n) and subsampled
+    regimes = {c["cell"][2] > 4 * math.log(c["cell"][0]) for c in want["greedy"]}
+    assert regimes == {False, True}
+
+
+def dump_grid(grid: dict) -> str:
+    """One decision per line, so a diff names the cells that moved."""
+    parts = []
+    for key in ("greedy", "wave"):
+        cells = ",\n  ".join(json.dumps(c) for c in grid[key])
+        parts.append(f'"{key}": [\n  {cells}\n ]')
+    return "{\n " + ",\n ".join(parts) + "\n}\n"
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(dump_grid(compute_grid()))
+    print(f"wrote {GOLDEN}")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gapedit.hashing import HashConfig, RollingHashState
+from gapedit.greedy import GapVerdict, greedy_match
+from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
 from gapedit.strings import ByteString, max_k_alignment_bruteforce
 from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle, full_sample,
@@ -52,6 +53,34 @@ class TestTwoSidedAlign:
         orc(1)
         assert orc.counters.oracle_queries == 1
         assert idx.counters.table_lookups > before
+
+    def test_query_counts_a_rows_of_member(self, monkeypatch):
+        # query retrievals = B-side retrieves + A-side rows member computed;
+        # none of them lands on the build counters
+        inst = gen_planted(512, 8, 4, seed=6)
+        idx = TwoSidedIndex.preprocess(inst.a, 4, CFG)
+        build = idx.counters
+        built = (build.init_steps, build.retrievals)
+        query = idx.counters = OpCounters()
+        orc = TwoSidedOracle(idx, inst.b, query)
+        rows, b_retrieves = [], []
+        a_rows = idx.a_state.retrieve_many
+        b_retrieve = orc.b_state.retrieve
+
+        def counted_rows(i_arr, j_arr):
+            rows.append(len(i_arr))
+            return a_rows(i_arr, j_arr)
+
+        def counted_retrieve(i, j):
+            b_retrieves.append((i, j))
+            return b_retrieve(i, j)
+
+        monkeypatch.setattr(idx.a_state, "retrieve_many", counted_rows)
+        monkeypatch.setattr(orc.b_state, "retrieve", counted_retrieve)
+        assert greedy_match(inst.a, inst.b, 4, orc) == GapVerdict.SMALL
+        assert sum(rows) > 0
+        assert query.retrievals == len(b_retrieves) + sum(rows)
+        assert (build.init_steps, build.retrievals) == built
 
 
 class TestMaterialization:
