@@ -61,9 +61,10 @@ def gen_planted(n: int, sigma: int, edits: int, seed=None,
 def gen_large_side(n: int, sigma: int, threshold: int, seed=None,
                    max_tries: int = 20) -> Instance:
     """Random pair certified to have edit distance strictly above
-    `threshold` (checked by a width-bounded band). Raises if `threshold`
-    is not reachable for this alphabet; random pairs concentrate around a
-    distance proportional to n with a constant that grows with sigma."""
+    `threshold` (checked by the bit-vector DP with its diagonal cutoff).
+    Raises if `threshold` is not reachable for this alphabet; random pairs
+    concentrate around a distance proportional to n with a constant that
+    grows with sigma."""
     rng = np.random.default_rng(seed)
     last = None
     for _ in range(max_tries):

@@ -28,11 +28,13 @@ import struct
 import numpy as np
 
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      draw_sample)
+                      draw_sample, sample_rate)
 from .strings import ByteString
 
 MAGIC_1S = b"GEDT1S"
 FORMAT_VERSION = 1
+_HEAD = struct.Struct("<QQIIQ")  # p, x, k, n, sample count
+_CELL = struct.Struct("<III")  # exponent, column, cell size
 
 
 def anchor_positions(n: int, k: int) -> np.ndarray:
@@ -192,43 +194,60 @@ class OneSidedIndex:
         with open(path, "wb") as f:
             f.write(MAGIC_1S)
             f.write(struct.pack("<B", FORMAT_VERSION))
-            f.write(struct.pack("<QQII", self.cfg.p, self.cfg.x, self.k, self.n))
             s = self.samples.indices
-            f.write(struct.pack("<Q", s.size))
+            f.write(_HEAD.pack(self.cfg.p, self.cfg.x, self.k, self.n, s.size))
             f.write(s.astype(np.int64).tobytes())
             f.write(struct.pack("<Q", len(cells)))
             for (e, c), cell in sorted(cells.items()):
-                f.write(struct.pack("<III", e, c, cell.size))
+                f.write(_CELL.pack(e, c, cell.size))
                 f.write(np.ascontiguousarray(cell, dtype=np.uint64).tobytes())
 
     @classmethod
     def load(cls, path) -> "OneSidedIndex":
+        """Read an index written by `save`. A file of the wrong kind or
+        version raises ValueError, and so does one of the wrong length: the
+        length is checked before every read, and trailing bytes are refused."""
         with open(path, "rb") as f:
             raw = f.read()
-        if raw[:6] != MAGIC_1S:
+        size = len(raw)
+
+        def short(what: str, need: int) -> ValueError:
+            return ValueError(f"truncated index file: {what} needs {need} "
+                              f"bytes, file has {size}")
+
+        off = len(MAGIC_1S)
+        if size < off + 1:
+            raise short("magic and version", off + 1)
+        if raw[:off] != MAGIC_1S:
             raise ValueError("not a one-sided index file")
-        off = 6
-        (version,) = struct.unpack_from("<B", raw, off)
+        version = raw[off]
         off += 1
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported index version {version}")
-        p, x, k, n = struct.unpack_from("<QQII", raw, off)
-        off += struct.calcsize("<QQII")
-        (ns,) = struct.unpack_from("<Q", raw, off)
-        off += 8
+        if size < off + _HEAD.size:
+            raise short("header", off + _HEAD.size)
+        p, x, k, n, ns = _HEAD.unpack_from(raw, off)
+        off += _HEAD.size
+        if size < off + 8 * ns + 8:
+            raise short("samples and cell count", off + 8 * ns + 8)
         s = np.frombuffer(raw, dtype=np.int64, count=ns, offset=off).copy()
         off += 8 * ns
-        from .hashing import sample_rate
         samples = SampleSet(s, int(n), sample_rate(int(n), int(k)))
         (ncells,) = struct.unpack_from("<Q", raw, off)
         off += 8
         tables = {}
         for _ in range(ncells):
-            e, c, cnt = struct.unpack_from("<III", raw, off)
-            off += struct.calcsize("<III")
-            cell = np.frombuffer(raw, dtype=np.uint64, count=cnt, offset=off).copy()
+            if size < off + _CELL.size:
+                raise short("cell header", off + _CELL.size)
+            e, c, cnt = _CELL.unpack_from(raw, off)
+            off += _CELL.size
+            if size < off + 8 * cnt:
+                raise short("cell", off + 8 * cnt)
+            tables[(e, c)] = np.frombuffer(raw, dtype=np.uint64, count=cnt,
+                                           offset=off).copy()
             off += 8 * cnt
-            tables[(int(e), int(c))] = cell
+        if off != size:
+            raise ValueError(f"index file has {size} bytes, expected {off}")
         return cls(int(n), int(k), HashConfig(x=int(x), p=int(p)), samples,
                    tables=tables)
 

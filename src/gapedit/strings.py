@@ -5,7 +5,7 @@ sentinel value sigma + 1, which never equals any in-range symbol on either
 string, so shifted comparisons near the boundaries behave like comparisons
 against fresh characters.
 
-The exact oracles here (banded DP with doubling, a quadratic referee, and an
+The exact oracles here (Myers' bit-vector DP, a quadratic referee, and an
 h-wave variant) serve both the public `exact` entry points and the test
 suite's independent ground truth.
 """
@@ -57,9 +57,14 @@ class ByteString:
     def gather(self, idx: np.ndarray) -> np.ndarray:
         """Symbols at an array of 1-based positions, sentinel out of range."""
         idx = np.asarray(idx, dtype=np.int64)
-        out = np.full(idx.shape, self.sentinel, dtype=np.int64)
-        ok = (idx >= 1) & (idx <= len(self))
-        out[ok] = self.data[idx[ok] - 1]
+        n = len(self)
+        if n == 0 or idx.size == 0:
+            return np.full(idx.shape, self.sentinel, dtype=np.int64)
+        out = self.data.take(idx - 1, mode="clip")
+        if idx.min() < 1:
+            out[idx < 1] = self.sentinel
+        if idx.max() > n:
+            out[idx > n] = self.sentinel
         return out
 
     @classmethod
@@ -85,66 +90,62 @@ def edit_distance_quadratic(a: ByteString, b: ByteString) -> int:
     return prev[m]
 
 
-def _banded_ed(a: np.ndarray, b: np.ndarray, w: int) -> int:
-    """Edit distance restricted to |i - j| <= w; returns a value > w iff the
-    band cannot realize distance <= w.
+def _myers_ed(a: np.ndarray, b: np.ndarray, cutoff: int | None = None) -> int:
+    """Levenshtein distance by Myers' bit-vector DP (Hyyrö's global form).
 
-    Rows are indexed by i; within a row, offset o in 0..2w maps to
-    j = i - w + o. Vectorized over offsets with a prefix-min pass for the
-    insert (left-neighbor) dependency.
+    The shorter string is the bit rows: Pv / Mv hold the +1 / -1 vertical
+    deltas of one DP column, and each symbol of the other string advances
+    one column while `score` tracks the last row. With a cutoff t the scan
+    stops and returns t + 1 once the cell on the end cell's diagonal
+    exceeds t; DP values never decrease along a diagonal, so the distance
+    then exceeds t too.
     """
-    n, m = a.size, b.size
-    if abs(n - m) > w:
-        return w + 1
-    big = n + m + 1
-    width = 2 * w + 1
-    offs = np.arange(width, dtype=np.int64)
-    # Row i = 0: dp[0][j] = j for j in 0..m.
-    j0 = offs - w
-    row = np.where((j0 >= 0) & (j0 <= m), np.abs(j0), big)
-    for i in range(1, n + 1):
-        j = i - w + offs
-        valid = (j >= 0) & (j <= m)
-        jc = np.clip(j, 1, max(m, 1))
-        match = np.where((j >= 1) & (j <= m), b[jc - 1] == a[i - 1], False)
-        diag = row + np.where(match, 0, 1)  # row[o] was dp[i-1][j-1]
-        up = np.concatenate((row[1:], [big])) + 1  # dp[i-1][j] + 1
-        cand = np.minimum(diag, up)
-        cand = np.where(valid, cand, big)
-        # Insert step: dp[i][j] <= dp[i][j-1] + 1; resolve with a running
-        # minimum of cand[o] - o, then add o back.
-        shifted = np.minimum.accumulate(cand - offs) + offs
-        row = np.minimum(cand, shifted)
-        row = np.where(valid, row, big)
-        if row.min() > w:
-            return w + 1
-    o_final = m - n + w
-    v = int(row[o_final])
-    return v if v <= w else w + 1
+    if a.size > b.size:
+        a, b = b, a
+    m, n = a.size, b.size
+    if m == 0:
+        return n
+    peq = {c: int.from_bytes(np.packbits(a == c, bitorder="little").tobytes(),
+                             "little")
+           for c in set(a.tolist())}
+    mask = (1 << m) - 1
+    top = 1 << (m - 1)
+    pv, mv, score = mask, 0, m
+    lag = n - m  # column j meets the end cell's diagonal at row j - lag
+    for j, c in enumerate(b.tolist(), 1):
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (mask ^ (xh | pv))
+        mh = pv & xh
+        if ph & top:
+            score += 1
+        elif mh & top:
+            score -= 1
+        ph = ((ph << 1) | 1) & mask  # row 0 grows by one per column
+        mh = (mh << 1) & mask
+        pv = mh | (mask ^ (xv | ph))
+        mv = ph & xv
+        if cutoff is not None and j >= lag:
+            i = j - lag
+            if score - (pv >> i).bit_count() + (mv >> i).bit_count() > cutoff:
+                return cutoff + 1
+    return score
 
 
 def edit_distance_exact(a: ByteString, b: ByteString) -> int:
-    """Exact edit distance via banded DP with doubling band widths."""
-    n, m = len(a), len(b)
-    if n == 0 or m == 0:
-        return max(n, m)
-    w = max(1, abs(n - m))
-    while True:
-        v = _banded_ed(a.data, b.data, w)
-        if v <= w:
-            return v
-        if w >= max(n, m):
-            return v
-        w = min(2 * w, max(n, m))
+    """Exact edit distance by Myers' bit-vector DP."""
+    return _myers_ed(a.data, b.data)
 
 
 def edit_distance_at_most(a: ByteString, b: ByteString, t: int) -> bool:
-    """True iff edit distance <= t; certified by a width-t band."""
-    if t < 0:
+    """True iff edit distance <= t; the bit-vector scan stops early once
+    the end cell's diagonal exceeds t."""
+    if t < 0 or abs(len(a) - len(b)) > t:
         return False
     if t >= max(len(a), len(b)):
         return True
-    return _banded_ed(a.data, b.data, t) <= t
+    return _myers_ed(a.data, b.data, t) <= t
 
 
 def exact_hwave(a: ByteString, b: ByteString, k: int) -> bool:
@@ -356,10 +357,6 @@ def check_decomposition(a: ByteString, b: ByteString,
             return False
         total += d
     return total <= edit_distance_exact(a, b)
-
-
-def hamming(u: np.ndarray, v: np.ndarray) -> int:
-    return int(np.count_nonzero(np.asarray(u) != np.asarray(v)))
 
 
 def max_k_alignment_bruteforce(a: ByteString, b: ByteString, i_b: int, k: int) -> int:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -130,3 +132,38 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             OneSidedIndex.load(path)
+
+    def test_truncated_or_overlong_file_rejected(self, tmp_path):
+        inst = gen_planted(12, 4, 1, seed=8)
+        idx = OneSidedIndex.preprocess(inst.a, 3, CFG, force_general=True)
+        path = tmp_path / "a.gedt1s"
+        idx.save(path)
+        raw = path.read_bytes()
+        # walk the saved layout to find where each cell header starts: the
+        # sample count follows magic (6), version (1), p, x (8 each) and
+        # k, n (4 each)
+        ns = struct.unpack_from("<Q", raw, 31)[0]
+        off = 39 + 8 * ns
+        ncells = struct.unpack_from("<Q", raw, off)[0]
+        off += 8
+        boundaries = []
+        for _ in range(ncells):
+            boundaries.append(off)
+            off += 12 + 8 * struct.unpack_from("<III", raw, off)[2]
+        assert off == len(raw) and len(boundaries) == len(idx.tables) > 1
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=rf"^truncated index file: "
+                                                 rf".* file has {cut}$"):
+                OneSidedIndex.load(path)
+        for cut in boundaries:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=f"needs {cut + 12} bytes, "
+                                                 f"file has {cut}"):
+                OneSidedIndex.load(path)
+        path.write_bytes(raw + b"\0")
+        with pytest.raises(ValueError, match=f"has {len(raw) + 1} bytes, "
+                                             f"expected {len(raw)}"):
+            OneSidedIndex.load(path)
+        path.write_bytes(raw)
+        assert OneSidedIndex.load(path).tables.keys() == idx.tables.keys()

@@ -38,8 +38,13 @@ class TestByteString:
 
     def test_gather_matches_at(self):
         s = bs([2, 1, 3])
-        idx = np.array([-1, 1, 2, 3, 4])
-        assert list(s.gather(idx)) == [s.at(int(i)) for i in idx]
+        # out of range on both ends, unsorted and repeated, on one end
+        # only, none, and empty
+        for idx in ([-1, 1, 2, 3, 4], [5, 2, -3, 0, 3, 9, 1, 2, 7, -1],
+                    [2, 4, 1], [0, 3], [3, 1, 2], []):
+            idx = np.array(idx, dtype=np.int64)
+            assert list(s.gather(idx)) == [s.at(int(i)) for i in idx]
+        assert list(bs([]).gather(np.array([0, 1, 2]))) == [5, 5, 5]
 
     def test_bytes_roundtrip(self):
         s = bs([1, 4, 2], sigma=4)
@@ -83,6 +88,68 @@ class TestExactDistance:
         assert d == edit_distance_exact(b, a)
         assert (d == 0) == (xs == ys)
         assert abs(len(xs) - len(ys)) <= d <= max(len(xs), len(ys))
+
+
+@st.composite
+def distance_cases(draw):
+    """Pairs for the exact layer: edited copies (unequal lengths too) and
+    random pairs over alphabets up to 256, or equal-length windows with
+    sentinel padding, read the way has_approximate_alignment reads them
+    (shifted windows of one string, or of two random strings)."""
+    if draw(st.booleans()):
+        sigma = draw(st.integers(1, 255))
+        n = draw(st.integers(1, 140))
+        a, b = (bs(draw(st.lists(st.integers(1, sigma), min_size=n,
+                                 max_size=n)), sigma) for _ in range(2))
+        if draw(st.booleans()):
+            b = a
+        d = draw(st.integers(0, 140))
+        i_b = draw(st.integers(1, n))
+        c = draw(st.integers(-d - 4, n))
+        return (ByteString(a.window(i_b + c, i_b + c + d - 1), sigma + 1),
+                ByteString(b.window(i_b, i_b + d - 1), sigma + 1))
+    sigma = draw(st.integers(1, 256))
+    xs = draw(st.lists(st.integers(1, sigma), max_size=140))
+    if draw(st.booleans()):
+        ys = draw(st.lists(st.integers(1, sigma), max_size=140))
+    else:
+        ys = list(xs)
+        for _ in range(draw(st.integers(0, 12))):
+            i = draw(st.integers(0, len(ys)))
+            kind = draw(st.sampled_from(["sub", "ins", "del"]))
+            if kind == "ins" or not ys:
+                ys.insert(i, draw(st.integers(1, sigma)))
+            elif kind == "del":
+                del ys[min(i, len(ys) - 1)]
+            else:
+                ys[min(i, len(ys) - 1)] = draw(st.integers(1, sigma))
+    return bs(xs, sigma), bs(ys, sigma)
+
+
+class TestBitParallel:
+    @given(distance_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_and_at_most_match_quadratic(self, pair):
+        a, b = pair
+        d = edit_distance_quadratic(a, b)
+        assert edit_distance_exact(a, b) == d
+        assert edit_distance_exact(b, a) == d
+        for t in range(-1, max(len(a), len(b)) + 2):
+            assert edit_distance_at_most(a, b, t) == (d <= t)
+
+    def test_far_pair_at_large_n(self):
+        # a symbol absent from a at 40 positions of b: distance exactly 40
+        rng = np.random.default_rng(9)
+        a = rng.integers(1, 16, 2048)
+        b = a.copy()
+        b[rng.choice(2048, size=40, replace=False)] = 16
+        a, b = ByteString(a, 16), ByteString(b, 16)
+        assert edit_distance_exact(a, b) == 40
+        assert edit_distance_at_most(a, b, 40)
+        assert not edit_distance_at_most(a, b, 39)
+        assert not edit_distance_at_most(a, b, 4)
+        x = ByteString(rng.integers(1, 17, 2048), 16)
+        assert not edit_distance_at_most(a, x, 8)
 
 
 class TestHWave:
