@@ -31,7 +31,6 @@ decision leaves no tables behind.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -293,21 +292,3 @@ class ViewStack:
         self.counters.retrievals += taken
         return hit
 
-
-def sidecar_dump(cfg: HashConfig, samples: SampleSet) -> str:
-    return json.dumps({
-        "p": cfg.p,
-        "x": cfg.x,
-        "rng_seed": cfg.rng_seed,
-        "n": samples.n,
-        "rate": samples.rate,
-        "sample": samples.indices.tolist(),
-    })
-
-
-def sidecar_load(text: str) -> tuple[HashConfig, SampleSet]:
-    d = json.loads(text)
-    cfg = HashConfig(x=int(d["x"]), p=int(d["p"]), rng_seed=d.get("rng_seed"))
-    samples = SampleSet(np.asarray(d["sample"], dtype=np.int64),
-                        int(d["n"]), float(d["rate"]))
-    return cfg, samples

@@ -38,8 +38,7 @@ class NoPrepOracle:
     """Longest-alignment oracle built per query pair, sublinear in n."""
 
     def __init__(self, a: ByteString, b: ByteString, k: int, cfg: HashConfig,
-                 counters: OpCounters | None = None,
-                 granularity: int | None = None):
+                 counters: OpCounters | None = None):
         n = len(b)
         if len(a) != n:
             raise ValueError("equal lengths required")
@@ -50,7 +49,7 @@ class NoPrepOracle:
             self.r += 1
         self.counters = counters if counters is not None else OpCounters()
         rng = cfg.sampling_rng()
-        self.samples = draw_sample(n, granularity if granularity else k, rng)
+        self.samples = draw_sample(n, k, rng)
         r = self.r
         self.a_states = {
             a_coef: RollingHashState(a, self.samples.shift(a_coef * r), cfg,

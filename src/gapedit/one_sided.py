@@ -1,29 +1,49 @@
-"""Gap decision with only A preprocessed.
+"""Gap decision with only A preprocessed: one A-index for both deciders.
 
 The index stores, for every window length 2^e, the sampled-window hashes of
 A under every shift |a| <= k, recorded at canonical start positions: one
 past each sampled position, and each position whose window ends exactly on
 a sampled position. A query hashes B over the same sample set and scans
 window lengths downward by powers of two until some length's hash appears
-in the table near the query column.
+in the table near the query's column and shift bucket.
 
-Columns bucket start positions by floor(i / k); every multiple of k is
-forced into the sample set, so a query position and its canonical table
-positions always land within one column of each other. Each entry is filed
-under its own column and both neighbors, and the query probes a single
-column.
+Columns bucket start positions by floor(i / l) and shift buckets bucket
+shifts by floor(a / l); every multiple of l is forced into the sample set,
+so a query position and its canonical table positions always land within
+one column of each other. Each entry is filed under its own column and
+both neighbors, and under its own shift bucket and both neighbors, as far
+as the index keeps them; a query probes a single (column, bucket) cell.
+
+The greedy decider is the wave decider's oracle problem at i_a = i_b and
+l = k. Its index (`OneSidedIndex.preprocess`) has column width k and keeps
+bucket 0 only, under which every shift in [-k, k] is filed. The wave index
+(`OneSidedWaveIndex.preprocess`) has column width l and keeps every bucket
+a promised offset |i_a - i_b| <= k can ask for.
 
 When the sampling rate saturates at 1 the sampled hash of a window is just
 the hash of the full substring, and the table collapses to one sorted
 (hash, start) array per window length with membership answered by a range
 check on starts. That dense layout answers exactly the same membership
 queries as the general table and is used automatically.
+
+File format, version 2, little-endian, every section 8-byte aligned:
+
+    magic  b"GEDT1S"
+    head   version u8, layout u8 (0 general, 1 dense), p, x, n, k, l,
+           first and one-past-last shift bucket, sample count, key count
+           and hash count (u64 each, buckets i64)
+    int64  sample positions
+    int64  keys: one (exponent, column, bucket, count) row per general cell,
+           or one (exponent, 0, 0, count) row per dense window length
+    uint64 hashes of every key, in key order
+    int64  dense layout only: the start of every hash
+    u32    zlib.crc32 of everything after the magic
 """
 
 from __future__ import annotations
 
-import math
 import struct
+import zlib
 
 import numpy as np
 
@@ -32,9 +52,10 @@ from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
 from .strings import ByteString
 
 MAGIC_1S = b"GEDT1S"
-FORMAT_VERSION = 1
-_HEAD = struct.Struct("<QQIIQ")  # p, x, k, n, sample count
-_CELL = struct.Struct("<III")  # exponent, column, cell size
+FORMAT_VERSION = 2
+_HEAD = struct.Struct("<BBQQQQQqqQQQ")
+_CRC = struct.Struct("<I")
+_LAYOUT_DENSE = 1
 
 
 def anchor_positions(n: int, k: int) -> np.ndarray:
@@ -46,27 +67,35 @@ def anchor_positions(n: int, k: int) -> np.ndarray:
 
 
 class OneSidedIndex:
-    def __init__(self, n: int, k: int, cfg: HashConfig, samples: SampleSet,
+    """Sampled window hashes of shifted copies of A, by window length,
+    start column and shift bucket."""
+
+    def __init__(self, n: int, k: int, ell: int, buckets: range,
+                 cfg: HashConfig, samples: SampleSet,
                  tables: dict | None = None, dense: list | None = None,
                  counters: OpCounters | None = None):
-        self.n = n
-        self.k = k
+        self.n, self.k, self.ell, self.buckets = n, k, ell, buckets
         self.cfg = cfg
         self.samples = samples
-        self.tables = tables  # (e, col) -> sorted uint64 hash array
+        self.tables = tables  # (e, col, bucket) -> sorted uint64 hash array
         self.dense = dense  # per e: (hash-sorted hashes, starts) pair
         self.counters = counters if counters is not None else OpCounters()
-        self.num_cols = -(-n // k)
+        self.num_cols = -(-n // ell)
         self.exponents = max(n, 1).bit_length() - 1
 
     @classmethod
     def preprocess(cls, a: ByteString, k: int, cfg: HashConfig,
                    force_general: bool = False) -> "OneSidedIndex":
+        """The greedy decider's index: column width k, bucket 0 only."""
+        return cls._build(a, k, k, range(0, 1), cfg, force_general)
+
+    @classmethod
+    def _build(cls, a: ByteString, k: int, ell: int, buckets: range,
+               cfg: HashConfig, force_general: bool) -> "OneSidedIndex":
         n = len(a)
-        counters = OpCounters()
-        rng = cfg.sampling_rng()
-        samples = draw_sample(n, k, rng, force_anchors=anchor_positions(n, k))
-        idx = cls(n, k, cfg, samples, counters=counters)
+        samples = draw_sample(n, ell, cfg.sampling_rng(),
+                              force_anchors=anchor_positions(n, ell))
+        idx = cls(n, k, ell, buckets, cfg, samples)
         if samples.rate >= 1.0 and not force_general:
             idx._build_dense(a)
         else:
@@ -80,42 +109,54 @@ class OneSidedIndex:
         return starts[(starts >= 2 - (1 << e)) & (starts <= self.n + 1)]
 
     def _build_tables(self, a: ByteString) -> None:
-        k, n = self.k, self.n
+        k, n, ell = self.k, self.n, self.ell
         states = {
             sh: RollingHashState(a, self.samples.shift(sh), self.cfg,
                                  self.counters)
             for sh in range(-k, k + 1)
         }
+        nb = len(self.buckets)
+        # cell key col * nb + (bucket - first bucket); a shift is filed
+        # under its own bucket and both neighbors that the index keeps,
+        # and each of those under the start's column and both neighbors
+        offsets = {
+            sh: [dc * nb + b - self.buckets.start for dc in (-1, 0, 1)
+                 for b in range(sh // ell - 1, sh // ell + 2)
+                 if b in self.buckets]
+            for sh in states
+        }
         tables: dict = {}
         for e in range(self.exponents + 1):
             w = 1 << e
             starts = self._canonical_starts(e)
-            all_h = []
-            all_col = []
+            parts_h, parts_key = [], []
             for sh, st in states.items():
                 ok = (starts + sh >= 1) & (starts + sh + w - 1 <= n)
                 i_ok = starts[ok]
                 if not i_ok.size:
                     continue
                 h = st.retrieve_many(i_ok + sh, i_ok + sh + w - 1)
-                col = i_ok // k
-                for dc in (-1, 0, 1):
-                    c = col + dc
-                    keep = (c >= 0) & (c < self.num_cols)
-                    all_h.append(h[keep])
-                    all_col.append(c[keep])
-            if not all_h:
+                key = (i_ok // ell) * nb  # computed once per shift
+                for off in offsets[sh]:
+                    parts_h.append(h)
+                    parts_key.append(key + off)
+            if not parts_h:
                 continue
-            h = np.concatenate(all_h)
-            col = np.concatenate(all_col)
-            order = np.lexsort((h, col))
-            h = h[order]
-            col = col[order]
-            bounds = np.searchsorted(col, np.arange(self.num_cols + 1))
-            for c in range(self.num_cols):
-                lo, hi = bounds[c], bounds[c + 1]
-                if hi > lo:
-                    tables[(e, c)] = np.unique(h[lo:hi])
+            h = np.concatenate(parts_h)
+            key = np.concatenate(parts_key)
+            inside = (key >= 0) & (key < self.num_cols * nb)
+            h, key = h[inside], key[inside]
+            order = np.lexsort((h, key))
+            h, key = h[order], key[order]
+            # one sorted run of distinct hashes per cell
+            new_key = key[1:] != key[:-1]
+            fresh = np.ones(h.size, dtype=bool)
+            fresh[1:] = new_key | (h[1:] != h[:-1])
+            h, key = h[fresh], key[fresh]
+            cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+            firsts = key[np.concatenate(([0], cuts))].tolist()
+            for kk, cell in zip(firsts, np.split(h, cuts)):
+                tables[(e, kk // nb, kk % nb + self.buckets.start)] = cell
         self.tables = tables
 
     def _build_dense(self, a: ByteString) -> None:
@@ -131,27 +172,31 @@ class OneSidedIndex:
             dense.append((h[order], u[order]))
         self.dense = dense
 
-    def member(self, e: int, col: int, h: int) -> bool:
+    def member(self, e: int, col: int, bucket: int, h: int) -> bool:
         self.counters.table_lookups += 1
         if self.dense is not None:
-            return self._member_dense(e, col, h)
-        cell = self.tables.get((e, col))
+            return self._member_dense(e, col, bucket, h)
+        cell = self.tables.get((e, col, bucket))
         if cell is None:
             return False
         pos = int(np.searchsorted(cell, np.uint64(h)))
         return pos < cell.size and int(cell[pos]) == h
 
-    def _member_dense(self, e: int, col: int, h: int) -> bool:
-        if not (0 <= col < self.num_cols) or e >= len(self.dense):
+    def _member_dense(self, e: int, col: int, bucket: int, h: int) -> bool:
+        if not (0 <= col < self.num_cols) or bucket not in self.buckets:
             return False
-        k, w = self.k, 1 << e
-        # starts filed under this column span three column widths
-        i_lo = max((col - 1) * k, 2 - w)
-        i_hi = min((col + 2) * k - 1, self.n + 1)
-        if i_hi < i_lo:
+        if e >= len(self.dense):
             return False
-        u_lo = max(i_lo - k, 1)
-        u_hi = min(i_hi + k, self.n - w + 1)
+        ell, k, w = self.ell, self.k, 1 << e
+        # starts and shifts filed under this cell span three widths each
+        i_lo = max((col - 1) * ell, 2 - w)
+        i_hi = min((col + 2) * ell - 1, self.n + 1)
+        a_lo = max((bucket - 1) * ell, -k)
+        a_hi = min((bucket + 2) * ell - 1, k)
+        if i_hi < i_lo or a_hi < a_lo:
+            return False
+        u_lo = max(i_lo + a_lo, 1)
+        u_hi = min(i_hi + a_hi, self.n - w + 1)
         if u_hi < u_lo:
             return False
         hs, us = self.dense[e]
@@ -160,53 +205,47 @@ class OneSidedIndex:
         if right <= left:
             return False
         seg = us[left:right]
-        a = int(np.searchsorted(seg, u_lo, side="left"))
-        return a < seg.size and int(seg[a]) <= u_hi
+        pos = int(np.searchsorted(seg, u_lo, side="left"))
+        return pos < seg.size and int(seg[pos]) <= u_hi
 
-    def _cells_for_save(self, a: ByteString | None = None) -> dict:
-        if self.tables is not None:
-            return self.tables
-        # dense layout: reconstruct the per-column cells it stands for
-        cells: dict = {}
-        k = self.k
-        for e, (hs, us) in enumerate(self.dense):
-            w = 1 << e
-            i_lo_all = 2 - w
-            i_hi_all = self.n + 1
-            order = np.argsort(us, kind="stable")
-            uu = us[order]
-            hh = hs[order]
-            for c in range(self.num_cols):
-                i_lo = max((c - 1) * k, i_lo_all)
-                i_hi = min((c + 2) * k - 1, i_hi_all)
-                u_lo = max(i_lo - k, 1)
-                u_hi = min(i_hi + k, self.n - w + 1)
-                if u_hi < u_lo:
-                    continue
-                lo = np.searchsorted(uu, u_lo, side="left")
-                hi = np.searchsorted(uu, u_hi, side="right")
-                if hi > lo:
-                    cells[(e, c)] = np.unique(hh[lo:hi])
-        return cells
+    def hash_b(self, b: ByteString, counters: OpCounters) -> RollingHashState:
+        """Hash B over the index's sample set; this is the whole per-query
+        pass over B, so its cost is the sample size, not n."""
+        if len(b) != self.n:
+            raise ValueError(f"B has length {len(b)}, the index was built "
+                             f"for n = {self.n}")
+        return RollingHashState(b, self.samples, self.cfg, counters)
 
     def save(self, path) -> None:
-        cells = self._cells_for_save()
+        """Write the index in format version 2 (module docstring)."""
+        if self.dense is not None:
+            layout = _LAYOUT_DENSE
+            keys = [(e, 0, 0, hs.size) for e, (hs, _) in enumerate(self.dense)]
+            arrays = [hs for hs, _ in self.dense] + [us for _, us in self.dense]
+        else:
+            layout = 0
+            cells = sorted(self.tables.items())
+            keys = [(*key, cell.size) for key, cell in cells]
+            arrays = [cell for _, cell in cells]
+        s = self.samples.indices
+        head = _HEAD.pack(FORMAT_VERSION, layout, self.cfg.p, self.cfg.x,
+                          self.n, self.k, self.ell, self.buckets.start,
+                          self.buckets.stop, s.size, len(keys),
+                          sum(key[3] for key in keys))
+        # one buffer and one write: a write per cell costs more than the copy
+        blob = b"".join([MAGIC_1S, head, s, np.asarray(keys, dtype=np.int64),
+                         *arrays])
+        crc = zlib.crc32(memoryview(blob)[len(MAGIC_1S):])
         with open(path, "wb") as f:
-            f.write(MAGIC_1S)
-            f.write(struct.pack("<B", FORMAT_VERSION))
-            s = self.samples.indices
-            f.write(_HEAD.pack(self.cfg.p, self.cfg.x, self.k, self.n, s.size))
-            f.write(s.astype(np.int64).tobytes())
-            f.write(struct.pack("<Q", len(cells)))
-            for (e, c), cell in sorted(cells.items()):
-                f.write(_CELL.pack(e, c, cell.size))
-                f.write(np.ascontiguousarray(cell, dtype=np.uint64).tobytes())
+            f.write(blob)
+            f.write(_CRC.pack(crc))
 
     @classmethod
     def load(cls, path) -> "OneSidedIndex":
         """Read an index written by `save`. A file of the wrong kind or
-        version raises ValueError, and so does one of the wrong length: the
-        length is checked before every read, and trailing bytes are refused."""
+        version raises ValueError, and so does one of the wrong length (its
+        length is checked against the header before any read) or one whose
+        checksum does not match. Arrays are views of the file's bytes."""
         with open(path, "rb") as f:
             raw = f.read()
         size = len(raw)
@@ -220,75 +259,115 @@ class OneSidedIndex:
             raise short("magic and version", off + 1)
         if raw[:off] != MAGIC_1S:
             raise ValueError("not a one-sided index file")
-        version = raw[off]
-        off += 1
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported index version {version}")
+        if raw[off] != FORMAT_VERSION:
+            raise ValueError(f"unsupported index version {raw[off]}")
         if size < off + _HEAD.size:
             raise short("header", off + _HEAD.size)
-        p, x, k, n, ns = _HEAD.unpack_from(raw, off)
+        (_, layout, p, x, n, k, ell, b_start, b_stop, ns, nk,
+         nh) = _HEAD.unpack_from(raw, off)
         off += _HEAD.size
-        if size < off + 8 * ns + 8:
-            raise short("samples and cell count", off + 8 * ns + 8)
-        s = np.frombuffer(raw, dtype=np.int64, count=ns, offset=off).copy()
-        off += 8 * ns
-        samples = SampleSet(s, int(n), sample_rate(int(n), int(k)))
-        (ncells,) = struct.unpack_from("<Q", raw, off)
-        off += 8
-        tables = {}
-        for _ in range(ncells):
-            if size < off + _CELL.size:
-                raise short("cell header", off + _CELL.size)
-            e, c, cnt = _CELL.unpack_from(raw, off)
-            off += _CELL.size
-            if size < off + 8 * cnt:
-                raise short("cell", off + 8 * cnt)
-            tables[(e, c)] = np.frombuffer(raw, dtype=np.uint64, count=cnt,
-                                           offset=off).copy()
-            off += 8 * cnt
-        if off != size:
-            raise ValueError(f"index file has {size} bytes, expected {off}")
-        return cls(int(n), int(k), HashConfig(x=int(x), p=int(p)), samples,
-                   tables=tables)
+        dense = layout == _LAYOUT_DENSE
+        need = off + 8 * (ns + 4 * nk + nh * (2 if dense else 1)) + _CRC.size
+        if size < need:
+            raise short(f"{ns} samples, {nk} keys and {nh} hashes", need)
+        if size > need:
+            raise ValueError(f"index file has {size} bytes, expected {need}")
+        (crc,) = _CRC.unpack_from(raw, size - _CRC.size)
+        if zlib.crc32(memoryview(raw)[len(MAGIC_1S):size - _CRC.size]) != crc:
+            raise ValueError("index file checksum mismatch")
+
+        def view(dtype: str, count: int) -> np.ndarray:
+            nonlocal off
+            arr = np.frombuffer(raw, dtype=dtype, count=count, offset=off)
+            off += 8 * count
+            return arr
+
+        s = view("<i8", ns)
+        keys = view("<i8", 4 * nk).reshape(nk, 4).tolist()
+        hashes = view("<u8", nh)
+        ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
+        spans = list(zip([0, *ends], ends))
+        tables = dense_arrays = None
+        if dense:
+            starts = view("<i8", nh)
+            dense_arrays = [(hashes[lo:hi], starts[lo:hi]) for lo, hi in spans]
+        else:
+            tables = {(e, c, b): hashes[lo:hi]
+                      for (e, c, b, _), (lo, hi) in zip(keys, spans)}
+        samples = SampleSet(s, n, sample_rate(n, ell))
+        return cls(n, k, ell, range(b_start, b_stop),
+                   HashConfig(x=x, p=p), samples, tables=tables,
+                   dense=dense_arrays)
 
 
-def one_sided_process_b(index: OneSidedIndex, b: ByteString,
-                        counters: OpCounters | None = None) -> RollingHashState:
-    """Hash B over the index's sample set; this is the whole per-query
-    pass over B, so its cost is the sample size, not n."""
-    return RollingHashState(b, index.samples, index.cfg,
-                            counters if counters is not None else index.counters)
+class OneSidedWaveIndex(OneSidedIndex):
+    """The A-index of the wave decider: column width l, and every shift
+    bucket that a promised offset |i_a - i_b| <= k can ask for."""
+
+    # an entry of its own, so a trace can tell the two deciders' lookups apart
+    member = OneSidedIndex.member
+
+    @classmethod
+    def preprocess(cls, a: ByteString, k: int, ell: int, cfg: HashConfig,
+                   force_general: bool = False) -> "OneSidedWaveIndex":
+        return cls._build(a, k, ell, range(-(k // ell) - 1, k // ell + 2),
+                          cfg, force_general)
 
 
-def one_sided_max_align(index: OneSidedIndex, b_state: RollingHashState,
-                        i_b: int) -> int:
-    """Binary expansion of the alignment length: scan window lengths by
-    descending powers of two, and on each table hit advance past the
-    matched window and keep scanning shorter ones. An exact alignment of
-    length d is fully covered because every window inside it hits."""
+def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
+                    i_a: int, i_b: int) -> int:
+    """Binary expansion of the shift-alignment length: scan window lengths
+    by descending powers of two, and on each table hit advance past the
+    matched window and keep scanning shorter ones. The probe is the cell of
+    the current start's column and the shift bucket of i_a - i_b. An exact
+    alignment of length d is fully covered because every window inside it
+    hits."""
     remaining = index.n - i_b + 1
     if remaining <= 0:
         return 0
+    bucket = (i_a - i_b) // index.ell
     cur = i_b
     for e in range(remaining.bit_length() - 1, -1, -1):
         d = 1 << e
         if cur + d - 1 > index.n:
             continue
         h = b_state.retrieve(cur, cur + d - 1)
-        col = min(cur // index.k, index.num_cols - 1)
-        if index.member(e, col, h):
+        col = min(cur // index.ell, index.num_cols - 1)
+        if index.member(e, col, bucket, h):
             cur += d
     return cur - i_b
 
 
 class OneSidedOracle:
+    """Greedy alignment oracle over an A-index: `max_shift_align` at
+    i_a = i_b."""
+
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
         self.index = index
         self.counters = counters if counters is not None else OpCounters()
-        self.b_state = one_sided_process_b(index, b, self.counters)
+        self.b_state = index.hash_b(b, self.counters)
         self.last_hint = None
 
     def __call__(self, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        return one_sided_max_align(self.index, self.b_state, i_b)
+        return max_shift_align(self.index, self.b_state, i_b, i_b)
+
+
+class IndexedShiftOracle:
+    """Wave shift-alignment oracle over an A-index. `b_state` takes B's
+    hashes from `index.hash_b(b, ...)` when they were built during
+    preprocessing."""
+
+    def __init__(self, index: OneSidedIndex, b: ByteString,
+                 counters: OpCounters | None = None,
+                 b_state: RollingHashState | None = None):
+        self.index = index
+        self.counters = counters if counters is not None else OpCounters()
+        self.b_state = (b_state if b_state is not None
+                        else index.hash_b(b, self.counters))
+        self.last_hint = None
+
+    def __call__(self, i_a: int, i_b: int) -> int:
+        self.counters.oracle_queries += 1
+        return max_shift_align(self.index, self.b_state, i_a, i_b)

@@ -78,13 +78,13 @@ class ByteString:
 
 def edit_distance_quadratic(a: ByteString, b: ByteString) -> int:
     """Textbook full-table edit distance. Slow referee for tests."""
-    n, m = len(a), len(b)
+    xs, ys = a.data.tolist(), b.data.tolist()
+    m = len(ys)
     prev = list(range(m + 1))
-    for i in range(1, n + 1):
+    for i, ai in enumerate(xs, 1):
         cur = [i] + [0] * m
-        ai = a.at(i)
         for j in range(1, m + 1):
-            cost = 0 if ai == b.at(j) else 1
+            cost = 0 if ai == ys[j - 1] else 1
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost)
         prev = cur
     return prev[m]

@@ -25,12 +25,10 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .greedy import GapVerdict, check_gap_params
-from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      ViewStack, draw_sample)
-from .one_sided import OneSidedIndex, anchor_positions
+from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
+                      draw_sample)
+from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString
 
 NEG_INF = float("-inf")
@@ -187,180 +185,6 @@ class BruteForceShiftOracle:
         return self._f(self.a, self.b, i_a, i_b, self.ell, self.k)
 
 
-class OneSidedWaveIndex:
-    """Shift-alignment tables over A alone, bucketed by start position and
-    shift at granularity l. Layout mirrors the plain one-sided index with a
-    third axis for the shift bucket."""
-
-    def __init__(self, n: int, k: int, ell: int, cfg: HashConfig,
-                 samples: SampleSet, tables: dict | None = None,
-                 dense: list | None = None,
-                 counters: OpCounters | None = None):
-        self.n, self.k, self.ell, self.cfg = n, k, ell, cfg
-        self.samples = samples
-        self.tables = tables
-        self.dense = dense
-        self.counters = counters if counters is not None else OpCounters()
-        self.num_cols = -(-n // ell)
-        self.shift_cols = range(-(k // ell) - 1, k // ell + 2)
-        self.exponents = max(n, 1).bit_length() - 1
-
-    @classmethod
-    def preprocess(cls, a: ByteString, k: int, ell: int, cfg: HashConfig,
-                   force_general: bool = False) -> "OneSidedWaveIndex":
-        n = len(a)
-        counters = OpCounters()
-        rng = cfg.sampling_rng()
-        samples = draw_sample(n, ell, rng,
-                              force_anchors=anchor_positions(n, ell))
-        idx = cls(n, k, ell, cfg, samples, counters=counters)
-        if samples.rate >= 1.0 and not force_general:
-            idx._build_dense(a)
-        else:
-            idx._build_tables(a)
-        return idx
-
-    def _canonical_starts(self, e: int) -> np.ndarray:
-        s = self.samples.indices
-        starts = np.union1d(s + 1, s - (1 << e) + 1)
-        return starts[(starts >= 2 - (1 << e)) & (starts <= self.n + 1)]
-
-    def _build_tables(self, a: ByteString) -> None:
-        k, n, ell = self.k, self.n, self.ell
-        states = {
-            sh: RollingHashState(a, self.samples.shift(sh), self.cfg,
-                                 self.counters)
-            for sh in range(-k, k + 1)
-        }
-        tables: dict = {}
-        for e in range(self.exponents + 1):
-            w = 1 << e
-            starts = self._canonical_starts(e)
-            buf_h, buf_ci, buf_ca = [], [], []
-            for sh, st in states.items():
-                ok = (starts + sh >= 1) & (starts + sh + w - 1 <= n)
-                i_ok = starts[ok]
-                if not i_ok.size:
-                    continue
-                h = st.retrieve_many(i_ok + sh, i_ok + sh + w - 1)
-                ci = i_ok // ell
-                ca = sh // ell
-                for d1 in (-1, 0, 1):
-                    c1 = ci + d1
-                    keep = (c1 >= 0) & (c1 < self.num_cols)
-                    for d2 in (-1, 0, 1):
-                        c2 = ca + d2
-                        if c2 not in self.shift_cols:
-                            continue
-                        buf_h.append(h[keep])
-                        buf_ci.append(c1[keep])
-                        buf_ca.append(np.full(int(keep.sum()), c2,
-                                              dtype=np.int64))
-            if not buf_h:
-                continue
-            h = np.concatenate(buf_h)
-            c1 = np.concatenate(buf_ci)
-            c2 = np.concatenate(buf_ca)
-            key = c1 * (len(self.shift_cols) + 4) + (c2 - self.shift_cols.start)
-            order = np.lexsort((h, key))
-            h, c1, c2, key = h[order], c1[order], c2[order], key[order]
-            cuts = np.nonzero(np.diff(key))[0] + 1
-            for seg_h, seg_c1, seg_c2 in zip(np.split(h, cuts),
-                                             np.split(c1, cuts),
-                                             np.split(c2, cuts)):
-                tables[(e, int(seg_c1[0]), int(seg_c2[0]))] = np.unique(seg_h)
-        self.tables = tables
-
-    def _build_dense(self, a: ByteString) -> None:
-        state = RollingHashState(a, self.samples, self.cfg, self.counters)
-        dense = []
-        for e in range(self.exponents + 1):
-            w = 1 << e
-            u = np.arange(1, self.n - w + 2, dtype=np.int64)
-            h = state.retrieve_many(u, u + w - 1)
-            order = np.lexsort((u, h))
-            dense.append((h[order], u[order]))
-        self.dense = dense
-
-    def member(self, e: int, col_i: int, col_a: int, h: int) -> bool:
-        self.counters.table_lookups += 1
-        if self.dense is not None:
-            return self._member_dense(e, col_i, col_a, h)
-        cell = self.tables.get((e, col_i, col_a))
-        if cell is None:
-            return False
-        pos = int(np.searchsorted(cell, np.uint64(h)))
-        return pos < cell.size and int(cell[pos]) == h
-
-    def _member_dense(self, e: int, col_i: int, col_a: int, h: int) -> bool:
-        if not (0 <= col_i < self.num_cols) or col_a not in self.shift_cols:
-            return False
-        if e >= len(self.dense):
-            return False
-        ell, k, w = self.ell, self.k, 1 << e
-        i_lo = max((col_i - 1) * ell, 2 - w)
-        i_hi = min((col_i + 2) * ell - 1, self.n + 1)
-        a_lo = max((col_a - 1) * ell, -k)
-        a_hi = min((col_a + 2) * ell - 1, k)
-        if i_hi < i_lo or a_hi < a_lo:
-            return False
-        u_lo = max(i_lo + a_lo, 1)
-        u_hi = min(i_hi + a_hi, self.n - w + 1)
-        if u_hi < u_lo:
-            return False
-        hs, us = self.dense[e]
-        left = int(np.searchsorted(hs, np.uint64(h), side="left"))
-        right = int(np.searchsorted(hs, np.uint64(h), side="right"))
-        if right <= left:
-            return False
-        seg = us[left:right]
-        pos = int(np.searchsorted(seg, u_lo, side="left"))
-        return pos < seg.size and int(seg[pos]) <= u_hi
-
-
-def wave_process_b(index: OneSidedWaveIndex, b: ByteString,
-                   counters: OpCounters | None = None) -> RollingHashState:
-    return RollingHashState(b, index.samples, index.cfg,
-                            counters if counters is not None else index.counters)
-
-
-def one_sided_max_shift_align(index: OneSidedWaveIndex,
-                              b_state: RollingHashState,
-                              i_a: int, i_b: int) -> int:
-    """Binary expansion of the shift-alignment length: scan window lengths
-    by descending powers of two, advancing past each window whose B-hash
-    is filed near the current start bucket and the query's shift bucket."""
-    remaining = index.n - i_b + 1
-    if remaining <= 0:
-        return 0
-    col_a = (i_a - i_b) // index.ell
-    cur = i_b
-    for e in range(remaining.bit_length() - 1, -1, -1):
-        d = 1 << e
-        if cur + d - 1 > index.n:
-            continue
-        h = b_state.retrieve(cur, cur + d - 1)
-        col_i = min(cur // index.ell, index.num_cols - 1)
-        if index.member(e, col_i, col_a, h):
-            cur += d
-    return cur - i_b
-
-
-class IndexedShiftOracle:
-    def __init__(self, index: OneSidedWaveIndex, b: ByteString,
-                 counters: OpCounters | None = None,
-                 b_state: RollingHashState | None = None):
-        self.index = index
-        self.counters = counters if counters is not None else OpCounters()
-        self.b_state = (b_state if b_state is not None
-                        else wave_process_b(index, b, self.counters))
-        self.last_hint = None
-
-    def __call__(self, i_a: int, i_b: int) -> int:
-        self.counters.oracle_queries += 1
-        return one_sided_max_shift_align(self.index, self.b_state, i_a, i_b)
-
-
 def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
              seed=None, cfg: HashConfig | None = None,
              table: WaveTable | None = None):
@@ -381,15 +205,12 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
         oracle = NoPrepShiftOracle(a, b, k, ell, cfg, query_counters)
     elif mode in ("onesided", "twosided"):
         index = OneSidedWaveIndex.preprocess(a, k, ell, cfg)
+        b_state = None
         if mode == "twosided":
-            prep_counters = OpCounters()
-            b_state = wave_process_b(index, b, prep_counters)
+            b_state = index.hash_b(b, OpCounters())
             b_state.counters = query_counters  # lookups after init are query work
-            index.counters = query_counters
-            oracle = IndexedShiftOracle(index, b, query_counters, b_state)
-        else:
-            index.counters = query_counters
-            oracle = IndexedShiftOracle(index, b, query_counters)
+        index.counters = query_counters
+        oracle = IndexedShiftOracle(index, b, query_counters, b_state)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     verdict = greedy_wave(a, b, k, ell, oracle, table=table)

@@ -4,8 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gapedit import hashing
 from gapedit.hashing import (HashConfig, OpCounters, RollingHashState,
-                             SampleSet, ViewStack, draw_sample, sample_rate,
-                             sidecar_dump, sidecar_load)
+                             SampleSet, ViewStack, draw_sample, sample_rate)
 from gapedit.mers61 import (P61, _fold61, fold_limbs, limbs, mulmod,
                             mulmod_limbs, mulmod_vec, submod_vec)
 from gapedit.strings import ByteString
@@ -338,11 +337,3 @@ class TestConfig:
         r1 = c.sampling_rng().integers(0, 1000, 5)
         r2 = c.sampling_rng().integers(0, 1000, 5)
         assert list(r1) == list(r2)
-
-    def test_sidecar_roundtrip(self):
-        cfg = HashConfig.from_seed(20)
-        samples = draw_sample(100, 10, np.random.default_rng(14))
-        c2, s2 = sidecar_load(sidecar_dump(cfg, samples))
-        assert c2.x == cfg.x and c2.p == cfg.p
-        assert list(s2.indices) == list(samples.indices)
-        assert s2.n == samples.n

@@ -1,9 +1,15 @@
-"""Recorded noprep decisions on a fixed-seed grid.
+"""Recorded decisions on a fixed-seed grid.
 
 `tests/data/noprep_golden.json` holds, for every cell below, the verdict,
 the greedy trace or wave table and the `OpCounters` of one noprep
 decision, recorded before the hash layer was vectorised. Any change to
 hashing, sampling or the oracles' scan order shows up here as a diff.
+
+`tests/data/indexed_golden.json` holds the same records for the same cells
+decided in the onesided and twosided modes, each record tagged with its
+mode. It was recorded while the greedy and wave deciders still had
+separate A-indexes, so it pins the shared index to the answers and the
+counters of both.
 
 Regenerate (only when a change is meant to alter these results):
 
@@ -20,6 +26,8 @@ from gapedit.instances import gen_large_side, gen_planted
 from gapedit.wave import NEG_INF
 
 GOLDEN = Path(__file__).parent / "data" / "noprep_golden.json"
+INDEXED_GOLDEN = GOLDEN.with_name("indexed_golden.json")
+INDEXED_MODES = ("onesided", "twosided")
 
 # (n, sigma, k, instance seed, hash seed, far threshold or None)
 GREEDY_CELLS = [
@@ -54,12 +62,12 @@ def _row(row):
     return [[j, None if v == NEG_INF else int(v)] for j, v in sorted(row.items())]
 
 
-def compute_grid() -> dict:
+def compute_grid(mode: str = "noprep") -> dict:
     greedy = []
     for n, sigma, k, iseed, hseed, far in GREEDY_CELLS:
         inst = _instance(n, sigma, k, iseed, far)
         trace = GreedyTrace()
-        verdict, ctr = gap_match(inst.a, inst.b, k, mode="noprep", seed=hseed,
+        verdict, ctr = gap_match(inst.a, inst.b, k, mode=mode, seed=hseed,
                                  trace=trace)
         greedy.append({"cell": [n, sigma, k, iseed, hseed, far],
                        "verdict": verdict.value, "counters": asdict(ctr),
@@ -69,7 +77,7 @@ def compute_grid() -> dict:
     for n, sigma, k, ell, iseed, hseed, far in WAVE_CELLS:
         inst = _instance(n, sigma, k, iseed, far)
         table = WaveTable()
-        verdict, ctr = gap_wave(inst.a, inst.b, k, ell, "noprep", seed=hseed,
+        verdict, ctr = gap_wave(inst.a, inst.b, k, ell, mode, seed=hseed,
                                 table=table)
         wave.append({"cell": [n, sigma, k, ell, iseed, hseed, far],
                      "verdict": verdict.value, "counters": asdict(ctr),
@@ -77,13 +85,29 @@ def compute_grid() -> dict:
     return {"greedy": greedy, "wave": wave}
 
 
-def test_noprep_decisions_match_recorded_grid():
-    want = json.loads(GOLDEN.read_text())
-    got = json.loads(json.dumps(compute_grid()))
+def compute_indexed_grid() -> dict:
+    grid = {"greedy": [], "wave": []}
+    for mode in INDEXED_MODES:
+        for key, records in compute_grid(mode).items():
+            grid[key] += [{"mode": mode, **r} for r in records]
+    return grid
+
+
+def _assert_matches(got: dict, path: Path) -> None:
+    want = json.loads(path.read_text())
+    got = json.loads(json.dumps(got))
     assert len(got["greedy"]) == len(want["greedy"])
     assert len(got["wave"]) == len(want["wave"])
     for g, w in zip(got["greedy"] + got["wave"], want["greedy"] + want["wave"]):
-        assert g == w, f"cell {w['cell']} differs"
+        assert g == w, f"{w.get('mode', 'noprep')} cell {w['cell']} differs"
+
+
+def test_noprep_decisions_match_recorded_grid():
+    _assert_matches(compute_grid(), GOLDEN)
+
+
+def test_indexed_decisions_match_recorded_grid():
+    _assert_matches(compute_indexed_grid(), INDEXED_GOLDEN)
 
 
 def test_grid_covers_both_verdicts_and_sampling_regimes():
@@ -108,4 +132,5 @@ def dump_grid(grid: dict) -> str:
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(dump_grid(compute_grid()))
-    print(f"wrote {GOLDEN}")
+    INDEXED_GOLDEN.write_text(dump_grid(compute_indexed_grid()))
+    print(f"wrote {GOLDEN} and {INDEXED_GOLDEN}")

@@ -1,16 +1,48 @@
 import struct
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapedit import GapVerdict, gap_match
 from gapedit.hashing import HashConfig
 from gapedit.instances import gen_large_side, gen_planted
-from gapedit.one_sided import (OneSidedIndex, OneSidedOracle,
-                               anchor_positions, one_sided_max_align,
-                               one_sided_process_b)
+from gapedit.one_sided import (IndexedShiftOracle, OneSidedIndex,
+                               OneSidedOracle, OneSidedWaveIndex,
+                               anchor_positions)
+from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
 
 CFG = HashConfig.from_seed(77)
+
+# magic (6 bytes), then version, layout and ten 8-byte fields
+HEAD_END = 88
+
+
+def both_indexes(a, force_general):
+    """The greedy decider's and the wave decider's index of one A."""
+    return [OneSidedIndex.preprocess(a, 4, CFG, force_general=force_general),
+            OneSidedWaveIndex.preprocess(a, 6, 3, CFG,
+                                         force_general=force_general)]
+
+
+def answers(index, b):
+    """Shift-oracle answers at every i_b, for offsets 0 and +-l."""
+    orc = IndexedShiftOracle(index, b)
+    n, ell = index.n, index.ell
+    return [orc(i_b + d, i_b) for i_b in range(1, n + 1)
+            for d in (-ell, 0, ell) if 1 <= i_b + d <= n]
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """Bytes of small saved indexes: greedy and wave, in both layouts."""
+    inst = gen_planted(40, 4, 1, seed=11)
+    path = tmp_path_factory.mktemp("saved") / "a.gedt1s"
+    out = []
+    for force_general in (False, True):
+        for idx in both_indexes(inst.a, force_general):
+            idx.save(path)
+            out.append(path.read_bytes())
+    return out
 
 
 class TestIndexStructure:
@@ -53,10 +85,21 @@ class TestQuery:
     def test_identical_strings_reach_the_end(self):
         inst = gen_planted(256, 4, 0, seed=3)
         idx = OneSidedIndex.preprocess(inst.a, 8, CFG)
-        st = one_sided_process_b(idx, inst.a)
+        orc = OneSidedOracle(idx, inst.a)
         # binary expansion must cover the whole remaining suffix
         for i_b in (1, 100, 256):
-            assert one_sided_max_align(idx, st, i_b) == 256 - i_b + 1
+            assert orc(i_b) == 256 - i_b + 1
+
+    def test_b_of_wrong_length_rejected(self):
+        a = gen_planted(256, 4, 0, seed=9).a
+        b = gen_planted(200, 4, 0, seed=9).b
+        for oracle, index in [
+                (OneSidedOracle, OneSidedIndex.preprocess(a, 8, CFG)),
+                (IndexedShiftOracle,
+                 OneSidedWaveIndex.preprocess(a, 8, 4, CFG)),
+                (TwoSidedOracle, TwoSidedIndex.preprocess(a, 8, CFG))]:
+            with pytest.raises(ValueError, match="length 200.* n = 256"):
+                oracle(index, b)
 
     def test_retrieval_budget_per_call(self):
         inst = gen_planted(300, 4, 4, seed=4)
@@ -101,26 +144,31 @@ class TestOneSidedGap:
 class TestSerialization:
     def test_general_roundtrip(self, tmp_path):
         inst = gen_planted(150, 4, 2, seed=5)
-        idx = OneSidedIndex.preprocess(inst.a, 4, CFG, force_general=True)
         path = tmp_path / "a.gedt1s"
-        idx.save(path)
-        idx2 = OneSidedIndex.load(path)
-        assert idx2.k == 4 and idx2.n == 150 and idx2.cfg.x == CFG.x
-        assert list(idx2.samples.indices) == list(idx.samples.indices)
-        o1, o2 = OneSidedOracle(idx, inst.b), OneSidedOracle(idx2, inst.b)
-        for i_b in range(1, 151):
-            assert o1(i_b) == o2(i_b)
+        for idx in both_indexes(inst.a, force_general=True):
+            idx.save(path)
+            idx2 = type(idx).load(path)
+            assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
+                idx.n, idx.k, idx.ell, idx.buckets)
+            assert (idx2.cfg.x, idx2.cfg.p) == (CFG.x, CFG.p)
+            assert list(idx2.samples.indices) == list(idx.samples.indices)
+            assert idx2.dense is None
+            assert idx2.tables.keys() == idx.tables.keys()
+            # cells are views of the file's bytes
+            assert not any(c.flags.owndata for c in idx2.tables.values())
+            assert answers(idx2, inst.b) == answers(idx, inst.b)
 
-    def test_dense_saves_as_equivalent_cells(self, tmp_path):
+    def test_dense_roundtrip(self, tmp_path):
         inst = gen_planted(150, 4, 2, seed=6)
-        idx = OneSidedIndex.preprocess(inst.a, 4, CFG)
-        assert idx.dense is not None
         path = tmp_path / "a.gedt1s"
-        idx.save(path)
-        idx2 = OneSidedIndex.load(path)
-        o1, o2 = OneSidedOracle(idx, inst.b), OneSidedOracle(idx2, inst.b)
-        for i_b in range(1, 151):
-            assert o1(i_b) == o2(i_b)
+        for idx in both_indexes(inst.a, force_general=False):
+            assert idx.dense is not None
+            idx.save(path)
+            idx2 = type(idx).load(path)
+            assert idx2.tables is None and len(idx2.dense) == len(idx.dense)
+            for (h2, u2), (h, u) in zip(idx2.dense, idx.dense):
+                assert list(h2) == list(h) and list(u2) == list(u)
+            assert answers(idx2, inst.b) == answers(idx, inst.b)
 
     def test_corrupt_rejected(self, tmp_path):
         inst = gen_planted(100, 4, 1, seed=7)
@@ -133,34 +181,39 @@ class TestSerialization:
         with pytest.raises(ValueError):
             OneSidedIndex.load(path)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_flipped_byte_rejected(self, saved_files, tmp_path_factory,
+                                       data):
+        raw = bytearray(data.draw(st.sampled_from(saved_files)))
+        pos = data.draw(st.integers(0, len(raw) - 1))
+        raw[pos] ^= data.draw(st.integers(1, 255))
+        path = tmp_path_factory.getbasetemp() / "flipped.gedt1s"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
+            OneSidedIndex.load(path)
+
     def test_truncated_or_overlong_file_rejected(self, tmp_path):
         inst = gen_planted(12, 4, 1, seed=8)
         idx = OneSidedIndex.preprocess(inst.a, 3, CFG, force_general=True)
         path = tmp_path / "a.gedt1s"
         idx.save(path)
         raw = path.read_bytes()
-        # walk the saved layout to find where each cell header starts: the
-        # sample count follows magic (6), version (1), p, x (8 each) and
-        # k, n (4 each)
-        ns = struct.unpack_from("<Q", raw, 31)[0]
-        off = 39 + 8 * ns
-        ncells = struct.unpack_from("<Q", raw, off)[0]
-        off += 8
-        boundaries = []
-        for _ in range(ncells):
-            boundaries.append(off)
-            off += 12 + 8 * struct.unpack_from("<III", raw, off)[2]
-        assert off == len(raw) and len(boundaries) == len(idx.tables) > 1
+        # the header ends with the sample, key and hash counts; then come
+        # the samples, (e, col, bucket, count) keys, hashes and the checksum
+        ns, nk, nh = struct.unpack_from("<QQQ", raw, HEAD_END - 24)
+        assert len(raw) == HEAD_END + 8 * (ns + 4 * nk + nh) + 4
+        assert nk == len(idx.tables) > 1
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match=rf"^truncated index file: "
                                                  rf".* file has {cut}$"):
                 OneSidedIndex.load(path)
-        for cut in boundaries:
-            path.write_bytes(raw[:cut])
-            with pytest.raises(ValueError, match=f"needs {cut + 12} bytes, "
-                                                 f"file has {cut}"):
-                OneSidedIndex.load(path)
+            if cut >= HEAD_END:
+                # past the header, a cut names the length the header gives
+                with pytest.raises(ValueError, match=f"needs {len(raw)} "
+                                                     f"bytes, file has {cut}"):
+                    OneSidedIndex.load(path)
         path.write_bytes(raw + b"\0")
         with pytest.raises(ValueError, match=f"has {len(raw) + 1} bytes, "
                                              f"expected {len(raw)}"):

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from gapedit.greedy import GapVerdict, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
@@ -25,15 +24,6 @@ class TestTwoSidedAlign:
             for i_b in range(1, n + 1):
                 assert (two_sided_max_align(idx, st, i_b)
                         == max_k_alignment_bruteforce(inst.a, inst.b, i_b, k))
-
-    def test_lazy_and_materialized_agree(self):
-        inst = gen_planted(90, 4, 3, seed=9)
-        lazy = TwoSidedIndex.preprocess(inst.a, 4, CFG)
-        mat = TwoSidedIndex.preprocess(inst.a, 4, CFG, materialize=True)
-        st = b_state(inst.b)
-        for i_b in range(1, 91):
-            assert (two_sided_max_align(lazy, st, i_b)
-                    == two_sided_max_align(mat, st, i_b))
 
     def test_membership_monotone_in_length(self):
         inst = gen_planted(80, 4, 2, seed=3)
@@ -82,58 +72,3 @@ class TestTwoSidedAlign:
         assert query.retrievals == len(b_retrieves) + sum(rows)
         assert (build.init_steps, build.retrievals) == built
 
-
-class TestMaterialization:
-    def test_limit_refused(self):
-        inst = gen_planted(64, 4, 1, seed=5)
-        with pytest.raises(ValueError):
-            TwoSidedIndex.preprocess(inst.a, 2, CFG, materialize=True,
-                                     limit=32)
-
-    def test_limit_override(self):
-        inst = gen_planted(40, 4, 1, seed=6)
-        idx = TwoSidedIndex.preprocess(inst.a, 2, CFG, materialize=True,
-                                       limit=40)
-        assert idx.cells is not None
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_answers(self, tmp_path):
-        inst = gen_planted(70, 4, 2, seed=7)
-        idx = TwoSidedIndex.preprocess(inst.a, 3, CFG, materialize=True)
-        path = tmp_path / "a.gedt2s"
-        idx.save(path)
-        idx2 = TwoSidedIndex.load(path)
-        assert idx2.k == 3 and idx2.n == 70 and idx2.cfg.x == CFG.x
-        st = b_state(inst.b)
-        for i_b in range(1, 71):
-            assert (two_sided_max_align(idx, st, i_b)
-                    == two_sided_max_align(idx2, st, i_b))
-
-    def test_lazy_index_not_serializable(self, tmp_path):
-        inst = gen_planted(50, 4, 1, seed=8)
-        idx = TwoSidedIndex.preprocess(inst.a, 2, CFG)
-        with pytest.raises(ValueError):
-            idx.save(tmp_path / "x")
-
-    def test_corrupt_magic_rejected(self, tmp_path):
-        inst = gen_planted(50, 4, 1, seed=9)
-        idx = TwoSidedIndex.preprocess(inst.a, 2, CFG, materialize=True)
-        path = tmp_path / "a.gedt2s"
-        idx.save(path)
-        raw = bytearray(path.read_bytes())
-        raw[2] ^= 0x55
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            TwoSidedIndex.load(path)
-
-    def test_unknown_version_rejected(self, tmp_path):
-        inst = gen_planted(50, 4, 1, seed=10)
-        idx = TwoSidedIndex.preprocess(inst.a, 2, CFG, materialize=True)
-        path = tmp_path / "a.gedt2s"
-        idx.save(path)
-        raw = bytearray(path.read_bytes())
-        raw[6] = 99
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError):
-            TwoSidedIndex.load(path)

@@ -8,8 +8,7 @@ from gapedit.strings import (has_approximate_alignment,
                              max_shift_alignment_bruteforce)
 from gapedit.wave import (BruteForceShiftOracle, IndexedShiftOracle,
                           NoPrepShiftOracle, OneSidedWaveIndex, WaveTable,
-                          gap_wave, greedy_wave, one_sided_max_shift_align,
-                          wave_jump_violations, wave_process_b)
+                          gap_wave, greedy_wave, wave_jump_violations)
 
 CFG = HashConfig.from_seed(55)
 
@@ -93,20 +92,18 @@ class TestOneSidedWaveIndex:
             gen = OneSidedWaveIndex.preprocess(inst.a, k, ell, CFG,
                                                force_general=True)
             assert dense.dense is not None and gen.tables is not None
-            sd = wave_process_b(dense, inst.b)
-            sg = wave_process_b(gen, inst.b)
+            od = IndexedShiftOracle(dense, inst.b)
+            og = IndexedShiftOracle(gen, inst.b)
             for i_b in range(1, n + 1, 2):
                 for i_a in (max(1, i_b - 3), i_b, min(n, i_b + 3)):
-                    assert (one_sided_max_shift_align(dense, sd, i_a, i_b)
-                            == one_sided_max_shift_align(gen, sg, i_a, i_b))
+                    assert od(i_a, i_b) == og(i_a, i_b)
 
     def test_identical_strings_reach_end(self):
         inst = gen_planted(256, 4, 0, seed=3)
         idx = OneSidedWaveIndex.preprocess(inst.a, 8, 4, CFG)
-        st = wave_process_b(idx, inst.a)
+        orc = IndexedShiftOracle(idx, inst.a)
         for i_b in (1, 77, 200):
-            assert (one_sided_max_shift_align(idx, st, i_b, i_b)
-                    == 256 - i_b + 1)
+            assert orc(i_b, i_b) == 256 - i_b + 1
 
 
 class TestGapWaveModes:
