@@ -39,14 +39,30 @@ def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
         raise ValueError("equal lengths required")
 
 
+def check_oracle_index(oracle, k: int, ell: int | None = None) -> None:
+    """Raise ValueError if the oracle answers from an index built for
+    another k, or (when given) another l. Oracles without an index pass."""
+    index = getattr(oracle, "index", None)
+    if index is None:
+        return
+    if index.k != k:
+        raise ValueError(f"the index was built for k = {index.k}, "
+                         f"the decider runs at k = {k}")
+    if ell is not None and index.ell != ell:
+        raise ValueError(f"the index was built for l = {index.ell}, "
+                         f"the decider runs at l = {ell}")
+
+
 def greedy_match(a, b, k: int, oracle, trace: GreedyTrace | None = None) -> GapVerdict:
     """Run 2k + 1 oracle rounds starting at B-position 1.
 
     `oracle(i_b)` must return a jump length d >= 0 (an exact or relaxed
-    longest-alignment value for B starting at i_b). Returns SMALL iff the
+    longest-alignment value for B starting at i_b). An oracle over an index
+    built for another k is refused with ValueError. Returns SMALL iff the
     cursor passes position n.
     """
     check_gap_params(a, b, k)
+    check_oracle_index(oracle, k)
     n = len(b)
     i_b = 1
     for _ in range(2 * k + 1):

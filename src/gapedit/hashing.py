@@ -260,10 +260,21 @@ class ViewStack:
         self.counters = counters
         self.p = states[0].cfg.p
         self.xpow = states[0].xpow
+        self.base = base
         self.positions = base.tolist()
         self.prefix = np.stack([st.prefix for st in states], axis=1)
         for v, st in enumerate(states):
             st.prefix = self.prefix[:, v]
+
+    def window_block(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Every view's hash of every base window [i_s, j_s] (j_s >= i_s - 1),
+        as a len(i) x V block, from one locate and one modular pass. Counts
+        no retrievals: the caller counts the entries it reads."""
+        lo = self.base.searchsorted(i, side="left")
+        hi = self.base.searchsorted(j, side="right")
+        x_lo, x_hi = limbs(self.xpow[hi - lo])[:, :, None]
+        return submod_vec(self.prefix[hi],
+                          mulmod_limbs(self.prefix[lo], x_lo, x_hi))
 
     def first_collision(self, i: int, j: int, a_cols: range, b_cols: range
                         ) -> tuple[int, int] | None:

@@ -20,6 +20,16 @@ bucket 0 only, under which every shift in [-k, k] is filed. The wave index
 (`OneSidedWaveIndex.preprocess`) has column width l and keeps every bucket
 a promised offset |i_a - i_b| <= k can ask for.
 
+The general layout is built in a few numpy passes per window length. The
+2k + 1 shifted views of A share one sample set, so a canonical start's
+window lands on the same pair of prefix rows in every view: the views'
+prefixes are stacked in one matrix (`hashing.ViewStack`), and the hashes of
+every (start, shift) pair come from one locate and one modular pass. The
+entries are sorted by hash once, before the fan-out; each is then copied to
+its up to 3 (greedy) or 9 (wave) cell keys, one stable sort on the narrow
+key array (a radix sort while the keys fit in int16) orders the copies by
+(key, hash), and one diff mask drops the duplicates.
+
 When the sampling rate saturates at 1 the sampled hash of a window is just
 the hash of the full substring, and the table collapses to one sorted
 (hash, start) array per window length with membership answered by a range
@@ -48,7 +58,7 @@ import zlib
 import numpy as np
 
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      draw_sample, sample_rate)
+                      ViewStack, draw_sample, sample_rate)
 from .strings import ByteString
 
 MAGIC_1S = b"GEDT1S"
@@ -64,6 +74,36 @@ def anchor_positions(n: int, k: int) -> np.ndarray:
     if n >= 2:
         anchors = np.union1d(anchors, np.asarray([n - 1], dtype=np.int64))
     return anchors
+
+
+def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
+                    sentinel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fan entry t (hash h[t]) out to the cell keys fan[group[t]] below
+    `sentinel`; return the distinct (key, hash) pairs sorted by key, then
+    hash, as a key array and a hash array."""
+    # sort by hash once, before the fan-out; equal hashes are duplicates,
+    # so this sort need not be stable
+    order = np.argsort(h)
+    h, group = h[order], group[order]
+    del order
+    new = h[1:] != h[:-1]
+    rank = np.zeros(h.size, dtype=np.int32)
+    np.cumsum(new, dtype=np.int32, out=rank[1:])
+    distinct = h[np.concatenate(([True], new))]
+    del h, new
+    # an entry's copies sit side by side, in hash order, so a stable sort on
+    # the narrow key (a radix sort) leaves every key's run in hash order
+    keys = fan[group].ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    filed = int(np.searchsorted(keys, sentinel))  # padding sorts last
+    keys, order = keys[:filed], order[:filed]
+    np.floor_divide(order, fan.shape[1], out=order)  # copy -> its entry
+    rank = rank[order]
+    del order
+    fresh = np.ones(filed, dtype=bool)
+    fresh[1:] = (keys[1:] != keys[:-1]) | (rank[1:] != rank[:-1])
+    return keys[fresh], distinct[rank[fresh]]
 
 
 class OneSidedIndex:
@@ -103,61 +143,68 @@ class OneSidedIndex:
         return idx
 
     def _canonical_starts(self, e: int) -> np.ndarray:
-        """Window starts recorded for length 2^e."""
-        s = self.samples.indices
-        starts = np.union1d(s + 1, s - (1 << e) + 1)
-        return starts[(starts >= 2 - (1 << e)) & (starts <= self.n + 1)]
+        """Window starts recorded for length 2^e: those that some shift
+        |a| <= k keeps inside A."""
+        s, w = self.samples.indices, 1 << e
+        starts = np.union1d(s + 1, s - w + 1)
+        return starts[(starts >= max(2 - w, 1 - self.k))
+                      & (starts <= min(self.n + 1, self.n - w + 1 + self.k))]
 
     def _build_tables(self, a: ByteString) -> None:
         k, n, ell = self.k, self.n, self.ell
-        states = {
-            sh: RollingHashState(a, self.samples.shift(sh), self.cfg,
-                                 self.counters)
-            for sh in range(-k, k + 1)
-        }
-        nb = len(self.buckets)
-        # cell key col * nb + (bucket - first bucket); a shift is filed
-        # under its own bucket and both neighbors that the index keeps,
-        # and each of those under the start's column and both neighbors
-        offsets = {
-            sh: [dc * nb + b - self.buckets.start for dc in (-1, 0, 1)
-                 for b in range(sh // ell - 1, sh // ell + 2)
-                 if b in self.buckets]
-            for sh in states
-        }
+        shifts = np.arange(-k, k + 1, dtype=np.int64)
+        views = ViewStack([RollingHashState(a, self.samples.shift(sh),
+                                            self.cfg, self.counters)
+                           for sh in shifts.tolist()], self.counters)
+        q = shifts // ell  # shift buckets, before trimming to the kept ones
+        fan = self._fan_table(int(q[0]), int(q[-1]))
+        shift_group = q - q[0]
+        groups_per_col = int(q[-1] - q[0]) + 1
+        nb, first = len(self.buckets), self.buckets.start
         tables: dict = {}
         for e in range(self.exponents + 1):
             w = 1 << e
             starts = self._canonical_starts(e)
-            parts_h, parts_key = [], []
-            for sh, st in states.items():
-                ok = (starts + sh >= 1) & (starts + sh + w - 1 <= n)
-                i_ok = starts[ok]
-                if not i_ok.size:
-                    continue
-                h = st.retrieve_many(i_ok + sh, i_ok + sh + w - 1)
-                key = (i_ok // ell) * nb  # computed once per shift
-                for off in offsets[sh]:
-                    parts_h.append(h)
-                    parts_key.append(key + off)
-            if not parts_h:
+            u = starts[:, None] + shifts  # where each shifted window starts
+            ok = (u >= 1) & (u <= n - w + 1)
+            self.counters.retrievals += int(np.count_nonzero(ok))
+            h = views.window_block(starts, starts + w - 1)[ok]
+            if not h.size:
                 continue
-            h = np.concatenate(parts_h)
-            key = np.concatenate(parts_key)
-            inside = (key >= 0) & (key < self.num_cols * nb)
-            h, key = h[inside], key[inside]
-            order = np.lexsort((h, key))
-            h, key = h[order], key[order]
-            # one sorted run of distinct hashes per cell
-            new_key = key[1:] != key[:-1]
-            fresh = np.ones(h.size, dtype=bool)
-            fresh[1:] = new_key | (h[1:] != h[:-1])
-            h, key = h[fresh], key[fresh]
-            cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-            firsts = key[np.concatenate(([0], cuts))].tolist()
+            col = np.clip(starts // ell, -2, self.num_cols + 1) + 2
+            group = ((col * groups_per_col)[:, None] + shift_group)[ok]
+            keys, h = _distinct_cells(h, group, fan, self.num_cols * nb)
+            cuts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+            firsts = keys[np.concatenate(([0], cuts))].tolist()
             for kk, cell in zip(firsts, np.split(h, cuts)):
-                tables[(e, kk // nb, kk % nb + self.buckets.start)] = cell
+                tables[(e, kk // nb, kk % nb + first)] = cell
         self.tables = tables
+
+    def _fan_table(self, q_lo: int, q_hi: int) -> np.ndarray:
+        """The cell keys col * nb + (bucket - first bucket) under which an
+        entry is filed, one row per group: row (c + 2) * (q_hi - q_lo + 1)
+        + (q - q_lo) for start column c in [-2, num_cols + 1] and shift
+        bucket q in [q_lo, q_hi].
+
+        An entry at (c, q) is filed under every (c + dc, q + db), dc and db
+        in {-1, 0, 1}, that the index keeps, so the rows of columns -2 and
+        num_cols + 1 are empty and callers clip their columns into that
+        range. Rows list their keys ascending, padded with the sentinel
+        num_cols * nb, in the narrowest integer type that holds it: a
+        stable sort on int16 keys is a radix sort.
+        """
+        nb, first = len(self.buckets), self.buckets.start
+        sentinel = self.num_cols * nb
+        d = np.array([-1, 0, 1])
+        c = np.arange(-2, self.num_cols + 2)[:, None, None, None] + d[:, None]
+        b = np.arange(q_lo, q_hi + 1)[:, None, None] + d
+        kept = ((c >= 0) & (c < self.num_cols)
+                & (b >= first) & (b < self.buckets.stop))
+        fan = np.where(kept, c * nb + b - first, sentinel)
+        fan = np.sort(fan.reshape(-1, d.size * d.size), axis=1)
+        width = int(np.count_nonzero(fan < sentinel, axis=1).max())
+        dtype = np.int16 if sentinel <= np.iinfo(np.int16).max else np.int32
+        return fan[:, :width].astype(dtype)
 
     def _build_dense(self, a: ByteString) -> None:
         # rate 1: sampled hashes are plain substring hashes, so store one

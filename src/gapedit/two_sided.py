@@ -70,7 +70,7 @@ class TwoSidedIndex:
 
 
 def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
-                        i_b: int, k: int | None = None) -> int:
+                        i_b: int) -> int:
     """Longest d with the hash of B[i_b .. i_b+d-1] present in the cell for
     window (i_b, i_b+d-1); binary search over d, valid by monotonicity."""
     n = index.n

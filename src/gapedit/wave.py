@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 
-from .greedy import GapVerdict, check_gap_params
+from .greedy import GapVerdict, check_gap_params, check_oracle_index
 from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
                       draw_sample)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
@@ -51,8 +51,10 @@ class WaveTable:
 
 def greedy_wave(a: ByteString, b: ByteString, k: int, ell: int, oracle,
                 table: WaveTable | None = None) -> GapVerdict:
-    """Run k wave rounds; SMALL iff diagonal 0 reaches past n."""
+    """Run k wave rounds; SMALL iff diagonal 0 reaches past n. An oracle
+    over an index built for another k or l is refused with ValueError."""
     check_gap_params(a, b, k, ell)
+    check_oracle_index(oracle, k, ell)
     n = len(b)
     diagonals = list(range(-(k // ell) * ell, (k // ell) * ell + 1, ell))
 

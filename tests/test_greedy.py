@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
+from gapedit.hashing import HashConfig
 from gapedit.instances import gen_large_side, gen_planted
+from gapedit.one_sided import OneSidedIndex, OneSidedOracle
+from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
 from gapedit.strings import ByteString, max_k_alignment_bruteforce
 
 
@@ -54,3 +57,14 @@ class TestGreedyMatch:
             greedy_match(a, a, 0, lambda i: 0)
         with pytest.raises(ValueError):
             greedy_match(a, ByteString(np.array([1]), 2), 1, lambda i: 0)
+
+    def test_index_built_for_another_k_refused(self):
+        inst = gen_planted(64, 4, 1, seed=4)
+        cfg = HashConfig.from_seed(4)
+        for index, oracle in (
+                (OneSidedIndex.preprocess(inst.a, 3, cfg), OneSidedOracle),
+                (TwoSidedIndex.preprocess(inst.a, 3, cfg), TwoSidedOracle)):
+            orc = oracle(index, inst.b)
+            with pytest.raises(ValueError, match="built for k = 3"):
+                greedy_match(inst.a, inst.b, 4, orc)
+            assert greedy_match(inst.a, inst.b, 3, orc) is GapVerdict.SMALL

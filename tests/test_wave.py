@@ -41,6 +41,16 @@ class TestGreedyWaveExact:
         with pytest.raises(ValueError):
             greedy_wave(inst.a, inst.b, 0, 1, lambda ia, ib: 0)
 
+    def test_index_built_for_another_k_or_l_refused(self):
+        inst = gen_planted(64, 4, 1, seed=4)
+        orc = IndexedShiftOracle(
+            OneSidedWaveIndex.preprocess(inst.a, 6, 3, CFG), inst.b)
+        with pytest.raises(ValueError, match="built for k = 6"):
+            greedy_wave(inst.a, inst.b, 9, 3, orc)
+        with pytest.raises(ValueError, match="built for l = 3"):
+            greedy_wave(inst.a, inst.b, 6, 2, orc)
+        assert greedy_wave(inst.a, inst.b, 6, 3, orc) is GapVerdict.SMALL
+
 
 class TestJumpProperty:
     def test_no_violations_on_filled_tables(self):
