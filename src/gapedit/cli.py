@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import os
+import secrets
 import sys
 import time
 from dataclasses import asdict
@@ -28,11 +29,19 @@ from .strings import edit_distance_at_most, edit_distance_exact
 RECORD_SCHEMA = 1
 
 
-def _default_seed(args_seed):
+def _given_seed(args_seed):
+    """--seed, else GAPEDIT_SEED, else None."""
     if args_seed is not None:
         return args_seed
     env = os.environ.get("GAPEDIT_SEED")
     return int(env) if env else None
+
+
+def _default_seed(args_seed):
+    """The given seed, else a fresh one: the run record stores it, so every
+    run can be replayed."""
+    seed = _given_seed(args_seed)
+    return secrets.randbits(63) if seed is None else seed
 
 
 def _read_string(path: str, sigma: int) -> ByteString:
@@ -149,7 +158,7 @@ def cmd_bench(args) -> int:
                 agg.merge(counters)
                 verdicts.append(verdict.value)
             _emit({"schema": RECORD_SCHEMA, "command": "bench",
-                   "mode": args.mode, "n": n, "k": k,
+                   "mode": args.mode, "n": n, "k": k, "seed": seed,
                    "trials": args.trials,
                    "small": verdicts.count("small"),
                    "counters": asdict(agg),
@@ -159,7 +168,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = _default_seed(args.seed) or 0
+    seed = _given_seed(args.seed) or 0
     failures = []
 
     def check(name, cond):

@@ -28,13 +28,18 @@ class GreedyTrace:
     hints: list = field(default_factory=list)
 
 
-def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
-    """Raise ValueError unless k >= 1, 1 <= ell <= k (when given) and the
-    strings have equal lengths."""
+def check_index_params(k: int, ell: int | None = None) -> None:
+    """Raise ValueError unless k >= 1 and, when given, 1 <= ell <= k."""
     if k < 1:
         raise ValueError("k must be at least 1")
     if ell is not None and not 1 <= ell <= k:
         raise ValueError("need 1 <= l <= k")
+
+
+def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
+    """Raise ValueError unless k >= 1, 1 <= ell <= k (when given) and the
+    strings have equal lengths."""
+    check_index_params(k, ell)
     if len(a) != len(b):
         raise ValueError("equal lengths required")
 

@@ -57,6 +57,7 @@ import zlib
 
 import numpy as np
 
+from .greedy import check_index_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
                       ViewStack, draw_sample, sample_rate)
 from .strings import ByteString
@@ -127,6 +128,7 @@ class OneSidedIndex:
     def preprocess(cls, a: ByteString, k: int, cfg: HashConfig,
                    force_general: bool = False) -> "OneSidedIndex":
         """The greedy decider's index: column width k, bucket 0 only."""
+        check_index_params(k)
         return cls._build(a, k, k, range(0, 1), cfg, force_general)
 
     @classmethod
@@ -357,6 +359,7 @@ class OneSidedWaveIndex(OneSidedIndex):
     @classmethod
     def preprocess(cls, a: ByteString, k: int, ell: int, cfg: HashConfig,
                    force_general: bool = False) -> "OneSidedWaveIndex":
+        check_index_params(k, ell)
         return cls._build(a, k, ell, range(-(k // ell) - 1, k // ell + 2),
                           cfg, force_general)
 

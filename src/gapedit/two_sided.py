@@ -6,15 +6,23 @@ query then binary-searches the longest B-window whose hash lands in the
 matching cell; membership is monotone in the window length because an
 exact match of length d contains one of length d - 1 at the same shift.
 
-Cells are computed on demand from the prefix hashes of A, so the index
-holds O(n) state.
+Cells are computed on demand from the prefix hashes H of A, so the index
+holds O(n) state: H and the limbs of x^0 .. x^n. Every position of A is
+sampled, so the copy at shift a reads rows i - 1 + a and j + a of H. The
+in-range shifts a in [max(-k, 1 - i), min(k, n - j)] therefore read two
+contiguous slices of H, and since every copy has the same length
+d = j - i + 1, one multiply by x^d serves the whole cell:
+
+    cell(i, j) = H[j + a_lo .. j + a_hi] - H[i - 1 + a_lo .. i - 1 + a_hi] x^d
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .greedy import check_index_params
 from .hashing import HashConfig, OpCounters, RollingHashState, SampleSet
+from .mers61 import limbs, mulmod_limbs, submod_vec
 from .strings import ByteString
 
 
@@ -25,48 +33,40 @@ def full_sample(n: int) -> SampleSet:
 class TwoSidedIndex:
     """Shift-closed window hashes of A for alignment against any B."""
 
-    def __init__(self, n: int, k: int, cfg: HashConfig,
-                 a_state: RollingHashState,
-                 counters: OpCounters | None = None):
-        self.n = n
+    def __init__(self, k: int, cfg: HashConfig, prefix: np.ndarray,
+                 xpow: np.ndarray, counters: OpCounters | None = None):
+        self.n = prefix.size - 1
         self.k = k
         self.cfg = cfg
-        self.a_state = a_state
         self.counters = counters if counters is not None else OpCounters()
-
-    @property
-    def counters(self) -> OpCounters:
-        return self._counters
-
-    @counters.setter
-    def counters(self, counters: OpCounters) -> None:
-        # A's rows read by `member` are work of whoever holds the index now
-        self._counters = counters
-        self.a_state.counters = counters
+        self.prefix = prefix  # H[t]: hash of A[1 .. t]
+        self.x_lo, self.x_hi = limbs(xpow)  # limbs of x^d, d = 0 .. n
 
     @classmethod
     def preprocess(cls, a: ByteString, k: int,
                    cfg: HashConfig) -> "TwoSidedIndex":
+        check_index_params(k)
         counters = OpCounters()
         state = RollingHashState(a, full_sample(len(a)), cfg, counters)
-        return cls(len(a), k, cfg, state, counters)
-
-    def _shift_hashes(self, i: int, j: int) -> np.ndarray:
-        """Hashes of the in-range shifted windows for cell (i, j)."""
-        if j < i:
-            return np.zeros(1, dtype=np.uint64)
-        shifts = np.arange(-self.k, self.k + 1, dtype=np.int64)
-        lo = i + shifts
-        hi = j + shifts
-        ok = (lo >= 1) & (hi <= self.n)
-        if not ok.any():
-            return np.empty(0, dtype=np.uint64)
-        return self.a_state.retrieve_many(lo[ok], hi[ok])
+        return cls(k, cfg, state.prefix, state.xpow, counters)
 
     def member(self, i: int, j: int, h: int) -> bool:
-        """Is h the hash of some in-range shifted copy of window (i, j)?"""
+        """Is h the hash of some in-range shifted copy of window (i, j)?
+        Each copy hashed counts as one retrieval."""
         self.counters.table_lookups += 1
-        return bool(np.any(self._shift_hashes(i, j) == np.uint64(h)))
+        if j < i:
+            return bool(h == 0)
+        a_lo = max(-self.k, 1 - i)
+        a_hi = min(self.k, self.n - j)
+        if a_hi < a_lo:
+            return False
+        self.counters.retrievals += a_hi - a_lo + 1
+        d = j - i + 1
+        rows = self.prefix
+        head = mulmod_limbs(rows[i - 1 + a_lo:i + a_hi],
+                            self.x_lo[d], self.x_hi[d])
+        cell = submod_vec(rows[j + a_lo:j + a_hi + 1], head)
+        return bool((cell == np.uint64(h)).any())
 
 
 def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,

@@ -87,6 +87,31 @@ class TestGapAndWave:
                          str(small_pair) + ".b", "--k", "4", "--sigma", "64")
         assert code == 0 and recs[0]["seed"] == 123
 
+    def test_unseeded_gap_record_replays(self, small_pair, capsys,
+                                         monkeypatch):
+        monkeypatch.delenv("GAPEDIT_SEED", raising=False)
+        pair = str(small_pair) + ".a", str(small_pair) + ".b"
+        code, recs = run(capsys, "gap", *pair, "--k", "4", "--sigma", "64")
+        assert code == 0 and isinstance(recs[0]["seed"], int)
+        code, again = run(capsys, "gap", *pair, "--k", "4", "--sigma", "64",
+                          "--seed", str(recs[0]["seed"]))
+        assert code == 0
+        assert again[0]["verdict"] == recs[0]["verdict"]
+        assert again[0]["counters"] == recs[0]["counters"]
+
+    def test_unseeded_gen_record_replays(self, tmp_path, capsys,
+                                         monkeypatch):
+        monkeypatch.delenv("GAPEDIT_SEED", raising=False)
+        args = "gen", "--n", "64", "--sigma", "8", "--edits", "3"
+        code, recs = run(capsys, *args, "--out", str(tmp_path / "x"))
+        assert code == 0 and isinstance(recs[0]["seed"], int)
+        code, _ = run(capsys, *args, "--out", str(tmp_path / "y"),
+                      "--seed", str(recs[0]["seed"]))
+        assert code == 0
+        for ext in (".a", ".b"):
+            assert ((tmp_path / "x").with_suffix(ext).read_bytes()
+                    == (tmp_path / "y").with_suffix(ext).read_bytes())
+
     def test_warns_on_oversized_k(self, small_pair, capsys):
         main(["gap", str(small_pair) + ".a", str(small_pair) + ".b",
               "--k", "64", "--mode", "exact", "--sigma", "64"])

@@ -67,6 +67,22 @@ class TestIndexStructure:
         assert idx.tables is not None and idx.dense is None
 
 
+class TestBadIndexParameters:
+    A = gen_planted(32, 4, 2, seed=1).a
+
+    def test_greedy_index_k_below_one(self):
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            OneSidedIndex.preprocess(self.A, 0, CFG)
+
+    def test_wave_index_l_zero(self):
+        with pytest.raises(ValueError, match="1 <= l <= k"):
+            OneSidedWaveIndex.preprocess(self.A, 4, 0, CFG)
+
+    def test_wave_index_l_above_k(self):
+        with pytest.raises(ValueError, match="1 <= l <= k"):
+            OneSidedWaveIndex.preprocess(self.A, 4, 8, CFG)
+
+
 class TestStrategyEquivalence:
     def test_dense_equals_general(self):
         for t in range(4):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from gapedit.greedy import GapVerdict, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
@@ -45,30 +46,81 @@ class TestTwoSidedAlign:
         assert idx.counters.table_lookups > before
 
     def test_query_counts_a_rows_of_member(self, monkeypatch):
-        # query retrievals = B-side retrieves + A-side rows member computed;
-        # none of them lands on the build counters
+        # query retrievals = B-side retrieves + A-side rows member computed
+        # (one per in-range shift of the cell); none of them lands on the
+        # build counters
         inst = gen_planted(512, 8, 4, seed=6)
-        idx = TwoSidedIndex.preprocess(inst.a, 4, CFG)
+        n, k = 512, 4
+        idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
         build = idx.counters
         built = (build.init_steps, build.retrievals)
         query = idx.counters = OpCounters()
         orc = TwoSidedOracle(idx, inst.b, query)
         rows, b_retrieves = [], []
-        a_rows = idx.a_state.retrieve_many
+        member = idx.member
         b_retrieve = orc.b_state.retrieve
 
-        def counted_rows(i_arr, j_arr):
-            rows.append(len(i_arr))
-            return a_rows(i_arr, j_arr)
+        def counted_member(i, j, h):
+            if j >= i:
+                rows.append(max(0, min(k, n - j) - max(-k, 1 - i) + 1))
+            return member(i, j, h)
 
         def counted_retrieve(i, j):
             b_retrieves.append((i, j))
             return b_retrieve(i, j)
 
-        monkeypatch.setattr(idx.a_state, "retrieve_many", counted_rows)
+        monkeypatch.setattr(idx, "member", counted_member)
         monkeypatch.setattr(orc.b_state, "retrieve", counted_retrieve)
         assert greedy_match(inst.a, inst.b, 4, orc) == GapVerdict.SMALL
         assert sum(rows) > 0
         assert query.retrievals == len(b_retrieves) + sum(rows)
         assert (build.init_steps, build.retrievals) == built
 
+
+def shifted_copies(ref, n, k, i, j):
+    """Reference cell: the hash of every in-range shifted copy of window
+    (i, j), one `retrieve` each; the empty window hashes to 0."""
+    if j < i:
+        return {0}, 0
+    shifts = [a for a in range(-k, k + 1) if i + a >= 1 and j + a <= n]
+    return {ref.retrieve(i + a, j + a) for a in shifts}, len(shifts)
+
+
+class TestMemberEquivalence:
+    @pytest.mark.parametrize("n,k", [(1, 1), (9, 1), (23, 5), (40, 7),
+                                     (6, 6), (12, 30), (64, 16)])
+    def test_member_equals_shifted_retrieves(self, n, k):
+        inst = gen_planted(n, 3, max(1, n // 8), seed=n * 100 + k)
+        idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
+        ref = RollingHashState(inst.a, full_sample(n), CFG)
+        st = b_state(inst.b)
+        rng = np.random.default_rng(n * 1000 + k)
+        windows = {(1, n), (1, 0), (n + 1, n)}
+        for i in range(1, n + 1):
+            windows.update({(i, i - 1), (1, i), (i, n)})
+            windows.add((i, int(rng.integers(i - 1, n + 1))))
+        outcomes = set()
+        for i, j in sorted(windows):
+            cell, rows = shifted_copies(ref, n, k, i, j)
+            probes = [st.retrieve(i, j), int(rng.integers(0, CFG.p))]
+            if j >= i and rows:
+                a = int(rng.integers(max(-k, 1 - i), min(k, n - j) + 1))
+                probes.append(ref.retrieve(i + a, j + a))
+            for h in probes:
+                before = (idx.counters.table_lookups,
+                          idx.counters.retrievals)
+                got = idx.member(i, j, h)
+                assert got == (h in cell), (i, j, h)
+                assert (idx.counters.table_lookups,
+                        idx.counters.retrievals) == (before[0] + 1,
+                                                     before[1] + rows)
+                outcomes.add(got)
+        assert outcomes == {True, False}
+
+
+class TestBadIndexParameters:
+    def test_two_sided_k_below_one(self):
+        a = gen_planted(32, 4, 2, seed=1).a
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be at least 1"):
+                TwoSidedIndex.preprocess(a, k, CFG)
