@@ -22,6 +22,7 @@ import numpy as np
 from . import (ByteString, GapVerdict, HashConfig, OpCounters, gap_match,
                gap_wave, gen_large_side, gen_periodic, gen_planted,
                load_instance, save_instance)
+from .greedy import check_index_params
 from .instances import Instance
 from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import edit_distance_at_most, edit_distance_exact
@@ -45,7 +46,13 @@ def _default_seed(args_seed):
 
 
 def _read_string(path: str, sigma: int) -> ByteString:
-    return ByteString.from_bytes(Path(path).read_bytes(), sigma)
+    """The string in `path`; a file that cannot be read, or that holds a
+    symbol above sigma, raises ValueError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as err:
+        raise ValueError(f"cannot read {path}: {err.strerror}") from None
+    return ByteString.from_bytes(raw, sigma)
 
 
 def _emit(record: dict, path: str | None) -> None:
@@ -86,8 +93,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_exact(args) -> int:
-    a = _read_string(args.a, args.sigma)
-    b = _read_string(args.b, args.sigma)
+    try:
+        a = _read_string(args.a, args.sigma)
+        b = _read_string(args.b, args.sigma)
+    except ValueError as err:
+        return _usage_error("exact", err)
     t0 = time.perf_counter()
     if args.at_most is not None:
         ok = edit_distance_at_most(a, b, args.at_most)
@@ -142,6 +152,13 @@ def cmd_wave(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    try:
+        if min(args.ns) < 1:
+            raise ValueError("n must be at least 1")
+        for k in args.ks:
+            check_index_params(k)
+    except ValueError as err:
+        return _usage_error("bench", err)
     seed = _default_seed(args.seed)
     root = np.random.SeedSequence(seed)
     for n in args.ns:

@@ -211,21 +211,34 @@ class RollingHashState:
                                                 cfg.x, cfg.p)
         self.counters.init_steps += syms.size
 
-    def _locate(self, i: int, j: int) -> tuple[int, int]:
-        base = self.samples.indices
-        off = self.samples.offset
-        lo = int(base.searchsorted(i - off, side="left"))
-        hi = int(base.searchsorted(j - off, side="right"))
-        return lo, hi
+    @property
+    def prefix(self) -> np.ndarray:
+        return self._prefix
+
+    @prefix.setter
+    def prefix(self, rows: np.ndarray) -> None:
+        self._prefix = rows
+        self._lists = None  # remade from the new rows on the next retrieve
 
     def retrieve(self, i: int, j: int) -> int:
-        """Hash of the sampled positions inside [i, j] (view coordinates)."""
+        """Hash of the sampled positions inside [i, j] (view coordinates).
+
+        Reads the base positions, prefix rows and x-powers as Python lists,
+        located with bisect. The lists are made on the first call, so states
+        read only through `retrieve_many` or a `ViewStack` never pay for
+        them."""
         self.counters.retrievals += 1
-        lo, hi = self._locate(i, j)
+        lists = self._lists
+        if lists is None:
+            lists = self._lists = (self.samples.indices.tolist(),
+                                   self._prefix.tolist(), self.xpow.tolist())
+        pos, prefix, xpow = lists
+        off = self.samples.offset
+        lo = bisect_left(pos, i - off)
+        hi = bisect_right(pos, j - off)
         if hi <= lo:
             return 0
-        head = mulmod(int(self.prefix[lo]), int(self.xpow[hi - lo]))
-        return (int(self.prefix[hi]) - head) % self.cfg.p
+        return (prefix[hi] - prefix[lo] * xpow[hi - lo]) % P61
 
     def retrieve_many(self, i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
         """Vectorized retrieve for parallel ranges."""

@@ -36,6 +36,13 @@ the hash of the full substring, and the table collapses to one sorted
 check on starts. That dense layout answers exactly the same membership
 queries as the general table and is used automatically.
 
+A query probes one B window at a time (`max_shift_align`). B's window hash
+comes from `RollingHashState.retrieve`, which reads Python lists located
+with `bisect`. `member` boxes the hash once and makes one `searchsorted`
+method call on the cell (general layout). In the dense layout it searches
+the window length's hashes, returns on a miss, and only on a hit searches
+the starts filed under that hash for one in the cell's range.
+
 File format, version 2, little-endian, every section 8-byte aligned:
 
     magic  b"GEDT1S"
@@ -228,34 +235,31 @@ class OneSidedIndex:
         cell = self.tables.get((e, col, bucket))
         if cell is None:
             return False
-        pos = int(np.searchsorted(cell, np.uint64(h)))
-        return pos < cell.size and int(cell[pos]) == h
+        h = np.uint64(h)
+        pos = cell.searchsorted(h)
+        return bool(pos < cell.size and cell[pos] == h)
 
     def _member_dense(self, e: int, col: int, bucket: int, h: int) -> bool:
-        if not (0 <= col < self.num_cols) or bucket not in self.buckets:
-            return False
-        if e >= len(self.dense):
-            return False
-        ell, k, w = self.ell, self.k, 1 << e
-        # starts and shifts filed under this cell span three widths each
-        i_lo = max((col - 1) * ell, 2 - w)
-        i_hi = min((col + 2) * ell - 1, self.n + 1)
-        a_lo = max((bucket - 1) * ell, -k)
-        a_hi = min((bucket + 2) * ell - 1, k)
-        if i_hi < i_lo or a_hi < a_lo:
-            return False
-        u_lo = max(i_lo + a_lo, 1)
-        u_hi = min(i_hi + a_hi, self.n - w + 1)
-        if u_hi < u_lo:
+        if not (0 <= col < self.num_cols and bucket in self.buckets
+                and e < len(self.dense)):
             return False
         hs, us = self.dense[e]
-        left = int(np.searchsorted(hs, np.uint64(h), side="left"))
-        right = int(np.searchsorted(hs, np.uint64(h), side="right"))
-        if right <= left:
+        h = np.uint64(h)
+        left = hs.searchsorted(h)
+        if left == hs.size or hs[left] != h:
             return False
-        seg = us[left:right]
-        pos = int(np.searchsorted(seg, u_lo, side="left"))
-        return pos < seg.size and int(seg[pos]) <= u_hi
+        # starts and shifts filed under this cell span three widths each;
+        # in range, both spans are nonempty, and every stored start is in
+        # [1, n - w + 1], so their sum needs no clamp
+        n, ell, k, w = self.n, self.ell, self.k, 1 << e
+        i_lo, a_lo = (col - 1) * ell, (bucket - 1) * ell
+        i_hi, a_hi = i_lo + 3 * ell - 1, a_lo + 3 * ell - 1
+        u_lo = (i_lo if i_lo > 2 - w else 2 - w) + (a_lo if a_lo > -k else -k)
+        u_hi = (i_hi if i_hi < n + 1 else n + 1) + (a_hi if a_hi < k else k)
+        # the starts of h's run are sorted: the first one at or past u_lo
+        right = hs.searchsorted(h, side="right")
+        pos = left + us[left:right].searchsorted(u_lo)
+        return bool(pos < right and us[pos] <= u_hi)
 
     def hash_b(self, b: ByteString, counters: OpCounters) -> RollingHashState:
         """Hash B over the index's sample set; this is the whole per-query
@@ -293,8 +297,11 @@ class OneSidedIndex:
     def load(cls, path) -> "OneSidedIndex":
         """Read an index written by `save`. A file of the wrong kind or
         version raises ValueError, and so does one of the wrong length (its
-        length is checked against the header before any read) or one whose
-        checksum does not match. Arrays are views of the file's bytes."""
+        length is checked against the header before any read), one whose
+        checksum does not match, and one whose header holds an unknown
+        layout, a k or l the builders refuse, or shift buckets that neither
+        the greedy nor the wave index keeps at its k and l. Arrays are
+        views of the file's bytes."""
         with open(path, "rb") as f:
             raw = f.read()
         size = len(raw)
@@ -315,6 +322,14 @@ class OneSidedIndex:
         (_, layout, p, x, n, k, ell, b_start, b_stop, ns, nk,
          nh) = _HEAD.unpack_from(raw, off)
         off += _HEAD.size
+        if layout not in (0, _LAYOUT_DENSE):
+            raise ValueError(f"unknown index layout {layout}")
+        check_index_params(k, ell)
+        reach = k // ell + 1  # the wave index keeps buckets -reach .. reach
+        if ((b_start, b_stop) != (-reach, reach + 1)
+                and not (ell == k and (b_start, b_stop) == (0, 1))):
+            raise ValueError(f"shift buckets [{b_start}, {b_stop}) fit "
+                             f"neither index at k = {k}, l = {ell}")
         dense = layout == _LAYOUT_DENSE
         need = off + 8 * (ns + 4 * nk + nh * (2 if dense else 1)) + _CRC.size
         if size < need:
@@ -375,15 +390,16 @@ def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
     remaining = index.n - i_b + 1
     if remaining <= 0:
         return 0
-    bucket = (i_a - i_b) // index.ell
+    n, ell, last_col = index.n, index.ell, index.num_cols - 1
+    bucket = (i_a - i_b) // ell
     cur = i_b
     for e in range(remaining.bit_length() - 1, -1, -1):
         d = 1 << e
-        if cur + d - 1 > index.n:
+        if cur + d - 1 > n:
             continue
         h = b_state.retrieve(cur, cur + d - 1)
-        col = min(cur // index.ell, index.num_cols - 1)
-        if index.member(e, col, bucket, h):
+        col = cur // ell
+        if index.member(e, col if col < last_col else last_col, bucket, h):
             cur += d
     return cur - i_b
 

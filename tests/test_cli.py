@@ -149,6 +149,45 @@ class TestBadParameters:
         assert err.startswith(f"gapedit {cmd}: error: ")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("cmd,opts", [
+        ("gap", ["--k", "4"]),
+        ("wave", ["--k", "4", "--ell", "2"]),
+        ("exact", []),
+    ])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_missing_file(self, small_pair, tmp_path, capsys, cmd, opts,
+                          which):
+        pair = {"a": str(small_pair) + ".a", "b": str(small_pair) + ".b"}
+        pair[which] = str(tmp_path / "absent")
+        code = main([cmd, pair["a"], pair["b"], "--sigma", "64", *opts])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit {cmd}: error: cannot read "
+                               f"{pair[which]}: No such file or directory")
+
+    @pytest.mark.parametrize("cmd,opts", [
+        ("gap", ["--k", "4"]),
+        ("wave", ["--k", "4", "--ell", "2"]),
+        ("exact", []),
+    ])
+    def test_symbol_above_sigma(self, small_pair, capsys, cmd, opts):
+        code = main([cmd, str(small_pair) + ".a", str(small_pair) + ".b",
+                     "--sigma", "2", *opts])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit {cmd}: error: symbol out of range "
+                               "1..sigma")
+
+    @pytest.mark.parametrize("opts,msg", [
+        (["--ns", "128", "--ks", "4", "0"], "k must be at least 1"),
+        (["--ns", "0", "--ks", "4"], "n must be at least 1"),
+    ])
+    def test_bench_bad_grid(self, capsys, opts, msg):
+        code = main(["bench", *opts, "--trials", "1", "--seed", "1"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == f"gapedit bench: error: {msg}"
+
     def test_unequal_lengths(self, small_pair, tmp_path, capsys):
         short = tmp_path / "short.b"
         short.write_bytes(Path(str(small_pair) + ".b").read_bytes()[:-1])

@@ -153,6 +153,71 @@ class TestVectorisedPrefix:
                 RollingHashState(s, samples, cfg)
 
 
+def reference_hash(string, samples, x, i, j):
+    """The polynomial hash of the view's positions inside [i, j]."""
+    h = 0
+    for t in samples.positions().tolist():
+        if i <= t <= j:
+            h = (h * x + string.at(t)) % P61
+    return h
+
+
+@st.composite
+def ranges(draw, n):
+    """A range [i, j] that may be empty (j < i) or reach past either end of
+    a string of length n, or of a view shifted by up to n + 2."""
+    i = draw(st.integers(-2 * n - 4, 2 * n + 4))
+    return i, draw(st.integers(i - 3, 2 * n + 6))
+
+
+class TestScalarRetrieve:
+    @given(views(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_retrieve_matches_many_and_polynomial(self, view, data):
+        string, samples, cfg = view
+        ctr = OpCounters()
+        state = RollingHashState(string, samples, cfg, ctr)
+        for _ in range(4):
+            i, j = data.draw(ranges(len(string)))
+            before = ctr.retrievals
+            got = state.retrieve(i, j)
+            assert ctr.retrievals == before + 1
+            assert isinstance(got, int)
+            many = state.retrieve_many(np.array([i, i]), np.array([j, j]))
+            assert ctr.retrievals == before + 3
+            assert [int(v) for v in many] == [got, got]
+            assert got == reference_hash(string, samples, cfg.x, i, j)
+
+    @given(st.integers(0, 10**6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_retrieve_after_prefix_moves_into_a_view_stack(self, seed, data):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 60))
+        s = bstr(rng, n, sigma=3)
+        samples = draw_sample(n, int(rng.integers(1, 30)), rng)
+        cfg = HashConfig.from_seed(seed)
+        offsets = [-3, -1, 0, 2, n + 1]
+        ctr = OpCounters()
+        states = [RollingHashState(s, samples.shift(o), cfg, ctr)
+                  for o in offsets]
+        probes = [data.draw(ranges(n)) for _ in range(3)]
+        # half the states answer before the move and so hold lists made from
+        # their own rows; after it every state reads the stack's columns
+        # and must still give the reference hash
+        before = [[st_.retrieve(i, j) for i, j in probes]
+                  for st_ in states[::2]]
+        stack = ViewStack(states, OpCounters())
+        taken = ctr.retrievals
+        for v, (st_, o) in enumerate(zip(states, offsets)):
+            assert np.shares_memory(st_.prefix, stack.prefix)
+            got = [st_.retrieve(i, j) for i, j in probes]
+            assert got == [reference_hash(s, samples.shift(o), cfg.x, i, j)
+                           for i, j in probes]
+            if v % 2 == 0:
+                assert got == before[v // 2]
+        assert ctr.retrievals == taken + len(states) * len(probes)
+
+
 class TestViewStack:
     @given(st.integers(0, 10**6), st.integers(1, 6), st.data())
     @settings(max_examples=150, deadline=None)

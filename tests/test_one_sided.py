@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from gapedit import GapVerdict, gap_match
 from gapedit.hashing import HashConfig
 from gapedit.instances import gen_large_side, gen_planted
-from gapedit.one_sided import (IndexedShiftOracle, OneSidedIndex,
-                               OneSidedOracle, OneSidedWaveIndex,
-                               anchor_positions)
+from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
+                               OneSidedIndex, OneSidedOracle,
+                               OneSidedWaveIndex, anchor_positions)
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
 
 CFG = HashConfig.from_seed(77)
@@ -208,6 +209,36 @@ class TestSerialization:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             OneSidedIndex.load(path)
+
+    # header fields after the magic: version, layout, p, x, n, k, l, first
+    # and one-past-last shift bucket, sample, key and hash counts
+    @pytest.mark.parametrize("field,change,match", [
+        (1, lambda h: 2, "unknown index layout 2"),
+        (1, lambda h: 255, "unknown index layout 255"),
+        (5, lambda h: 0, "k must be at least 1"),
+        (6, lambda h: 0, "need 1 <= l <= k"),
+        (6, lambda h: h[5] + 1, "need 1 <= l <= k"),
+        (5, lambda h: 2 * h[5], "fit neither index"),
+        (7, lambda h: h[7] - 1, "fit neither index"),
+        (8, lambda h: h[8] + 1, "fit neither index"),
+    ])
+    def test_bad_header_rejected_under_a_good_checksum(
+            self, saved_files, tmp_path, field, change, match):
+        path = tmp_path / "edited.gedt1s"
+        for raw in saved_files:
+            for edit in (False, True):
+                head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
+                if edit:
+                    head[field] = change(head)
+                body = bytearray(raw[:-4])
+                _HEAD.pack_into(body, len(MAGIC_1S), *head)
+                crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
+                path.write_bytes(bytes(body) + struct.pack("<I", crc))
+                if edit:
+                    with pytest.raises(ValueError, match=match):
+                        OneSidedIndex.load(path)
+                else:  # the checksum alone would let it load
+                    assert OneSidedIndex.load(path).k == head[5]
 
     def test_truncated_or_overlong_file_rejected(self, tmp_path):
         inst = gen_planted(12, 4, 1, seed=8)
