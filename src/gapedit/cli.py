@@ -72,18 +72,31 @@ def _warn_params(n: int, k: int) -> None:
 
 def cmd_gen(args) -> int:
     seed = _default_seed(args.seed)
-    if args.periodic:
-        s = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
-                         corrupt=args.corrupt)
-        t = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
-                         corrupt=args.corrupt + args.edits)
-        inst = Instance(s, t, "periodic", seed=seed)
-    elif args.label == "small":
-        inst = gen_planted(args.n, args.sigma, args.edits, seed=seed,
-                           compute_exact=args.exact)
-    else:
-        inst = gen_large_side(args.n, args.sigma, args.threshold, seed=seed)
-    save_instance(inst, Path(args.out))
+    try:
+        if args.n < 1:
+            raise ValueError("n must be at least 1")
+        if not 1 <= args.sigma <= 256:
+            raise ValueError("sigma must be in 1..256 (one byte per symbol "
+                             "on disk)")
+        if args.periodic:
+            s = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
+                             corrupt=args.corrupt)
+            t = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
+                             corrupt=args.corrupt + args.edits)
+            inst = Instance(s, t, "periodic", seed=seed)
+        elif args.label == "small":
+            inst = gen_planted(args.n, args.sigma, args.edits, seed=seed,
+                               compute_exact=args.exact)
+        else:
+            inst = gen_large_side(args.n, args.sigma, args.threshold,
+                                  seed=seed)
+    except ValueError as err:
+        return _usage_error("gen", err)
+    try:
+        save_instance(inst, Path(args.out))
+    except OSError as err:
+        return _usage_error("gen", ValueError(
+            f"cannot write {args.out}: {err.strerror}"))
     _emit({"schema": RECORD_SCHEMA, "command": "gen", "out": args.out,
            "n": args.n, "sigma": args.sigma, "label": inst.label,
            "seed": inst.seed, "planted_edits": inst.planted_edits,

@@ -73,6 +73,10 @@ class ByteString:
         return cls(d, sigma)
 
     def to_bytes(self) -> bytes:
+        """One byte per symbol (symbol - 1); a symbol above 256 does not fit
+        and raises ValueError."""
+        if self.data.size and self.data.max() > 256:
+            raise ValueError("symbols above 256 do not fit in one byte")
         return (self.data - 1).astype(np.uint8).tobytes()
 
 

@@ -2,18 +2,26 @@
 
 Preprocessing on A stores, for window (i, j), the set of hashes of every
 shifted copy A[i+a .. j+a] with |a| <= k that stays inside the string. A
-query then binary-searches the longest B-window whose hash lands in the
-matching cell; membership is monotone in the window length because an
-exact match of length d contains one of length d - 1 at the same shift.
+query then searches the longest B-window whose hash lands in the matching
+cell.
 
 Cells are computed on demand from the prefix hashes H of A, so the index
-holds O(n) state: H and the limbs of x^0 .. x^n. Every position of A is
-sampled, so the copy at shift a reads rows i - 1 + a and j + a of H. The
-in-range shifts a in [max(-k, 1 - i), min(k, n - j)] therefore read two
-contiguous slices of H, and since every copy has the same length
-d = j - i + 1, one multiply by x^d serves the whole cell:
+holds O(n) state: H and x^0 .. x^n, as Python lists. Every position of A
+is sampled, so the copy at shift a reads rows i - 1 + a and j + a of H,
+and with d = j - i + 1 it hashes to h exactly when
 
-    cell(i, j) = H[j + a_lo .. j + a_hi] - H[i - 1 + a_lo .. i - 1 + a_hi] x^d
+    (H[i - 1 + a] x^d + h) mod p == H[j + a].
+
+`member` returns the shifts that pass this test instead of a yes or no.
+
+The search gallops, then bisects. It probes d = 1, 2, 4, ... while the
+probes hit, then bisects between the last hit and the first miss. After
+every hit it keeps only the shifts that matched. That is exact: a copy that
+matches B[i_b .. i_b + d - 1] at shift a also matches every shorter prefix
+at shift a, so a shift that fails at a hit length d can never match at a
+longer one, and a miss over the survivors is a miss over every shift. Only
+the first probe of an oracle call hashes all 2k + 1 copies; the later
+probes hash the few survivors.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import numpy as np
 
 from .greedy import check_index_params
 from .hashing import HashConfig, OpCounters, RollingHashState, SampleSet
-from .mers61 import limbs, mulmod_limbs, submod_vec
+from .mers61 import P61
 from .strings import ByteString
 
 
@@ -33,14 +41,14 @@ def full_sample(n: int) -> SampleSet:
 class TwoSidedIndex:
     """Shift-closed window hashes of A for alignment against any B."""
 
-    def __init__(self, k: int, cfg: HashConfig, prefix: np.ndarray,
-                 xpow: np.ndarray, counters: OpCounters | None = None):
-        self.n = prefix.size - 1
+    def __init__(self, k: int, cfg: HashConfig, prefix: list[int],
+                 xpow: list[int], counters: OpCounters | None = None):
+        self.n = len(prefix) - 1
         self.k = k
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.prefix = prefix  # H[t]: hash of A[1 .. t]
-        self.x_lo, self.x_hi = limbs(xpow)  # limbs of x^d, d = 0 .. n
+        self.xpow = xpow  # x^d, d = 0 .. n
 
     @classmethod
     def preprocess(cls, a: ByteString, k: int,
@@ -48,40 +56,47 @@ class TwoSidedIndex:
         check_index_params(k)
         counters = OpCounters()
         state = RollingHashState(a, full_sample(len(a)), cfg, counters)
-        return cls(k, cfg, state.prefix, state.xpow, counters)
+        return cls(k, cfg, state.prefix.tolist(), state.xpow.tolist(),
+                   counters)
 
-    def member(self, i: int, j: int, h: int) -> bool:
-        """Is h the hash of some in-range shifted copy of window (i, j)?
-        Each copy hashed counts as one retrieval."""
+    def member(self, i: int, j: int, h: int,
+               shifts: list[int] | None = None) -> list[int]:
+        """The in-range shifts a among `shifts` (default: every |a| <= k)
+        whose copy A[i+a .. j+a] hashes to h; an empty list is a miss. The
+        empty window hashes to 0. Each copy hashed counts as one retrieval."""
         self.counters.table_lookups += 1
+        a_lo, a_hi = 1 - i, self.n - j
+        if shifts is None:
+            k = self.k
+            shifts = range(max(-k, a_lo), min(k, a_hi) + 1)
+        else:
+            shifts = [a for a in shifts if a_lo <= a <= a_hi]
         if j < i:
-            return bool(h == 0)
-        a_lo = max(-self.k, 1 - i)
-        a_hi = min(self.k, self.n - j)
-        if a_hi < a_lo:
-            return False
-        self.counters.retrievals += a_hi - a_lo + 1
-        d = j - i + 1
+            return list(shifts) if h == 0 else []
+        self.counters.retrievals += len(shifts)
         rows = self.prefix
-        head = mulmod_limbs(rows[i - 1 + a_lo:i + a_hi],
-                            self.x_lo[d], self.x_hi[d])
-        cell = submod_vec(rows[j + a_lo:j + a_hi + 1], head)
-        return bool((cell == np.uint64(h)).any())
+        x_d = self.xpow[j - i + 1]
+        before = i - 1
+        return [a for a in shifts
+                if (rows[before + a] * x_d + h) % P61 == rows[j + a]]
 
 
 def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
                         i_b: int) -> int:
     """Longest d with the hash of B[i_b .. i_b+d-1] present in the cell for
-    window (i_b, i_b+d-1); binary search over d, valid by monotonicity."""
-    n = index.n
-    lo, hi = 0, n - i_b + 1
+    window (i_b, i_b+d-1). Gallops over d = 1, 2, 4, ... until a miss, then
+    bisects; each probe tests only the shifts that matched the last hit."""
+    lo, hi = 0, index.n - i_b + 1
+    alive = None  # every shift, until the first hit
+    galloping = True
     while lo < hi:
-        mid = (lo + hi + 1) // 2
-        h = b_state.retrieve(i_b, i_b + mid - 1)
-        if index.member(i_b, i_b + mid - 1, h):
-            lo = mid
+        mid = min(2 * lo or 1, hi) if galloping else (lo + hi + 1) // 2
+        j = i_b + mid - 1
+        got = index.member(i_b, j, b_state.retrieve(i_b, j), alive)
+        if got:
+            lo, alive = mid, got
         else:
-            hi = mid - 1
+            hi, galloping = mid - 1, False
     return lo
 
 

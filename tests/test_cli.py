@@ -188,6 +188,33 @@ class TestBadParameters:
         assert code == 2 and out == ""
         assert err.strip() == f"gapedit bench: error: {msg}"
 
+    @pytest.mark.parametrize("opts,msg", [
+        (["--n", "0"], "n must be at least 1"),
+        (["--n", "-4"], "n must be at least 1"),
+        (["--n", "64", "--sigma", "0"], "sigma must be in 1..256"),
+        (["--n", "64", "--sigma", "257"], "sigma must be in 1..256"),
+        (["--n", "64", "--sigma", "300"], "sigma must be in 1..256"),
+        (["--n", "64", "--label", "large", "--threshold", "1000"],
+         "could not certify distance > 1000"),
+    ])
+    def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
+        code = main(["gen", *opts, "--seed", "1", "--out",
+                     str(tmp_path / "x")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"gapedit gen: error: {msg}")
+        assert len(err.strip().splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_gen_unwritable_out(self, tmp_path, capsys):
+        stem = tmp_path / "absent" / "x"
+        code = main(["gen", "--n", "64", "--sigma", "4", "--seed", "1",
+                     "--out", str(stem)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit gen: error: cannot write {stem}: "
+                               "No such file or directory")
+
     def test_unequal_lengths(self, small_pair, tmp_path, capsys):
         short = tmp_path / "short.b"
         short.write_bytes(Path(str(small_pair) + ".b").read_bytes()[:-1])

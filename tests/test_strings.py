@@ -51,6 +51,13 @@ class TestByteString:
         assert np.array_equal(ByteString.from_bytes(s.to_bytes(), 4).data,
                               s.data)
 
+    def test_to_bytes_refuses_symbols_above_256(self):
+        s = bs([256, 1, 255], sigma=300)
+        assert np.array_equal(ByteString.from_bytes(s.to_bytes(), 300).data,
+                              s.data)
+        with pytest.raises(ValueError, match="above 256"):
+            bs([3, 257, 1], sigma=300).to_bytes()
+
     def test_symbol_range_enforced(self):
         with pytest.raises(ValueError):
             bs([0, 1], sigma=4)

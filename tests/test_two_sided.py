@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapedit.greedy import GapVerdict, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
@@ -47,8 +48,8 @@ class TestTwoSidedAlign:
 
     def test_query_counts_a_rows_of_member(self, monkeypatch):
         # query retrievals = B-side retrieves + A-side rows member computed
-        # (one per in-range shift of the cell); none of them lands on the
-        # build counters
+        # (one per in-range shift it was asked to test); none of them lands
+        # on the build counters
         inst = gen_planted(512, 8, 4, seed=6)
         n, k = 512, 4
         idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
@@ -60,10 +61,10 @@ class TestTwoSidedAlign:
         member = idx.member
         b_retrieve = orc.b_state.retrieve
 
-        def counted_member(i, j, h):
+        def counted_member(i, j, h, shifts=None):
             if j >= i:
-                rows.append(max(0, min(k, n - j) - max(-k, 1 - i) + 1))
-            return member(i, j, h)
+                rows.append(in_range(n, i, j, shifts, k))
+            return member(i, j, h, shifts)
 
         def counted_retrieve(i, j):
             b_retrieves.append((i, j))
@@ -77,13 +78,66 @@ class TestTwoSidedAlign:
         assert (build.init_steps, build.retrievals) == built
 
 
+def in_range(n, i, j, shifts, k):
+    """How many of `shifts` (None: every |a| <= k) keep window (i, j)
+    inside [1, n]."""
+    pool = range(-k, k + 1) if shifts is None else shifts
+    return sum(1 for a in pool if i + a >= 1 and j + a <= n)
+
+
+@st.composite
+def pairs(draw):
+    sigma = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 48))
+    a = draw(st.lists(st.integers(1, sigma), min_size=n, max_size=n))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 4))):  # substitutions
+        b[draw(st.integers(0, n - 1))] = draw(st.integers(1, sigma))
+    if draw(st.booleans()):  # one insertion and one deletion
+        b.insert(draw(st.integers(0, n)), draw(st.integers(1, sigma)))
+        del b[draw(st.integers(0, n))]
+    k = draw(st.integers(1, n + 2))
+    return ByteString(np.array(a), sigma), ByteString(np.array(b), sigma), k
+
+
+class TestGallopSearch:
+    @given(pairs(), st.integers(0, 1 << 32))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_bruteforce_and_counts_each_copy_hashed(self, pair, seed):
+        a, b, k = pair
+        n = len(a)
+        cfg = HashConfig.from_seed(seed)
+        idx = TwoSidedIndex.preprocess(a, k, cfg)
+        st_ = b_state(b, cfg)
+        hashed, b_retrieves = [], []
+        member, retrieve = idx.member, st_.retrieve
+
+        def counted_member(i, j, h, shifts=None):
+            if j >= i:
+                hashed.append(in_range(n, i, j, shifts, k))
+            return member(i, j, h, shifts)
+
+        def counted_retrieve(i, j):
+            b_retrieves.append((i, j))
+            return retrieve(i, j)
+
+        idx.member, st_.retrieve = counted_member, counted_retrieve
+        for i_b in range(1, n + 1):
+            hashed.clear()
+            b_retrieves.clear()
+            before = idx.counters.retrievals + st_.counters.retrievals
+            assert (two_sided_max_align(idx, st_, i_b)
+                    == max_k_alignment_bruteforce(a, b, i_b, k)), i_b
+            added = (idx.counters.retrievals + st_.counters.retrievals
+                     - before)
+            assert added == len(b_retrieves) + sum(hashed)
+
+
 def shifted_copies(ref, n, k, i, j):
-    """Reference cell: the hash of every in-range shifted copy of window
-    (i, j), one `retrieve` each; the empty window hashes to 0."""
-    if j < i:
-        return {0}, 0
+    """Reference cell: (shift, hash) for every in-range shifted copy of
+    window (i, j), one `retrieve` each; the empty window hashes to 0."""
     shifts = [a for a in range(-k, k + 1) if i + a >= 1 and j + a <= n]
-    return {ref.retrieve(i + a, j + a) for a in shifts}, len(shifts)
+    return [(a, ref.retrieve(i + a, j + a)) for a in shifts]
 
 
 class TestMemberEquivalence:
@@ -101,7 +155,8 @@ class TestMemberEquivalence:
             windows.add((i, int(rng.integers(i - 1, n + 1))))
         outcomes = set()
         for i, j in sorted(windows):
-            cell, rows = shifted_copies(ref, n, k, i, j)
+            cell = shifted_copies(ref, n, k, i, j)
+            rows = len(cell) if j >= i else 0
             probes = [st.retrieve(i, j), int(rng.integers(0, CFG.p))]
             if j >= i and rows:
                 a = int(rng.integers(max(-k, 1 - i), min(k, n - j) + 1))
@@ -110,11 +165,19 @@ class TestMemberEquivalence:
                 before = (idx.counters.table_lookups,
                           idx.counters.retrievals)
                 got = idx.member(i, j, h)
-                assert got == (h in cell), (i, j, h)
+                assert bool(got) == (h in {g for _, g in cell}), (i, j, h)
+                assert got == [a for a, g in cell if g == h], (i, j, h)
                 assert (idx.counters.table_lookups,
                         idx.counters.retrievals) == (before[0] + 1,
                                                      before[1] + rows)
-                outcomes.add(got)
+                outcomes.add(bool(got))
+                # only the given shifts are tested and counted
+                some = sorted({int(a) for a in rng.integers(-k, k + 1, 3)})
+                before = idx.counters.retrievals
+                assert idx.member(i, j, h, some) == [
+                    a for a, g in cell if g == h and a in some]
+                assert idx.counters.retrievals - before == (
+                    in_range(n, i, j, some, k) if j >= i else 0)
         assert outcomes == {True, False}
 
 
