@@ -78,6 +78,8 @@ def cmd_gen(args) -> int:
         if not 1 <= args.sigma <= 256:
             raise ValueError("sigma must be in 1..256 (one byte per symbol "
                              "on disk)")
+        if not 0 <= args.edits <= args.n:
+            raise ValueError(f"edits must be in 0..n = 0..{args.n}")
         if args.periodic:
             s = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
                              corrupt=args.corrupt)
@@ -170,6 +172,9 @@ def cmd_bench(args) -> int:
             raise ValueError("n must be at least 1")
         for k in args.ks:
             check_index_params(k)
+            if k > min(args.ns):
+                # each pair gets k planted edits
+                raise ValueError(f"k = {k} exceeds n = {min(args.ns)}")
     except ValueError as err:
         return _usage_error("bench", err)
     seed = _default_seed(args.seed)

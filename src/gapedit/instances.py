@@ -48,7 +48,10 @@ def gen_planted(n: int, sigma: int, edits: int, seed=None,
                 compute_exact: bool = False,
                 base: ByteString | None = None) -> Instance:
     """Random A (or the given one) and a B derived from it by `edits`
-    length-preserving edits, so |B| = |A| = n and distance <= edits."""
+    length-preserving edits, so |B| = |A| = n and distance <= edits.
+    Raises ValueError unless 0 <= edits <= n."""
+    if not 0 <= edits <= n:
+        raise ValueError(f"edits must be in 0..n = 0..{n}")
     rng = np.random.default_rng(seed)
     a = base if base is not None else _random_string(rng, n, sigma)
     b = plant_edits(a, edits, rng)

@@ -12,25 +12,27 @@ Probed ranges are shaved by k on both ends, which keeps every candidate
 window inside the strings for every shift; matches are therefore reported
 up to an edit slack proportional to k rather than exactly.
 
-Cost model: the 3r + 1 views share one sample of rate min(4 ln n / k, 1),
-and building a view folds each sampled position once, so construction
-takes (3r + 1) * |S| folds. For k > 4 ln n that is about
-12 n ln n / sqrt(k), the n / sqrt(k) law up to its log factor. Once the
-rate saturates at 1 (k <= 4 ln n) it is (3r + 1) * n, linear in n. Each
-probe adds at most 3r + 1 range retrievals on top. Since every view shares
-the sample, a probe window lands on the same pair of prefix rows in each
-view: a probe is one locate (two binary searches) plus reads of those two
-rows of a ViewStack, then at most 3r + 1 modular combinations. The fold
-and retrieval counts are the same as when each view was searched on its
-own.
+Cost model: the 3r + 1 views share one sample of rate min(4 ln n / k, 1).
+Below rate 1 (k > 4 ln n), building a view folds each sampled position
+once, so construction takes (3r + 1) * |S| folds, about
+12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor. A probe
+window lands on the same pair of prefix rows in every view, so a probe is
+one locate (two binary searches) plus reads of those two rows of a
+ViewStack, then at most 3r + 1 modular combinations. Once the rate
+saturates at 1 (k <= 4 ln n) the views differ only by their offset, and
+A and B are each folded once over n + 2P positions, padded with the
+sentinel by P = min(r^2, n) on both sides: 2(n + 2P) folds, linear in n. A probe
+then reads each view's two rows at its own offset, without a locate
+(`hashing.PaddedViews`). Either way each probe adds at most 3r + 1 range
+retrievals, the same count as when each view was searched on its own.
 """
 
 from __future__ import annotations
 
 import math
 
-from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
-                      draw_sample)
+from .hashing import (HashConfig, OpCounters, draw_sample, sample_rate,
+                      shifted_views)
 from .strings import ByteString
 
 
@@ -48,22 +50,16 @@ class NoPrepOracle:
         if self.r * self.r < k:
             self.r += 1
         self.counters = counters if counters is not None else OpCounters()
-        rng = cfg.sampling_rng()
+        # at rate 1 the draw takes every position and needs no generator
+        rng = cfg.sampling_rng() if sample_rate(n, k) < 1 else None
         self.samples = draw_sample(n, k, rng)
         r = self.r
-        self.a_states = {
-            a_coef: RollingHashState(a, self.samples.shift(a_coef * r), cfg,
-                                     self.counters)
-            for a_coef in range(-r, r + 1)
-        }
-        self.b_states = {
-            b_off: RollingHashState(b, self.samples.shift(-b_off), cfg,
-                                    self.counters)
-            for b_off in range(r)
-        }
         # columns: A views a = -r..r, then B views b_off = 0..r-1
-        self.views = ViewStack([*self.a_states.values(),
-                                *self.b_states.values()], self.counters)
+        self.views = shifted_views(
+            a, b, self.samples, [a_coef * r for a_coef in range(-r, r + 1)],
+            [-b_off for b_off in range(r)], cfg, self.counters)
+        self.a_cols = range(2 * r + 1)
+        self.b_cols = range(2 * r + 1, 3 * r + 1)
         self.last_hint = None
 
     def _probe(self, i_b: int, d: int) -> tuple[bool, int | None]:
@@ -74,8 +70,7 @@ class NoPrepOracle:
         if hi < lo:
             return True, None
         # every view reads base window [lo, hi] at its own offset
-        hit = self.views.first_collision(lo, hi, range(2 * r + 1),
-                                         range(2 * r + 1, 3 * r + 1))
+        hit = self.views.first_collision(lo, hi, self.a_cols, self.b_cols)
         if hit is None:
             return False, None
         a_col, b_col = hit

@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 
 from .greedy import GapVerdict, check_gap_params, check_oracle_index
-from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
-                      draw_sample)
+from .hashing import (HashConfig, OpCounters, draw_sample, sample_rate,
+                      shifted_views)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString
 
@@ -111,6 +111,13 @@ class NoPrepShiftOracle:
     and b_off in [0, r). Probes shave l characters from each end; only the
     a-values compatible with the promised offset i_a - i_b and |c| <= l
     are scanned, so reported matches have |c| <= l + 2r <= 3l.
+
+    The sample has rate min(4 ln n / l, 1). Below rate 1 each of the
+    5r + 1 views folds every sampled position, (5r + 1) * |S| folds in
+    all. At rate 1 (l <= 4 ln n, nearly every wave run) A and B are each
+    folded once, padded with the sentinel by P = min(2r^2, n) on both
+    sides, so the build takes 2(n + 2P) folds whatever the number of
+    views.
     """
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int,
@@ -125,21 +132,14 @@ class NoPrepShiftOracle:
             raise ValueError("granularity below sqrt(k) is unsupported here")
         self.n, self.k, self.ell, self.r = n, k, ell, r
         self.counters = counters if counters is not None else OpCounters()
-        rng = cfg.sampling_rng()
+        # at rate 1 the draw takes every position and needs no generator
+        rng = cfg.sampling_rng() if sample_rate(n, ell) < 1 else None
         self.samples = draw_sample(n, ell, rng)
-        self.a_states = {
-            ac: RollingHashState(a, self.samples.shift(ac * r), cfg,
-                                 self.counters)
-            for ac in range(-2 * r, 2 * r + 1)
-        }
-        self.b_states = {
-            bo: RollingHashState(b, self.samples.shift(-bo), cfg,
-                                 self.counters)
-            for bo in range(r)
-        }
         # columns: A views ac = -2r..2r, then B views bo = 0..r-1
-        self.views = ViewStack([*self.a_states.values(),
-                                *self.b_states.values()], self.counters)
+        self.views = shifted_views(
+            a, b, self.samples, [ac * r for ac in range(-2 * r, 2 * r + 1)],
+            [-bo for bo in range(r)], cfg, self.counters)
+        self.b_cols = range(4 * r + 1, 5 * r + 1)
         self.last_hint = None
 
     def _probe(self, i_a: int, i_b: int, d: int) -> bool:
@@ -153,8 +153,7 @@ class NoPrepShiftOracle:
         a_hi = min(math.ceil((delta + ell) / r), 2 * r)
         # every view reads base window [lo, hi] at its own offset
         hit = self.views.first_collision(
-            lo, hi, range(a_lo + 2 * r, a_hi + 2 * r + 1),
-            range(4 * r + 1, 5 * r + 1))
+            lo, hi, range(a_lo + 2 * r, a_hi + 2 * r + 1), self.b_cols)
         if hit is None:
             return False
         a_col, b_col = hit

@@ -181,6 +181,7 @@ class TestBadParameters:
     @pytest.mark.parametrize("opts,msg", [
         (["--ns", "128", "--ks", "4", "0"], "k must be at least 1"),
         (["--ns", "0", "--ks", "4"], "n must be at least 1"),
+        (["--ns", "64", "8", "--ks", "4", "10"], "k = 10 exceeds n = 8"),
     ])
     def test_bench_bad_grid(self, capsys, opts, msg):
         code = main(["bench", *opts, "--trials", "1", "--seed", "1"])
@@ -196,6 +197,9 @@ class TestBadParameters:
         (["--n", "64", "--sigma", "300"], "sigma must be in 1..256"),
         (["--n", "64", "--label", "large", "--threshold", "1000"],
          "could not certify distance > 1000"),
+        (["--n", "8", "--edits", "-2"], "edits must be in 0..n = 0..8"),
+        (["--n", "4", "--edits", "10", "--exact"],
+         "edits must be in 0..n = 0..4"),
     ])
     def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
         code = main(["gen", *opts, "--seed", "1", "--out",

@@ -24,6 +24,11 @@ class TestPlanted:
         assert inst.exact_ed == edit_distance_exact(inst.a, inst.b)
         assert inst.exact_ed <= 4
 
+    @pytest.mark.parametrize("n,edits", [(8, -2), (4, 10)])
+    def test_edits_outside_zero_to_n_are_refused(self, n, edits):
+        with pytest.raises(ValueError, match="edits must be in 0..n"):
+            gen_planted(n, 4, edits, seed=1)
+
     def test_reuse_base_string(self):
         base = gen_planted(80, 4, 0, seed=3).a
         i1 = gen_planted(80, 4, 2, seed=4, base=base)

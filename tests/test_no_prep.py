@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -42,14 +40,28 @@ class TestNoPrepOracle:
         assert orc(20) >= 12
 
     def test_state_count_is_birthday_split(self):
+        # n = 2000, k = 64 samples at rate 4 ln n / k < 1
+        inst = gen_planted(2000, 4, 0, seed=1)
+        k = 64
+        orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
+        r = 8
+        assert orc.samples.rate < 1
+        # columns: 2r + 1 A views, then r B views
+        assert orc.views.prefix.shape[1] == 3 * r + 1
+        # every view folds each sampled position once: the work AC06 fits
+        assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
+
+    def test_rate_one_folds_two_padded_strings(self):
+        # n = 120, k = 10 samples at rate 1
         inst = gen_planted(120, 4, 0, seed=1)
         k = 10
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
-        r = math.isqrt(k) + (0 if math.isqrt(k) ** 2 == k else 1)
-        assert len(orc.a_states) == 2 * r + 1
-        assert len(orc.b_states) == r
-        # every view folds each sampled position once: the work AC06 fits
-        assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
+        r = 4
+        assert orc.samples.rate == 1
+        assert len(orc.views.columns) == 3 * r + 1
+        # A and B are each folded once, padded by P = r^2 (the largest
+        # |offset|) on both sides
+        assert orc.counters.init_steps == 2 * (120 + 2 * r * r)
 
     def test_rejects_unequal_lengths(self):
         a = gen_planted(50, 4, 0, seed=2).a

@@ -2,7 +2,9 @@
 
 `tests/data/noprep_golden.json` holds, for every cell below, the verdict,
 the greedy trace or wave table and the `OpCounters` of one noprep
-decision, recorded before the hash layer was vectorised. Any change to
+decision, recorded before the hash layer was vectorised. The `init_steps`
+of the rate-1 cells were recorded again when those oracles moved to one
+padded prefix per string; nothing else in the file moved. Any change to
 hashing, sampling or the oracles' scan order shows up here as a diff.
 
 `tests/data/indexed_golden.json` holds the same records for the same cells
