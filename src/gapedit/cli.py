@@ -80,6 +80,8 @@ def cmd_gen(args) -> int:
                              "on disk)")
         if not 0 <= args.edits <= args.n:
             raise ValueError(f"edits must be in 0..n = 0..{args.n}")
+        if args.corrupt < 0:
+            raise ValueError(f"corrupt must be at least 0, got {args.corrupt}")
         if args.periodic:
             s = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
                              corrupt=args.corrupt)

@@ -86,7 +86,12 @@ def gen_large_side(n: int, sigma: int, threshold: int, seed=None,
 def gen_periodic(n: int, sigma: int, period: int, seed=None,
                  corrupt: int = 0) -> ByteString:
     """Repetition of one random block of the given period, optionally with
-    `corrupt` random substitutions; adversarial for alignment search."""
+    `corrupt` random substitutions; adversarial for alignment search.
+    Raises ValueError for a period below 1 or a negative `corrupt`."""
+    if period < 1:
+        raise ValueError(f"period must be at least 1, got {period}")
+    if corrupt < 0:
+        raise ValueError(f"corrupt must be at least 0, got {corrupt}")
     rng = np.random.default_rng(seed)
     block = rng.integers(1, sigma + 1, size=period, dtype=np.int64)
     reps = -(-n // period)

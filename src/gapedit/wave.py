@@ -18,7 +18,9 @@ to A[i_a+c .. i_a+c+d-1] for some |c| <= l, under the promise
 |i_a - i_b| <= k. Three interchangeable backends are provided: a per-pair
 birthday-split oracle (no preprocessing), an indexed one (A preprocessed),
 and the same index with B's sampled hashes precomputed too (both sides
-preprocessed, query phase touches neither string).
+preprocessed, query phase touches neither string). The per-pair oracle
+finds its d by galloping up from the floor 2l and then bisecting, scanning
+only the views at or after the last hit's.
 """
 
 from __future__ import annotations
@@ -118,6 +120,16 @@ class NoPrepShiftOracle:
     folded once, padded with the sentinel by P = min(2r^2, n) on both
     sides, so the build takes 2(n + 2P) folds whatever the number of
     views.
+
+    A call probes d = 2l + 1, 2l + 2, 2l + 4, ... while probes hit, then
+    bisects between the last hit and the first miss. A probe hits when
+    some A view's window equals some B view's, and a window that matches
+    still matches when shortened, so hits form a prefix of the d range and
+    the search ends on the largest hit, the d plain bisection finds. After
+    a hit whose first colliding A view is v, later probes scan views v and
+    on: the views before v missed a shorter window. So every probe finds
+    the same first view as a full scan would, and the hint, read at the
+    final d, is the one bisection leaves.
     """
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int,
@@ -142,35 +154,31 @@ class NoPrepShiftOracle:
         self.b_cols = range(4 * r + 1, 5 * r + 1)
         self.last_hint = None
 
-    def _probe(self, i_a: int, i_b: int, d: int) -> bool:
-        ell, r = self.ell, self.r
-        delta = i_a - i_b
-        lo = i_b + ell
-        hi = i_b + d - ell - 1
-        if hi < lo:
-            return True
-        a_lo = max(math.floor((delta - ell) / r), -2 * r)
-        a_hi = min(math.ceil((delta + ell) / r), 2 * r)
-        # every view reads base window [lo, hi] at its own offset
-        hit = self.views.first_collision(
-            lo, hi, range(a_lo + 2 * r, a_hi + 2 * r + 1), self.b_cols)
-        if hit is None:
-            return False
-        a_col, b_col = hit
-        self.last_hint = (a_col - 2 * r) * r + (b_col - 4 * r - 1) - delta
-        return True
-
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        n, ell = self.n, self.ell
-        lo = min(2 * ell, n - i_b + 1)
-        hi = n - i_b + 1
+        ell, r = self.ell, self.r
+        delta = i_a - i_b
+        # the A views whose shifts meet offset delta with |c| <= l
+        a_lo = max((delta - ell) // r, -2 * r) + 2 * r
+        a_end = min(-((-delta - ell) // r), 2 * r) + 2 * r + 1
+        hi = self.n - i_b + 1
+        lo = min(2 * ell, hi)
+        step, hit, galloping = 1, None, True
         while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._probe(i_a, i_b, mid):
-                lo = mid
+            d = min(lo + step, hi) if galloping else (lo + hi + 1) // 2
+            # every view reads base window [i_b + l, i_b + d - l - 1]
+            got = self.views.first_collision(i_b + ell, i_b + d - ell - 1,
+                                             range(a_lo, a_end), self.b_cols)
+            if got is None:
+                hi, galloping = d - 1, False
             else:
-                hi = mid - 1
+                # views before the hit missed a shorter window, so they
+                # miss every longer one too
+                lo, hit, a_lo = d, got, got[0]
+                step += step
+        if hit is not None:
+            a_col, b_col = hit
+            self.last_hint = (a_col - 2 * r) * r + (b_col - 4 * r - 1) - delta
         return lo
 
 

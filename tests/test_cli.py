@@ -200,6 +200,11 @@ class TestBadParameters:
         (["--n", "8", "--edits", "-2"], "edits must be in 0..n = 0..8"),
         (["--n", "4", "--edits", "10", "--exact"],
          "edits must be in 0..n = 0..4"),
+        (["--n", "8", "--periodic", "3", "--corrupt", "-5", "--sigma", "4"],
+         "corrupt must be at least 0, got -5"),
+        (["--n", "8", "--corrupt", "-1"], "corrupt must be at least 0"),
+        (["--n", "8", "--periodic", "-3", "--sigma", "4"],
+         "period must be at least 1, got -3"),
     ])
     def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
         code = main(["gen", *opts, "--seed", "1", "--out",

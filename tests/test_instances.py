@@ -66,6 +66,15 @@ class TestPeriodic:
         t = gen_periodic(100, 4, 7, seed=0, corrupt=20)
         assert not np.array_equal(s.data, t.data)
 
+    @pytest.mark.parametrize("period,corrupt,msg", [
+        (0, 0, "period must be at least 1"),
+        (-3, 0, "period must be at least 1"),
+        (3, -5, "corrupt must be at least 0"),
+    ])
+    def test_bad_period_or_corrupt_refused(self, period, corrupt, msg):
+        with pytest.raises(ValueError, match=msg):
+            gen_periodic(8, 4, period, seed=1, corrupt=corrupt)
+
 
 class TestIO:
     def test_roundtrip(self, tmp_path):

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gapedit.greedy import GapVerdict
-from gapedit.hashing import HashConfig
+from gapedit.hashing import HashConfig, PaddedViews, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.strings import (has_approximate_alignment,
                              max_shift_alignment_bruteforce)
@@ -86,6 +89,73 @@ class TestNoPrepShiftOracle:
                 hint = orc.last_hint
                 assert has_approximate_alignment(inst.a, inst.b, i_b, d,
                                                  3 * ell, 3 * ell, hint=hint)
+
+    @pytest.mark.parametrize("subsampled", [False, True])
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_search_matches_bisection(self, subsampled, seed, sigma, data):
+        """The galloping, pruning search against plain bisection over the
+        full column range, both read through `first_collision`: the same d
+        and hint for every (i_a, i_b). Each probe scans a tail of the full
+        range and finds there the hit a full scan finds, at no more
+        retrievals; a call makes at most 2 b + 1 probes, b the bit length
+        of d above the floor 2l. Per call the search can still take more
+        retrievals than bisection when d lies far above the floor, where it
+        makes up to twice as many probes."""
+        n = data.draw(st.integers(2 if subsampled else 1, 120))
+        rate_one_max = int(4 * math.log(n))  # l above this subsamples
+        if subsampled:
+            ell = data.draw(st.integers(rate_one_max + 1, 48))
+        else:
+            ell = data.draw(st.integers(1, max(rate_one_max, 1)))
+        k = data.draw(st.integers(ell, min(ell * ell, 64)))
+        inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 6))),
+                           seed=seed)
+        orc = NoPrepShiftOracle(inst.a, inst.b, k, ell,
+                                HashConfig.from_seed(seed))
+        assert isinstance(orc.views, ViewStack if subsampled else PaddedViews)
+        ctr, r = orc.counters, orc.r
+        first = orc.views.first_collision
+        probes = []
+
+        def recorded(i, j, a_cols, b_cols):
+            before = ctr.retrievals
+            hit = first(i, j, a_cols, b_cols)
+            probes.append((i, j, a_cols, b_cols, hit,
+                           ctr.retrievals - before))
+            return hit
+
+        orc.views.first_collision = recorded
+        for i_b in range(1, n + 1):
+            for i_a in range(max(1, i_b - k), min(n, i_b + k) + 1):
+                delta = i_a - i_b
+                cols = range(
+                    max(math.floor((delta - ell) / r), -2 * r) + 2 * r,
+                    min(math.ceil((delta + ell) / r), 2 * r) + 2 * r + 1)
+                floor, hi = min(2 * ell, n - i_b + 1), n - i_b + 1
+                lo, hint = floor, orc.last_hint
+                while lo < hi:
+                    mid = (lo + hi + 1) // 2
+                    got = first(i_b + ell, i_b + mid - ell - 1, cols,
+                                orc.b_cols)
+                    if got is None:
+                        hi = mid - 1
+                    else:
+                        lo = mid
+                        hint = ((got[0] - 2 * r) * r + got[1] - 4 * r - 1
+                                - delta)
+                probes.clear()
+                before = ctr.retrievals
+                assert orc(i_a, i_b) == lo
+                assert orc.last_hint == hint
+                assert ctr.retrievals - before == sum(p[5] for p in probes)
+                assert len(probes) <= 2 * (lo - floor).bit_length() + 1
+                for i, j, a_cols, b_cols, hit, taken in probes:
+                    assert a_cols.stop == cols.stop
+                    assert a_cols.start >= cols.start
+                    before = ctr.retrievals
+                    assert first(i, j, cols, b_cols) == hit
+                    assert ctr.retrievals - before >= taken
 
     def test_granularity_precondition(self):
         inst = gen_planted(100, 4, 0, seed=2)
