@@ -88,9 +88,15 @@ def cmd_gen(args) -> int:
             t = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
                              corrupt=args.corrupt + args.edits)
             inst = Instance(s, t, "periodic", seed=seed)
+        elif args.corrupt:
+            raise ValueError(f"corrupt needs --periodic, got --corrupt "
+                             f"{args.corrupt}")
         elif args.label == "small":
             inst = gen_planted(args.n, args.sigma, args.edits, seed=seed,
                                compute_exact=args.exact)
+        elif args.edits:
+            raise ValueError(f"edits are planted only in --label small "
+                             f"pairs, got --edits {args.edits}")
         else:
             inst = gen_large_side(args.n, args.sigma, args.threshold,
                                   seed=seed)

@@ -20,7 +20,9 @@ birthday-split oracle (no preprocessing), an indexed one (A preprocessed),
 and the same index with B's sampled hashes precomputed too (both sides
 preprocessed, query phase touches neither string). The per-pair oracle
 finds its d by galloping up from the floor 2l and then bisecting, scanning
-only the views at or after the last hit's.
+only the views at or after the last hit's. It builds only the A views its
+calls can scan, so the greedy decider's noprep oracle is the same class at
+l = k with i_a = i_b (`no_prep.NoPrepOracle`).
 """
 
 from __future__ import annotations
@@ -108,18 +110,20 @@ def wave_jump_violations(table: WaveTable, ell: int, n: int) -> list:
 class NoPrepShiftOracle:
     """Shift-alignment oracle without preprocessing.
 
-    Shifts relative to B factor as a * r + b_off with r = ceil(sqrt(k));
-    states cover a in [-2r, 2r] (total offsets up to k + l in magnitude)
-    and b_off in [0, r). Probes shave l characters from each end; only the
-    a-values compatible with the promised offset i_a - i_b and |c| <= l
-    are scanned, so reported matches have |c| <= l + 2r <= 3l.
+    Shifts relative to B factor as a * r + b_off with r = ceil(sqrt(k))
+    and b_off in [0, r). The oracle keeps r views of B, at offsets -b_off,
+    and the A views at offsets a * r that a call can ever scan: |a| <= q =
+    ceil((reach + l) / r), where reach bounds the promised |i_a - i_b|
+    (k here, so q <= 2r). Probes shave l characters from each end; only the
+    a-values compatible with the offset i_a - i_b and |c| <= l are scanned,
+    so reported matches have |c| <= l + 2r <= 3l. The greedy decider's
+    oracle (`no_prep.NoPrepOracle`) is this one at l = k and reach 0.
 
     The sample has rate min(4 ln n / l, 1). Below rate 1 each of the
-    5r + 1 views folds every sampled position, (5r + 1) * |S| folds in
-    all. At rate 1 (l <= 4 ln n, nearly every wave run) A and B are each
-    folded once, padded with the sentinel by P = min(2r^2, n) on both
-    sides, so the build takes 2(n + 2P) folds whatever the number of
-    views.
+    2q + 1 + r views folds every sampled position. At rate 1 (l <= 4 ln n,
+    nearly every wave run) A and B are each folded once, padded with the
+    sentinel by P = min(q r, n) on both sides, so the build takes
+    2(n + 2P) folds whatever the number of views.
 
     A call probes d = 2l + 1, 2l + 2, 2l + 4, ... while probes hit, then
     bisects between the last hit and the first miss. A probe hits when
@@ -129,11 +133,19 @@ class NoPrepShiftOracle:
     a hit whose first colliding A view is v, later probes scan views v and
     on: the views before v missed a shorter window. So every probe finds
     the same first view as a full scan would, and the hint, read at the
-    final d, is the one bisection leaves.
+    final d, is the one bisection leaves; a call without a hit leaves 0.
     """
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int,
                  cfg: HashConfig, counters: OpCounters | None = None):
+        self._build(a, b, k, ell, k, cfg, counters)
+
+    def _build(self, a: ByteString, b: ByteString, k: int, ell: int,
+               reach: int, cfg: HashConfig,
+               counters: OpCounters | None) -> None:
+        """Draw the sample and build the views for calls with
+        |i_a - i_b| <= reach; `NoPrepOracle.__init__` runs it at l = k and
+        reach 0."""
         n = len(b)
         if len(a) != n:
             raise ValueError("equal lengths required")
@@ -142,25 +154,31 @@ class NoPrepShiftOracle:
             r += 1
         if ell < r:
             raise ValueError("granularity below sqrt(k) is unsupported here")
-        self.n, self.k, self.ell, self.r = n, k, ell, r
+        q = -(-(reach + ell) // r)
+        self.n, self.k, self.ell, self.r, self.q = n, k, ell, r, q
         self.counters = counters if counters is not None else OpCounters()
         # at rate 1 the draw takes every position and needs no generator
         rng = cfg.sampling_rng() if sample_rate(n, ell) < 1 else None
         self.samples = draw_sample(n, ell, rng)
-        # columns: A views ac = -2r..2r, then B views bo = 0..r-1
+        # columns: A views ac = -q..q, then B views bo = 0..r-1
         self.views = shifted_views(
-            a, b, self.samples, [ac * r for ac in range(-2 * r, 2 * r + 1)],
+            a, b, self.samples, [ac * r for ac in range(-q, q + 1)],
             [-bo for bo in range(r)], cfg, self.counters)
-        self.b_cols = range(4 * r + 1, 5 * r + 1)
+        self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
         self.last_hint = None
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        ell, r = self.ell, self.r
+        return self._search(i_a, i_b)
+
+    def _search(self, i_a: int, i_b: int) -> int:
+        """One call's length search, without the query count;
+        `NoPrepOracle.__call__` runs it at i_a = i_b."""
+        ell, r, q = self.ell, self.r, self.q
         delta = i_a - i_b
         # the A views whose shifts meet offset delta with |c| <= l
-        a_lo = max((delta - ell) // r, -2 * r) + 2 * r
-        a_end = min(-((-delta - ell) // r), 2 * r) + 2 * r + 1
+        a_lo = max((delta - ell) // r, -q) + q
+        a_end = min(-((-delta - ell) // r), q) + q + 1
         hi = self.n - i_b + 1
         lo = min(2 * ell, hi)
         step, hit, galloping = 1, None, True
@@ -176,9 +194,10 @@ class NoPrepShiftOracle:
                 # miss every longer one too
                 lo, hit, a_lo = d, got, got[0]
                 step += step
+        self.last_hint = 0
         if hit is not None:
             a_col, b_col = hit
-            self.last_hint = (a_col - 2 * r) * r + (b_col - 4 * r - 1) - delta
+            self.last_hint = (a_col - q) * r + (b_col - 2 * q - 1) - delta
         return lo
 
 

@@ -205,6 +205,11 @@ class TestBadParameters:
         (["--n", "8", "--corrupt", "-1"], "corrupt must be at least 0"),
         (["--n", "8", "--periodic", "-3", "--sigma", "4"],
          "period must be at least 1, got -3"),
+        (["--n", "8", "--corrupt", "3"],
+         "corrupt needs --periodic, got --corrupt 3"),
+        (["--n", "64", "--label", "large", "--threshold", "16", "--edits",
+          "3"], "edits are planted only in --label small pairs, got "
+         "--edits 3"),
     ])
     def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
         code = main(["gen", *opts, "--seed", "1", "--out",

@@ -46,7 +46,7 @@ class TestNoPrepOracle:
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
         r = 8
         assert orc.samples.rate < 1
-        # columns: 2r + 1 A views, then r B views
+        # columns: 2q + 1 A views (q = ceil(k / r) = r here), then r B views
         assert orc.views.prefix.shape[1] == 3 * r + 1
         # every view folds each sampled position once: the work AC06 fits
         assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
@@ -56,12 +56,13 @@ class TestNoPrepOracle:
         inst = gen_planted(120, 4, 0, seed=1)
         k = 10
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
-        r = 4
+        r, q = 4, 3  # q = ceil(k / r)
         assert orc.samples.rate == 1
-        assert len(orc.views.columns) == 3 * r + 1
-        # A and B are each folded once, padded by P = r^2 (the largest
+        # 2q + 1 A views (offsets a r, |a| <= q), then r B views
+        assert len(orc.views.columns) == 2 * q + 1 + r == 11
+        # A and B are each folded once, padded by P = q r = 12 (the largest
         # |offset|) on both sides
-        assert orc.counters.init_steps == 2 * (120 + 2 * r * r)
+        assert orc.counters.init_steps == 2 * (120 + 2 * q * r)
 
     def test_rejects_unequal_lengths(self):
         a = gen_planted(50, 4, 0, seed=2).a

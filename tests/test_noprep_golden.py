@@ -5,8 +5,11 @@ the greedy trace or wave table and the `OpCounters` of one noprep
 decision, recorded before the hash layer was vectorised. The `init_steps`
 of the rate-1 cells were recorded again when those oracles moved to one
 padded prefix per string, and the `retrievals` of the wave cells when the
-wave oracle's length search began to gallop and prune; nothing else in
-the file moved. Any change to
+wave oracle's length search began to gallop and prune. When the greedy
+oracle became the wave's at l = k and both built only the A views they
+can scan, the `init_steps` of every wave cell and of the greedy k = 2
+cells moved down, and so did the `retrievals` of every greedy cell;
+nothing else in the file moved. Any change to
 hashing, sampling or the oracles' scan order shows up here as a diff.
 
 `tests/data/indexed_golden.json` holds the same records for the same cells

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from gapedit.greedy import GapVerdict
 from gapedit.hashing import HashConfig, PaddedViews, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
-from gapedit.strings import (has_approximate_alignment,
+from gapedit.no_prep import NoPrepOracle
+from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
 from gapedit.wave import (BruteForceShiftOracle, IndexedShiftOracle,
                           NoPrepShiftOracle, OneSidedWaveIndex, WaveTable,
@@ -91,30 +92,42 @@ class TestNoPrepShiftOracle:
                                                  3 * ell, 3 * ell, hint=hint)
 
     @pytest.mark.parametrize("subsampled", [False, True])
-    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.data())
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(),
+           st.data())
     @settings(max_examples=15, deadline=None)
-    def test_search_matches_bisection(self, subsampled, seed, sigma, data):
+    def test_search_matches_bisection(self, subsampled, seed, sigma, greedy,
+                                      data):
         """The galloping, pruning search against plain bisection over the
         full column range, both read through `first_collision`: the same d
-        and hint for every (i_a, i_b). Each probe scans a tail of the full
-        range and finds there the hit a full scan finds, at no more
-        retrievals; a call makes at most 2 b + 1 probes, b the bit length
-        of d above the floor 2l. Per call the search can still take more
-        retrievals than bisection when d lies far above the floor, where it
-        makes up to twice as many probes."""
+        and hint for every (i_a, i_b), and hint 0 after a call without a
+        hit. The greedy case is `NoPrepOracle`, the same search at l = k
+        and i_a = i_b. Each probe scans a tail of the full range and finds
+        there the hit a full scan finds, at no more retrievals; a call
+        makes at most 2 b + 1 probes, b the bit length of d above the floor
+        2l. Per call the search can still take more retrievals than
+        bisection when d lies far above the floor, where it makes up to
+        twice as many probes."""
         n = data.draw(st.integers(2 if subsampled else 1, 120))
         rate_one_max = int(4 * math.log(n))  # l above this subsamples
         if subsampled:
             ell = data.draw(st.integers(rate_one_max + 1, 48))
         else:
             ell = data.draw(st.integers(1, max(rate_one_max, 1)))
-        k = data.draw(st.integers(ell, min(ell * ell, 64)))
         inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 6))),
                            seed=seed)
-        orc = NoPrepShiftOracle(inst.a, inst.b, k, ell,
-                                HashConfig.from_seed(seed))
+        cfg = HashConfig.from_seed(seed)
+        if greedy:
+            k = ell
+            orc = NoPrepOracle(inst.a, inst.b, k, cfg)
+            calls = [(i_b, i_b) for i_b in range(1, n + 1)]
+        else:
+            k = data.draw(st.integers(ell, min(ell * ell, 64)))
+            orc = NoPrepShiftOracle(inst.a, inst.b, k, ell, cfg)
+            calls = [(i_a, i_b) for i_b in range(1, n + 1)
+                     for i_a in range(max(1, i_b - k), min(n, i_b + k) + 1)]
         assert isinstance(orc.views, ViewStack if subsampled else PaddedViews)
-        ctr, r = orc.counters, orc.r
+        ctr, r, q = orc.counters, orc.r, orc.q
+        a_views = range(orc.b_cols.start)  # column v reads A at (v - q) r
         first = orc.views.first_collision
         probes = []
 
@@ -126,36 +139,50 @@ class TestNoPrepShiftOracle:
             return hit
 
         orc.views.first_collision = recorded
-        for i_b in range(1, n + 1):
-            for i_a in range(max(1, i_b - k), min(n, i_b + k) + 1):
-                delta = i_a - i_b
-                cols = range(
-                    max(math.floor((delta - ell) / r), -2 * r) + 2 * r,
-                    min(math.ceil((delta + ell) / r), 2 * r) + 2 * r + 1)
-                floor, hi = min(2 * ell, n - i_b + 1), n - i_b + 1
-                lo, hint = floor, orc.last_hint
-                while lo < hi:
-                    mid = (lo + hi + 1) // 2
-                    got = first(i_b + ell, i_b + mid - ell - 1, cols,
-                                orc.b_cols)
-                    if got is None:
-                        hi = mid - 1
-                    else:
-                        lo = mid
-                        hint = ((got[0] - 2 * r) * r + got[1] - 4 * r - 1
-                                - delta)
-                probes.clear()
+        for i_a, i_b in calls:
+            delta = i_a - i_b
+            cols = range(math.floor((delta - ell) / r) + q,
+                         math.ceil((delta + ell) / r) + q + 1)
+            # the oracle holds every A view a call within reach can scan
+            assert a_views.start <= cols.start and cols.stop <= a_views.stop
+            floor, hi = min(2 * ell, n - i_b + 1), n - i_b + 1
+            lo, hint = floor, 0
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                got = first(i_b + ell, i_b + mid - ell - 1, cols,
+                            orc.b_cols)
+                if got is None:
+                    hi = mid - 1
+                else:
+                    lo = mid
+                    hint = ((got[0] - q) * r + got[1] - orc.b_cols.start
+                            - delta)
+            probes.clear()
+            before = ctr.retrievals
+            assert (orc(i_b) if greedy else orc(i_a, i_b)) == lo
+            assert orc.last_hint == hint
+            assert ctr.retrievals - before == sum(p[5] for p in probes)
+            assert len(probes) <= 2 * (lo - floor).bit_length() + 1
+            for i, j, a_cols, b_cols, hit, taken in probes:
+                assert a_cols.stop == cols.stop
+                assert a_cols.start >= cols.start
                 before = ctr.retrievals
-                assert orc(i_a, i_b) == lo
-                assert orc.last_hint == hint
-                assert ctr.retrievals - before == sum(p[5] for p in probes)
-                assert len(probes) <= 2 * (lo - floor).bit_length() + 1
-                for i, j, a_cols, b_cols, hit, taken in probes:
-                    assert a_cols.stop == cols.stop
-                    assert a_cols.start >= cols.start
-                    before = ctr.retrievals
-                    assert first(i, j, cols, b_cols) == hit
-                    assert ctr.retrievals - before >= taken
+                assert first(i, j, cols, b_cols) == hit
+                assert ctr.retrievals - before >= taken
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_call_without_hit_leaves_hint_zero(self, greedy):
+        # B is A shifted by 2 up to position 100, then symbols A never has
+        rng = np.random.default_rng(3)
+        a_data = rng.integers(1, 5, 200)
+        b_data = np.concatenate([a_data[2:102], rng.integers(5, 9, 100)])
+        a, b = ByteString(a_data, 8), ByteString(b_data, 8)
+        orc = (NoPrepOracle(a, b, 9, CFG) if greedy
+               else NoPrepShiftOracle(a, b, 9, 3, CFG))
+        ask = orc if greedy else (lambda i_b: orc(i_b, i_b))
+        floor = 2 * orc.ell
+        assert ask(1) > floor and orc.last_hint == 2
+        assert ask(120) == floor and orc.last_hint == 0
 
     def test_granularity_precondition(self):
         inst = gen_planted(100, 4, 0, seed=2)
