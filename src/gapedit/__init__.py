@@ -2,7 +2,9 @@
 
 Decision procedures that distinguish pairs within edit distance k from
 pairs far beyond it (past 40 k^2, or past 10 k l at coarser granularity l),
-with three preprocessing regimes: none, A only, or both strings.
+with three preprocessing regimes: none, A only, or both strings. Both
+deciders' two-sided mode answers from A's exact `TwoSidedIndex`, which
+serves every l, and books B's hashing on the query counters.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
 
     Modes: "noprep" hashes both strings per call, "onesided" preprocesses
     A, "twosided" preprocesses both (cells computed lazily from A's
-    hashes), "exact" uses the brute-force alignment referee.
+    hashes; B's hashing is booked on the query counters), "exact" uses the
+    brute-force alignment referee.
     """
     check_gap_params(a, b, k)
     if cfg is None:

@@ -28,6 +28,7 @@ from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import edit_distance_at_most, edit_distance_exact
 
 RECORD_SCHEMA = 1
+MODES = ("exact", "noprep", "onesided", "twosided")
 
 
 def _given_seed(args_seed):
@@ -82,12 +83,23 @@ def cmd_gen(args) -> int:
             raise ValueError(f"edits must be in 0..n = 0..{args.n}")
         if args.corrupt < 0:
             raise ValueError(f"corrupt must be at least 0, got {args.corrupt}")
+        if args.periodic and args.label == "large":
+            raise ValueError(f"periodic pairs carry no certified distance, "
+                             f"got --periodic {args.periodic} --label large")
+        if args.threshold and (args.periodic or args.label != "large"):
+            raise ValueError(f"a threshold is certified only in --label "
+                             f"large pairs, got --threshold {args.threshold}")
+        if args.exact and (args.periodic or args.label != "small"):
+            raise ValueError("exact distances are computed only for planted "
+                             "--label small pairs, got --exact")
         if args.periodic:
             s = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
                              corrupt=args.corrupt)
+            # the same stream: B takes A's substitutions, then `edits` more
             t = gen_periodic(args.n, args.sigma, args.periodic, seed=seed,
                              corrupt=args.corrupt + args.edits)
-            inst = Instance(s, t, "periodic", seed=seed)
+            inst = Instance(s, t, "periodic", seed=seed,
+                            planted_edits=args.edits)
         elif args.corrupt:
             raise ValueError(f"corrupt needs --periodic, got --corrupt "
                              f"{args.corrupt}")
@@ -221,15 +233,17 @@ def cmd_selftest(args) -> int:
 
     inst = gen_planted(256, 8, 4, seed=seed)
     big = gen_large_side(256, 64, 200, seed=seed)
-    for mode in ("exact", "noprep", "onesided", "twosided"):
+    wv = gen_planted(256, 8, 9, seed=seed + 1)
+    for mode in MODES:
         v, _ = gap_match(inst.a, inst.b, 4, mode=mode, seed=seed)
         check(f"gap {mode} small", v == GapVerdict.SMALL)
         v, _ = gap_match(big.a, big.b, 2, mode=mode, seed=seed)
         check(f"gap {mode} large", v == GapVerdict.LARGE)
-    wv = gen_planted(256, 8, 9, seed=seed + 1)
-    for mode in ("exact", "noprep", "onesided", "twosided"):
         v, _ = gap_wave(wv.a, wv.b, 9, 3, mode, seed=seed)
         check(f"wave {mode} small", v == GapVerdict.SMALL)
+        # ed(big) > 200 > 10 k l = 80
+        v, _ = gap_wave(big.a, big.b, 4, 2, mode, seed=seed)
+        check(f"wave {mode} large", v == GapVerdict.LARGE)
 
     # corrupted index files must be rejected, not silently used
     import tempfile
@@ -293,8 +307,7 @@ def main(argv=None) -> int:
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", default="noprep",
-                   choices=["exact", "noprep", "onesided", "twosided"])
+    p.add_argument("--mode", default="noprep", choices=MODES)
     p.add_argument("--sigma", type=int, default=256)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_gap)
@@ -304,15 +317,13 @@ def main(argv=None) -> int:
     w.add_argument("b")
     w.add_argument("--k", type=int, required=True)
     w.add_argument("--ell", type=int, required=True)
-    w.add_argument("--mode", default="noprep",
-                   choices=["exact", "noprep", "onesided", "twosided"])
+    w.add_argument("--mode", default="noprep", choices=MODES)
     w.add_argument("--sigma", type=int, default=256)
     w.add_argument("--seed", type=int)
     w.set_defaults(func=cmd_wave)
 
     b = sub.add_parser("bench", help="counter scaling over a grid")
-    b.add_argument("--mode", default="noprep",
-                   choices=["exact", "noprep", "onesided", "twosided"])
+    b.add_argument("--mode", default="noprep", choices=MODES)
     b.add_argument("--ns", type=int, nargs="+", required=True)
     b.add_argument("--ks", type=int, nargs="+", required=True)
     b.add_argument("--trials", type=int, default=3)

@@ -46,15 +46,17 @@ def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
 
 def check_oracle_index(oracle, k: int, ell: int | None = None) -> None:
     """Raise ValueError if the oracle answers from an index built for
-    another k, or (when given) another l. Oracles without an index pass."""
+    another k, or (when given) was built for another l; l is the oracle's,
+    since one two-sided index serves every l. Oracles without an index
+    pass."""
     index = getattr(oracle, "index", None)
     if index is None:
         return
     if index.k != k:
         raise ValueError(f"the index was built for k = {index.k}, "
                          f"the decider runs at k = {k}")
-    if ell is not None and index.ell != ell:
-        raise ValueError(f"the index was built for l = {index.ell}, "
+    if ell is not None and oracle.ell != ell:
+        raise ValueError(f"the oracle was built for l = {oracle.ell}, "
                          f"the decider runs at l = {ell}")
 
 

@@ -421,17 +421,15 @@ class OneSidedOracle:
 
 
 class IndexedShiftOracle:
-    """Wave shift-alignment oracle over an A-index. `b_state` takes B's
-    hashes from `index.hash_b(b, ...)` when they were built during
-    preprocessing."""
+    """Wave shift-alignment oracle over an A-index: `max_shift_align` at
+    the asked (i_a, i_b), for the index's l."""
 
     def __init__(self, index: OneSidedIndex, b: ByteString,
-                 counters: OpCounters | None = None,
-                 b_state: RollingHashState | None = None):
+                 counters: OpCounters | None = None):
         self.index = index
+        self.ell = index.ell
         self.counters = counters if counters is not None else OpCounters()
-        self.b_state = (b_state if b_state is not None
-                        else index.hash_b(b, self.counters))
+        self.b_state = index.hash_b(b, self.counters)
         self.last_hint = None
 
     def __call__(self, i_a: int, i_b: int) -> int:

@@ -20,8 +20,12 @@ every hit it keeps only the shifts that matched. That is exact: a copy that
 matches B[i_b .. i_b + d - 1] at shift a also matches every shorter prefix
 at shift a, so a shift that fails at a hit length d can never match at a
 longer one, and a miss over the survivors is a miss over every shift. Only
-the first probe of an oracle call hashes all 2k + 1 copies; the later
+the first probe of an oracle call hashes all its starting shifts; the later
 probes hash the few survivors.
+
+The index does not depend on l, so one preprocessed A serves both deciders
+at every l <= k: the wave asks at (i_a, i_b) for the shifts delta + c,
+delta = i_a - i_b, |c| <= l, |delta + c| <= k; greedy is l = k, i_a = i_b.
 """
 
 from __future__ import annotations
@@ -82,12 +86,13 @@ class TwoSidedIndex:
 
 
 def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
-                        i_b: int) -> int:
+                        i_b: int, shifts=None) -> int:
     """Longest d with the hash of B[i_b .. i_b+d-1] present in the cell for
-    window (i_b, i_b+d-1). Gallops over d = 1, 2, 4, ... until a miss, then
-    bisects; each probe tests only the shifts that matched the last hit."""
+    window (i_b, i_b+d-1), among the copies at `shifts` (default: every
+    |a| <= k). Gallops over d = 1, 2, 4, ... until a miss, then bisects;
+    each probe tests only the shifts that matched the last hit."""
     lo, hi = 0, index.n - i_b + 1
-    alive = None  # every shift, until the first hit
+    alive = shifts  # the starting shifts, until the first hit
     galloping = True
     while lo < hi:
         mid = min(2 * lo or 1, hi) if galloping else (lo + hi + 1) // 2
@@ -100,20 +105,37 @@ def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
     return lo
 
 
-class TwoSidedOracle:
-    """Alignment oracle backed by a two-sided index; answers are exact up
-    to hash collisions."""
+class TwoSidedShiftOracle:
+    """Wave shift-alignment oracle over a two-sided index: the longest d
+    with B[i_b .. i_b+d-1] equal to A at shift delta + c, delta = i_a - i_b,
+    |c| <= l and |delta + c| <= k. Exact up to hash collisions."""
 
-    def __init__(self, index: TwoSidedIndex, b: ByteString,
+    def __init__(self, index: TwoSidedIndex, b: ByteString, ell: int,
                  counters: OpCounters | None = None):
         if len(b) != index.n:
             raise ValueError(f"B has length {len(b)}, the index was built "
                              f"for n = {index.n}")
         self.index = index
+        self.ell = ell
         self.counters = counters if counters is not None else OpCounters()
         self.b_state = RollingHashState(b, full_sample(len(b)), index.cfg,
                                         self.counters)
         self.last_hint = None
+
+    def __call__(self, i_a: int, i_b: int) -> int:
+        self.counters.oracle_queries += 1
+        k, ell, delta = self.index.k, self.ell, i_a - i_b
+        shifts = range(max(delta - ell, -k), min(delta + ell, k) + 1)
+        return two_sided_max_align(self.index, self.b_state, i_b, shifts)
+
+
+class TwoSidedOracle(TwoSidedShiftOracle):
+    """Greedy alignment oracle over a two-sided index: the shift oracle at
+    l = k, asked only at i_a = i_b."""
+
+    def __init__(self, index: TwoSidedIndex, b: ByteString,
+                 counters: OpCounters | None = None):
+        super().__init__(index, b, index.k, counters)
 
     def __call__(self, i_b: int) -> int:
         self.counters.oracle_queries += 1

@@ -16,9 +16,11 @@ The pair is declared within distance k when h[k][0] reaches past n.
 `align(i_a, i_b)` approximates the longest d with B[i_b .. i_b+d-1] equal
 to A[i_a+c .. i_a+c+d-1] for some |c| <= l, under the promise
 |i_a - i_b| <= k. Three interchangeable backends are provided: a per-pair
-birthday-split oracle (no preprocessing), an indexed one (A preprocessed),
-and the same index with B's sampled hashes precomputed too (both sides
-preprocessed, query phase touches neither string). The per-pair oracle
+birthday-split oracle (no preprocessing), an indexed one over the sampled
+wave A-index (A preprocessed for one l), and the greedy decider's exact
+two-sided oracle asked for each call's shift window
+(`two_sided.TwoSidedShiftOracle`: one index of A serves every l, and B is
+hashed once per decision). The per-pair oracle
 finds its d by galloping up from the floor 2l and then bisecting, scanning
 only the views at or after the last hit's. It builds only the A views its
 calls can scan, so the greedy decider's noprep oracle is the same class at
@@ -34,6 +36,7 @@ from .hashing import (HashConfig, OpCounters, draw_sample, sample_rate,
                       shifted_views)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString
+from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
 
 NEG_INF = float("-inf")
 
@@ -218,10 +221,11 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
              table: WaveTable | None = None):
     """Decide the k versus 10 k l gap. Returns (verdict, query counters).
 
-    Modes: "noprep" builds hashes per pair; "onesided" preprocesses A;
-    "twosided" additionally precomputes B's sampled hashes so the wave
-    itself only touches prebuilt state; "exact" uses the brute-force
-    referee oracle.
+    Modes: "noprep" builds hashes per pair; "onesided" preprocesses A into
+    the sampled wave index for this l; "twosided" preprocesses A into the
+    exact `TwoSidedIndex` and asks it for each call's shift window; "exact"
+    uses the brute-force referee oracle. The indexed modes hash B once, on
+    the query counters, as `gap_match` does.
     """
     check_gap_params(a, b, k, ell)
     if cfg is None:
@@ -231,14 +235,14 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
         oracle = BruteForceShiftOracle(a, b, k, ell)
     elif mode == "noprep":
         oracle = NoPrepShiftOracle(a, b, k, ell, cfg, query_counters)
-    elif mode in ("onesided", "twosided"):
+    elif mode == "onesided":
         index = OneSidedWaveIndex.preprocess(a, k, ell, cfg)
-        b_state = None
-        if mode == "twosided":
-            b_state = index.hash_b(b, OpCounters())
-            b_state.counters = query_counters  # lookups after init are query work
         index.counters = query_counters
-        oracle = IndexedShiftOracle(index, b, query_counters, b_state)
+        oracle = IndexedShiftOracle(index, b, query_counters)
+    elif mode == "twosided":
+        index = TwoSidedIndex.preprocess(a, k, cfg)
+        index.counters = query_counters
+        oracle = TwoSidedShiftOracle(index, b, ell, query_counters)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     verdict = greedy_wave(a, b, k, ell, oracle, table=table)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gapedit import load_instance
 from gapedit.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,6 +43,18 @@ class TestGen:
                          "--label", "large", "--threshold", "128",
                          "--seed", "1", "--out", str(stem))
         assert code == 0 and recs[0]["threshold"] == 128
+
+    def test_periodic_records_planted_edits(self, tmp_path, capsys):
+        stem = tmp_path / "p"
+        code, recs = run(capsys, "gen", "--n", "200", "--sigma", "4",
+                         "--periodic", "7", "--corrupt", "3", "--edits", "5",
+                         "--seed", "2", "--out", str(stem))
+        assert code == 0 and recs[0]["label"] == "periodic"
+        assert recs[0]["planted_edits"] == 5
+        inst = load_instance(stem)
+        assert inst.planted_edits == 5
+        # B is A with 5 more substitutions from the same stream
+        assert 0 < int((inst.a.data != inst.b.data).sum()) <= 5
 
 
 class TestExact:
@@ -210,6 +223,22 @@ class TestBadParameters:
         (["--n", "64", "--label", "large", "--threshold", "16", "--edits",
           "3"], "edits are planted only in --label small pairs, got "
          "--edits 3"),
+        (["--n", "64", "--threshold", "40"],
+         "a threshold is certified only in --label large pairs, got "
+         "--threshold 40"),
+        (["--n", "64", "--periodic", "3", "--sigma", "4", "--threshold",
+          "40"], "a threshold is certified only in --label large pairs, "
+         "got --threshold 40"),
+        (["--n", "64", "--periodic", "3", "--sigma", "4", "--exact"],
+         "exact distances are computed only for planted --label small "
+         "pairs, got --exact"),
+        (["--n", "64", "--label", "large", "--threshold", "16", "--exact"],
+         "exact distances are computed only for planted --label small "
+         "pairs, got --exact"),
+        (["--n", "64", "--periodic", "3", "--sigma", "4", "--label",
+          "large", "--threshold", "30"],
+         "periodic pairs carry no certified distance, got --periodic 3 "
+         "--label large"),
     ])
     def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
         code = main(["gen", *opts, "--seed", "1", "--out",

@@ -16,7 +16,11 @@ hashing, sampling or the oracles' scan order shows up here as a diff.
 decided in the onesided and twosided modes, each record tagged with its
 mode. It was recorded while the greedy and wave deciders still had
 separate A-indexes, so it pins the shared index to the answers and the
-counters of both.
+counters of both. Its wave twosided records were recorded again when the
+wave's twosided mode moved from the sampled one-sided index (with B hashed
+during preprocessing) to the exact `TwoSidedIndex`: their rows now equal
+exact mode's, and their counters include B's hashing; no other record
+moved.
 
 Regenerate (only when a change is meant to alter these results):
 
@@ -115,6 +119,15 @@ def test_noprep_decisions_match_recorded_grid():
 
 def test_indexed_decisions_match_recorded_grid():
     _assert_matches(compute_indexed_grid(), INDEXED_GOLDEN)
+
+
+def test_twosided_wave_records_equal_exact():
+    want = json.loads(INDEXED_GOLDEN.read_text())
+    exact = compute_grid("exact")["wave"]
+    got = [r for r in want["wave"] if r["mode"] == "twosided"]
+    assert len(got) == len(exact)
+    for g, e in zip(got, exact):
+        assert (g["verdict"], g["rows"]) == (e["verdict"], e["rows"]), g["cell"]
 
 
 def test_grid_covers_both_verdicts_and_sampling_regimes():

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gapedit import gap_match
 from gapedit.greedy import GapVerdict
 from gapedit.hashing import HashConfig, PaddedViews, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
 from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
+from gapedit.two_sided import TwoSidedIndex, TwoSidedShiftOracle
 from gapedit.wave import (BruteForceShiftOracle, IndexedShiftOracle,
                           NoPrepShiftOracle, OneSidedWaveIndex, WaveTable,
                           gap_wave, greedy_wave, wave_jump_violations)
@@ -47,13 +49,17 @@ class TestGreedyWaveExact:
 
     def test_index_built_for_another_k_or_l_refused(self):
         inst = gen_planted(64, 4, 1, seed=4)
-        orc = IndexedShiftOracle(
-            OneSidedWaveIndex.preprocess(inst.a, 6, 3, CFG), inst.b)
-        with pytest.raises(ValueError, match="built for k = 6"):
-            greedy_wave(inst.a, inst.b, 9, 3, orc)
-        with pytest.raises(ValueError, match="built for l = 3"):
-            greedy_wave(inst.a, inst.b, 6, 2, orc)
-        assert greedy_wave(inst.a, inst.b, 6, 3, orc) is GapVerdict.SMALL
+        # the two-sided index holds no l: its oracle is built for one
+        for orc in (IndexedShiftOracle(
+                        OneSidedWaveIndex.preprocess(inst.a, 6, 3, CFG),
+                        inst.b),
+                    TwoSidedShiftOracle(
+                        TwoSidedIndex.preprocess(inst.a, 6, CFG), inst.b, 3)):
+            with pytest.raises(ValueError, match="built for k = 6"):
+                greedy_wave(inst.a, inst.b, 9, 3, orc)
+            with pytest.raises(ValueError, match="built for l = 3"):
+                greedy_wave(inst.a, inst.b, 6, 2, orc)
+            assert greedy_wave(inst.a, inst.b, 6, 3, orc) is GapVerdict.SMALL
 
 
 class TestJumpProperty:
@@ -228,12 +234,34 @@ class TestGapWaveModes:
             v, _ = gap_wave(inst.a, inst.b, 9, 3, mode, seed=t)
             assert v == GapVerdict.LARGE
 
-    def test_twosided_queries_touch_no_raw_string(self):
-        # after preprocessing, the wave only adds retrievals and lookups
+    @pytest.mark.parametrize("decider", ["gap_match", "gap_wave"])
+    def test_twosided_queries_hash_b_once(self, decider):
+        # both deciders book B's one full hash pass on the query counters,
+        # and A's index build on none of them
         inst = gen_planted(256, 4, 5, seed=4)
-        v, counters = gap_wave(inst.a, inst.b, 9, 3, "twosided", seed=4)
+        if decider == "gap_match":
+            v, counters = gap_match(inst.a, inst.b, 9, "twosided", seed=4)
+        else:
+            v, counters = gap_wave(inst.a, inst.b, 9, 3, "twosided", seed=4)
         assert v == GapVerdict.SMALL
-        assert counters.init_steps == 0
+        assert counters.init_steps == 256
+
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_twosided_equals_exact(self, seed, sigma, data):
+        """The two-sided wave oracle answers from the exact index, so its
+        verdict and every `WaveTable` row equal the brute-force referee's,
+        hash collisions aside."""
+        n = data.draw(st.integers(1, 200))
+        k = data.draw(st.integers(1, 20))
+        ell = data.draw(st.integers(1, k))
+        inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
+                           seed=seed)
+        got, want = WaveTable(), WaveTable()
+        v, _ = gap_wave(inst.a, inst.b, k, ell, "twosided", seed=seed,
+                        table=got)
+        assert v == gap_wave(inst.a, inst.b, k, ell, "exact", table=want)[0]
+        assert got.rows == want.rows
 
     def test_unknown_mode(self):
         inst = gen_planted(64, 4, 0, seed=5)
