@@ -16,7 +16,7 @@ from .instances import (Instance, gen_large_side, gen_periodic, gen_planted,
 from .no_prep import NoPrepOracle
 from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import (ByteString, edit_distance_at_most, edit_distance_exact,
-                      exact_hwave)
+                      exact_hwave, max_shift_alignment_bruteforce)
 from .two_sided import TwoSidedIndex, TwoSidedOracle
 from .wave import OneSidedWaveIndex, WaveTable, gap_wave
 
@@ -31,24 +31,22 @@ __all__ = [
 
 
 def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
-              seed=None, cfg: HashConfig | None = None,
-              trace: GreedyTrace | None = None):
+              seed=None, trace: GreedyTrace | None = None):
     """Decide the k versus 40 k^2 gap. Returns (verdict, query counters).
 
     Modes: "noprep" hashes both strings per call, "onesided" preprocesses
     A, "twosided" preprocesses both (cells computed lazily from A's
-    hashes; B's hashing is booked on the query counters), "exact" uses the
-    brute-force alignment referee.
+    hashes; B's hashing is booked on the query counters), "exact" asks the
+    brute-force shift referee `max_shift_alignment_bruteforce` at
+    i_a = i_b and l = k, as exact `gap_wave` does at its l. The seed
+    picks the hash draw.
     """
     check_gap_params(a, b, k)
-    if cfg is None:
-        cfg = HashConfig.from_seed(seed)
+    cfg = HashConfig.from_seed(seed)
     counters = OpCounters()
     if mode == "exact":
-        from .strings import max_k_alignment_bruteforce
-
         def oracle(i_b):
-            return max_k_alignment_bruteforce(a, b, i_b, k)
+            return max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)
     elif mode == "noprep":
         oracle = NoPrepOracle(a, b, k, cfg, counters)
     elif mode == "onesided":

@@ -263,10 +263,11 @@ def cmd_selftest(args) -> int:
 
     # fault injection: a degenerate hash (x = 1) must be caught by
     # disagreement with the brute-force referee on some query
-    from .strings import max_k_alignment_bruteforce
+    from .strings import max_shift_alignment_bruteforce
     bad_cfg = HashConfig(x=1)
     bad = OneSidedOracle(OneSidedIndex.preprocess(inst.a, 4, bad_cfg), inst.b)
-    mismatch = any(bad(i) != max_k_alignment_bruteforce(inst.a, inst.b, i, 4)
+    mismatch = any(bad(i) != max_shift_alignment_bruteforce(inst.a, inst.b,
+                                                            i, i, 4, 4)
                    for i in range(1, 257))
     check("degenerate hash detected", mismatch)
 

@@ -197,6 +197,14 @@ def _prefix_hashes(syms: np.ndarray, top: int, x: int, p: int
     return h, xpow
 
 
+def check_hash_params(p: int, x: int) -> None:
+    """Raise ValueError unless p is 2^61 - 1 and x is nonzero mod p."""
+    if p != P61:
+        raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
+    if x % p == 0:
+        raise ValueError("hash base must be nonzero mod p")
+
+
 class RollingHashState:
     """Prefix hashes over one shifted view of a sample set on one string."""
 
@@ -205,12 +213,9 @@ class RollingHashState:
         n = len(string)
         if n > MAX_N:
             raise ValueError("string too long for collision guarantee")
-        if cfg.p != P61:
-            raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
+        check_hash_params(cfg.p, cfg.x)
         if cfg.p <= n * n * (string.sigma + 1):
             raise ValueError("modulus too small for this length and alphabet")
-        if cfg.x % cfg.p == 0:
-            raise ValueError("hash base must be nonzero mod p")
         self.cfg = cfg
         self.samples = samples
         self.counters = counters if counters is not None else OpCounters()
@@ -218,16 +223,8 @@ class RollingHashState:
         # reads outside [1, n] give the sentinel sigma + 1
         self.prefix, self.xpow = _prefix_hashes(syms, string.sigma + 1,
                                                 cfg.x, cfg.p)
+        self._lists = None
         self.counters.init_steps += syms.size
-
-    @property
-    def prefix(self) -> np.ndarray:
-        return self._prefix
-
-    @prefix.setter
-    def prefix(self, rows: np.ndarray) -> None:
-        self._prefix = rows
-        self._lists = None  # remade from the new rows on the next retrieve
 
     def retrieve(self, i: int, j: int) -> int:
         """Hash of the sampled positions inside [i, j] (view coordinates).
@@ -240,7 +237,7 @@ class RollingHashState:
         lists = self._lists
         if lists is None:
             lists = self._lists = (self.samples.indices.tolist(),
-                                   self._prefix.tolist(), self.xpow.tolist())
+                                   self.prefix.tolist(), self.xpow.tolist())
         pos, prefix, xpow = lists
         off = self.samples.offset
         lo = bisect_left(pos, i - off)
@@ -271,7 +268,7 @@ class ViewStack:
     prefix rows, each at its own offset: view v's hash of [i + off_v,
     j + off_v] is H_v[h] - H_v[l] x^(h - l), with l and h the counts of
     base positions below i and up to j. The prefixes are held once, in an
-    (m + 1) x V matrix whose columns the states read as their `prefix`.
+    (m + 1) x V matrix, one column per view.
     """
 
     def __init__(self, states: list[RollingHashState],
@@ -285,8 +282,6 @@ class ViewStack:
         self.base = base
         self.positions = base.tolist()
         self.prefix = np.stack([st.prefix for st in states], axis=1)
-        for v, st in enumerate(states):
-            st.prefix = self.prefix[:, v]
 
     def window_block(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Every view's hash of every base window [i_s, j_s] (j_s >= i_s - 1),

@@ -7,7 +7,11 @@ against fresh characters.
 
 The exact oracles here (Myers' bit-vector DP, a quadratic referee, and an
 h-wave variant) serve both the public `exact` entry points and the test
-suite's independent ground truth.
+suite's independent ground truth. `optimal_edit_script` and `decompose`
+read one optimal alignment, walked once from a quadratic DP
+(`_alignment`). `max_shift_alignment_bruteforce` is the brute-force shift
+oracle behind exact mode in both deciders: the wave asks it at (i_a, i_b)
+and l, greedy at i_a = i_b and l = k.
 """
 
 from __future__ import annotations
@@ -191,15 +195,12 @@ def exact_hwave(a: ByteString, b: ByteString, k: int) -> bool:
 Op = tuple[str, int, int]  # (kind, a_pos, b_symbol_or_0)
 
 
-def optimal_edit_script(a: ByteString, b: ByteString) -> list[Op]:
-    """One optimal script transforming a into b.
-
-    Ops reference positions in the original a and are ordered by descending
-    position so earlier ops do not invalidate later positions:
-      ("sub", i, c)  replace a[i] with c
-      ("del", i, 0)  delete a[i]
-      ("ins", i, c)  insert c after a[i] (i may be 0)
-    """
+def _alignment(a: ByteString, b: ByteString) -> list[tuple[str, int, int]]:
+    """One optimal alignment of a and b, as steps (kind, i, j) in forward
+    order, where i and j count the symbols of a and b consumed once the
+    step is taken: "match" and "sub" pair a[i] with b[j], "del" drops a[i]
+    and "ins" puts b[j] after a[i]. The traceback prefers the diagonal,
+    then a deletion, then an insertion."""
     n, m = len(a), len(b)
     dp = np.zeros((n + 1, m + 1), dtype=np.int64)
     dp[:, 0] = np.arange(n + 1)
@@ -213,20 +214,36 @@ def optimal_edit_script(a: ByteString, b: ByteString) -> list[Op]:
         head = np.concatenate(([dp[i, 0]], cand))
         dp[i] = np.minimum(head,
                            np.minimum.accumulate(head - cols) + cols)
-    ops: list[Op] = []
+    steps = []
     i, j = n, m
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (0 if a.at(i) == b.at(j) else 1):
-            if a.at(i) != b.at(j):
-                ops.append(("sub", i, b.at(j)))
+        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (a.at(i) != b.at(j)):
+            steps.append(("match" if a.at(i) == b.at(j) else "sub", i, j))
             i -= 1
             j -= 1
         elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
-            ops.append(("del", i, 0))
+            steps.append(("del", i, j))
             i -= 1
         else:
-            ops.append(("ins", i, b.at(j)))
+            steps.append(("ins", i, j))
             j -= 1
+    steps.reverse()
+    return steps
+
+
+def optimal_edit_script(a: ByteString, b: ByteString) -> list[Op]:
+    """One optimal script transforming a into b.
+
+    Ops reference positions in the original a and are ordered by descending
+    position so earlier ops do not invalidate later positions:
+      ("sub", i, c)  replace a[i] with c
+      ("del", i, 0)  delete a[i]
+      ("ins", i, c)  insert c after a[i] (i may be 0)
+    Insertions after the same a[i] are listed last symbol first, the order
+    in which `apply_script` inserts them.
+    """
+    ops = [(kind, i, 0 if kind == "del" else b.at(j))
+           for kind, i, j in reversed(_alignment(a, b)) if kind != "match"]
     ops.sort(key=lambda op: op[1], reverse=True)
     return ops
 
@@ -244,90 +261,29 @@ def apply_script(a: ByteString, ops: list[Op]) -> ByteString:
 
 
 def decompose(a: ByteString, b: ByteString) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Split a and b into matched interval lists induced by one optimal
-    script: alternating untouched runs (equal substrings) and per-edit
-    pieces. Returns (a_intervals, b_intervals) of equal length, where the
-    t-th intervals correspond; intervals are (start, end) 1-based inclusive,
-    end = start - 1 for an empty piece. With e edits, at most 2e + 1 pairs.
+    """Split a and b into matched interval lists along one optimal
+    alignment: each run of matches is one untouched pair (equal
+    substrings) and each edit is one piece. Returns (a_intervals,
+    b_intervals) of equal length, where the t-th intervals correspond;
+    intervals are (start, end) 1-based inclusive, end = start - 1 for an
+    empty piece. With e edits, at most 2e + 1 pairs.
     """
-    ops = optimal_edit_script(a, b)
-    # Intervals over a, kept in sync with intervals over the evolving b-side
-    # copy. Start with one pair covering everything, then split around each
-    # edit from right to left.
-    a_iv = [(1, len(a))]
-    b_iv = [(1, len(a))]
-
-    def locate(pos: int, pieces: list[tuple[int, int]], allow_empty_right: bool):
-        # find the interval containing a-position pos
-        for t, (s, e) in enumerate(pieces):
-            if s <= pos <= e:
-                return t
-        raise AssertionError("position not covered")
-
-    edited = [False]
-    for kind, i, _c in ops:  # ops already sorted by descending position
-        if kind == "ins":
-            # insert after a-position i: split the pair whose a-interval
-            # contains boundary between i and i+1; attach to the left side
-            t = None
-            for u, (s, e) in enumerate(a_iv):
-                if s <= i <= e or (s == i + 1 and e >= s) or (s > e and s == i + 1):
-                    t = u
-                    break
-                if e < i and (u + 1 == len(a_iv) or a_iv[u + 1][0] > i + 1):
-                    t = u
-                    break
-            if t is None:
-                t = len(a_iv) - 1
-            sa, ea = a_iv[t]
-            sb, eb = b_iv[t]
-            off = i - sa  # chars of this a-interval kept to the left
-            a_left = (sa, i)
-            a_mid = (i + 1, i)  # empty on the a side
-            a_right = (i + 1, ea)
-            b_left = (sb, sb + off)
-            b_mid = (sb + off + 1, sb + off + 1)
-            b_right = (sb + off + 2, eb + 1)
-            a_iv[t : t + 1] = [a_left, a_mid, a_right]
-            b_iv[t : t + 1] = [b_left, b_mid, b_right]
-            edited[t : t + 1] = [edited[t], True, edited[t]]
-            # everything right of t on the b side shifts by +1
-            for u in range(t + 3, len(b_iv)):
-                s, e = b_iv[u]
-                b_iv[u] = (s + 1, e + 1)
-        else:
-            t = locate(i, a_iv, False)
-            sa, ea = a_iv[t]
-            sb, eb = b_iv[t]
-            off = i - sa
-            a_left = (sa, i - 1)
-            a_mid = (i, i)
-            a_right = (i + 1, ea)
-            if kind == "sub":
-                b_left = (sb, sb + off - 1)
-                b_mid = (sb + off, sb + off)
-                b_right = (sb + off + 1, eb)
-                shift = 0
-            else:  # del: b-side piece is empty
-                b_left = (sb, sb + off - 1)
-                b_mid = (sb + off, sb + off - 1)
-                b_right = (sb + off, eb - 1)
-                shift = -1
-            a_iv[t : t + 1] = [a_left, a_mid, a_right]
-            b_iv[t : t + 1] = [b_left, b_mid, b_right]
-            edited[t : t + 1] = [edited[t], True, edited[t]]
-            for u in range(t + 3, len(b_iv)):
-                s, e = b_iv[u]
-                b_iv[u] = (s + shift, e + shift)
-
-    # Merge away empty untouched pairs introduced by splits at run ends.
-    out_a, out_b = [], []
-    for t, (ia, ib) in enumerate(zip(a_iv, b_iv)):
-        if not edited[t] and ia[1] < ia[0] and ib[1] < ib[0]:
+    a_iv, b_iv = [], []
+    i0 = j0 = 1  # where the open run of matches starts
+    for kind, i, j in _alignment(a, b):
+        if kind == "match":
             continue
-        out_a.append(ia)
-        out_b.append(ib)
-    return out_a, out_b
+        di, dj = int(kind != "ins"), int(kind != "del")
+        if i - di >= i0:
+            a_iv.append((i0, i - di))
+            b_iv.append((j0, j - dj))
+        a_iv.append((i - di + 1, i))
+        b_iv.append((j - dj + 1, j))
+        i0, j0 = i + 1, j + 1
+    if len(a) >= i0:
+        a_iv.append((i0, len(a)))
+        b_iv.append((j0, len(b)))
+    return a_iv, b_iv
 
 
 def check_decomposition(a: ByteString, b: ByteString,
@@ -361,25 +317,6 @@ def check_decomposition(a: ByteString, b: ByteString,
             return False
         total += d
     return total <= edit_distance_exact(a, b)
-
-
-def max_k_alignment_bruteforce(a: ByteString, b: ByteString, i_b: int, k: int) -> int:
-    """Largest d such that some shift c in [-k, k] gives an exact match
-    B[i_b .. i_b+d-1] == A[i_b+c .. i_b+c+d-1]; 0 if none. Reads past the
-    end are sentinel mismatches, so d never exceeds n - i_b + 1 on the B
-    side and alignment against A never claims out-of-range characters."""
-    n = len(b)
-    best = 0
-    max_d = n - i_b + 1
-    if max_d <= 0:
-        return 0
-    bw = b.window(i_b, i_b + max_d - 1)
-    for c in range(-k, k + 1):
-        aw = a.window(i_b + c, i_b + c + max_d - 1)
-        neq = np.nonzero(aw != bw)[0]
-        d = max_d if neq.size == 0 else int(neq[0])
-        best = max(best, d)
-    return best
 
 
 def max_shift_alignment_bruteforce(a: ByteString, b: ByteString, i_a: int, i_b: int,

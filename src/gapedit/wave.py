@@ -35,7 +35,7 @@ from .greedy import GapVerdict, check_gap_params, check_oracle_index
 from .hashing import (HashConfig, OpCounters, draw_sample, sample_rate,
                       shifted_views)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
-from .strings import ByteString
+from .strings import ByteString, max_shift_alignment_bruteforce
 from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
 
 NEG_INF = float("-inf")
@@ -208,28 +208,25 @@ class BruteForceShiftOracle:
     """Exact shift-alignment oracle; referee for tests and the exact mode."""
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int):
-        from .strings import max_shift_alignment_bruteforce
-        self._f = max_shift_alignment_bruteforce
         self.a, self.b, self.k, self.ell = a, b, k, ell
 
     def __call__(self, i_a: int, i_b: int) -> int:
-        return self._f(self.a, self.b, i_a, i_b, self.ell, self.k)
+        return max_shift_alignment_bruteforce(self.a, self.b, i_a, i_b,
+                                              self.ell, self.k)
 
 
 def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
-             seed=None, cfg: HashConfig | None = None,
-             table: WaveTable | None = None):
+             seed=None, table: WaveTable | None = None):
     """Decide the k versus 10 k l gap. Returns (verdict, query counters).
 
     Modes: "noprep" builds hashes per pair; "onesided" preprocesses A into
     the sampled wave index for this l; "twosided" preprocesses A into the
     exact `TwoSidedIndex` and asks it for each call's shift window; "exact"
     uses the brute-force referee oracle. The indexed modes hash B once, on
-    the query counters, as `gap_match` does.
+    the query counters, as `gap_match` does. The seed picks the hash draw.
     """
     check_gap_params(a, b, k, ell)
-    if cfg is None:
-        cfg = HashConfig.from_seed(seed)
+    cfg = HashConfig.from_seed(seed)
     query_counters = OpCounters()
     if mode == "exact":
         oracle = BruteForceShiftOracle(a, b, k, ell)

@@ -6,11 +6,11 @@ from gapedit.hashing import HashConfig
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.one_sided import OneSidedIndex, OneSidedOracle
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
-from gapedit.strings import ByteString, max_k_alignment_bruteforce
+from gapedit.strings import ByteString, max_shift_alignment_bruteforce
 
 
 def exact_oracle(a, b, k):
-    return lambda i_b: max_k_alignment_bruteforce(a, b, i_b, k)
+    return lambda i_b: max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)
 
 
 class TestGreedyMatch:

@@ -6,7 +6,7 @@ from gapedit.hashing import HashConfig
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
 from gapedit.strings import (has_approximate_alignment,
-                             max_k_alignment_bruteforce)
+                             max_shift_alignment_bruteforce)
 
 
 class TestNoPrepOracle:
@@ -17,8 +17,8 @@ class TestNoPrepOracle:
             orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(t))
             for i_b in range(1, n + 1, 3):
                 d = orc(i_b)
-                assert d >= max_k_alignment_bruteforce(inst.a, inst.b,
-                                                       i_b, k)
+                assert d >= max_shift_alignment_bruteforce(
+                    inst.a, inst.b, i_b, i_b, k, k)
 
     def test_output_is_approximate_alignment(self):
         for t in range(6):

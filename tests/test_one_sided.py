@@ -132,7 +132,7 @@ class TestQuery:
     def test_half_correctness_at_saturated_rate(self):
         # rate 1 makes every window of a true alignment hit, so the
         # binary expansion reaches at least the brute-force length
-        from gapedit.strings import max_k_alignment_bruteforce
+        from gapedit.strings import max_shift_alignment_bruteforce
         for t in range(4):
             n, k = 256, 8
             inst = gen_planted(n, 4, 4, seed=20 + t)
@@ -140,7 +140,8 @@ class TestQuery:
             assert idx.dense is not None
             orc = OneSidedOracle(idx, inst.b)
             for i_b in range(1, n + 1):
-                bf = max_k_alignment_bruteforce(inst.a, inst.b, i_b, k)
+                bf = max_shift_alignment_bruteforce(inst.a, inst.b, i_b, i_b,
+                                                    k, k)
                 assert orc(i_b) >= bf
 
 
@@ -221,6 +222,9 @@ class TestSerialization:
         (5, lambda h: 2 * h[5], "fit neither index"),
         (7, lambda h: h[7] - 1, "fit neither index"),
         (8, lambda h: h[8] + 1, "fit neither index"),
+        (2, lambda h: 2**31 - 1, "only the Mersenne prime"),
+        (2, lambda h: 0, "only the Mersenne prime"),
+        (3, lambda h: 0, "hash base must be nonzero"),
     ])
     def test_bad_header_rejected_under_a_good_checksum(
             self, saved_files, tmp_path, field, change, match):

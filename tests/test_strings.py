@@ -6,7 +6,6 @@ from gapedit.strings import (ByteString, apply_script, check_decomposition,
                              decompose, edit_distance_at_most,
                              edit_distance_exact, edit_distance_quadratic,
                              exact_hwave, has_approximate_alignment,
-                             max_k_alignment_bruteforce,
                              max_shift_alignment_bruteforce,
                              optimal_edit_script)
 
@@ -196,10 +195,30 @@ class TestDecompose:
             assert len(ai) <= 2 * d + 1
             assert check_decomposition(a, b, ai, bi)
 
-    def test_identical_strings_single_interval(self):
-        a = bs([1, 2, 3, 1])
-        ai, bi = decompose(a, a)
-        assert ai == [(1, 4)] and bi == [(1, 4)]
+    # a, b, then the a intervals, b intervals and ops they must give
+    FIXED = {
+        "two empty strings": ([], [], [], [], []),
+        "A empty": ([], [2, 3], [(1, 0), (1, 0)], [(1, 1), (2, 2)],
+                    [("ins", 0, 3), ("ins", 0, 2)]),
+        "B empty": ([1, 2], [], [(1, 1), (2, 2)], [(1, 0), (1, 0)],
+                    [("del", 2, 0), ("del", 1, 0)]),
+        "two insertions after one a[i]": (
+            [1, 2, 1], [1, 2, 3, 4, 1],
+            [(1, 2), (3, 2), (3, 2), (3, 3)], [(1, 2), (3, 3), (4, 4), (5, 5)],
+            [("ins", 2, 4), ("ins", 2, 3)]),
+        "a deletion at each end": (
+            [3, 1, 2, 1, 4], [1, 2, 1],
+            [(1, 1), (2, 4), (5, 5)], [(1, 0), (1, 3), (4, 3)],
+            [("del", 5, 0), ("del", 1, 0)]),
+        "a == b": ([1, 2, 3, 1], [1, 2, 3, 1], [(1, 4)], [(1, 4)], []),
+    }
+
+    def test_fixed_pairs_give_recorded_pieces(self):
+        for name, (x, y, want_a, want_b, want_ops) in self.FIXED.items():
+            a, b = bs(x), bs(y)
+            assert decompose(a, b) == (want_a, want_b), name
+            assert optimal_edit_script(a, b) == want_ops, name
+            assert list(apply_script(a, want_ops).data) == y, name
 
 
 class TestBruteforceAlignment:
@@ -219,7 +238,8 @@ class TestBruteforceAlignment:
             a, b = rand_pair(rng, nmax=40, sigma=2, equal_len=True)
             for i_b in range(1, len(b) + 1):
                 for k in (1, 3):
-                    assert (max_k_alignment_bruteforce(a, b, i_b, k)
+                    assert (max_shift_alignment_bruteforce(a, b, i_b, i_b,
+                                                           k, k)
                             == self.naive_k_align(a, b, i_b, k))
 
     def test_shift_variant_respects_promise_window(self):

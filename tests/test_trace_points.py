@@ -1,17 +1,24 @@
-"""The benchmark's tracer wraps program attributes by name.
+"""The benchmark reaches the program by attribute name.
 
 `perfbench/tracing.py` reads each wrapped attribute through
 `owner.__dict__[attr]`, so an attribute that moves to a base class or a
-helper breaks the benchmark's trace passes. This test loads the tracer
-from its file and checks every wrap point against the program.
+helper breaks the benchmark's trace passes. `perfbench/families.py` calls
+the program through attribute chains rooted at the package (`G.gap_match`,
+`G.one_sided.OneSidedOracle`, ...), so one that moves or is renamed breaks
+every benchmark round. These tests load the tracer from its file and parse
+the families' source, and check both against the program; they change
+nothing under `perfbench/`.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
 import gapedit
 
-TRACING = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+FAMILIES = PERFBENCH / "families.py"
 
 
 def _wrap_points():
@@ -27,4 +34,62 @@ def test_every_wrapped_attribute_is_the_owners_own():
     assert points
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _, _ in points if attr not in vars(owner)]
+    assert missing == []
+
+
+def _package_chains(source: str) -> set[tuple[str, ...]]:
+    """Every longest attribute chain rooted at `G` or `self.G`, as the
+    attribute names after the root. A name assigned such a chain
+    (`strings = self.G.strings`) roots chains too."""
+    tree = ast.parse(source)
+    aliases = {}
+
+    def chain(node):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        names.reverse()
+        if not isinstance(node, ast.Name):
+            return None
+        if node.id == "self" and names[:1] == ["G"]:
+            return tuple(names[1:])
+        if node.id == "G":
+            return tuple(names)
+        if node.id in aliases:
+            return aliases[node.id] + tuple(names)
+        return None
+
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Attribute)):
+            got = chain(node.value)
+            if got:
+                aliases[node.targets[0].id] = got
+    inner = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in inner:
+            got = chain(node)
+            if got:
+                chains.add(got)
+    return chains
+
+
+def test_every_entry_point_the_families_use_resolves():
+    chains = _package_chains(FAMILIES.read_text())
+    # the entry points that moved or were renamed most often
+    assert {("gap_match",), ("one_sided", "OneSidedOracle"),
+            ("wave", "IndexedShiftOracle"),
+            ("strings", "edit_distance_exact")} <= chains
+    missing = []
+    for chain in sorted(chains):
+        obj = gapedit
+        for name in chain:
+            if not hasattr(obj, name):
+                missing.append(".".join(("G", *chain)))
+                break
+            obj = getattr(obj, name)
     assert missing == []

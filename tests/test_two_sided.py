@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from gapedit.greedy import GapVerdict, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
-from gapedit.strings import ByteString, max_k_alignment_bruteforce
+from gapedit.strings import ByteString, max_shift_alignment_bruteforce
 from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle, full_sample,
                                two_sided_max_align)
 
@@ -25,7 +25,8 @@ class TestTwoSidedAlign:
             st = b_state(inst.b)
             for i_b in range(1, n + 1):
                 assert (two_sided_max_align(idx, st, i_b)
-                        == max_k_alignment_bruteforce(inst.a, inst.b, i_b, k))
+                        == max_shift_alignment_bruteforce(inst.a, inst.b,
+                                                          i_b, i_b, k, k))
 
     def test_membership_monotone_in_length(self):
         inst = gen_planted(80, 4, 2, seed=3)
@@ -127,7 +128,7 @@ class TestGallopSearch:
             b_retrieves.clear()
             before = idx.counters.retrievals + st_.counters.retrievals
             assert (two_sided_max_align(idx, st_, i_b)
-                    == max_k_alignment_bruteforce(a, b, i_b, k)), i_b
+                    == max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)), i_b
             added = (idx.counters.retrievals + st_.counters.retrievals
                      - before)
             assert added == len(b_retrieves) + sum(hashed)
