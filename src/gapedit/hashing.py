@@ -26,14 +26,6 @@ equals the recurrence bit for bit. The tables x^t and the limbs of x^-t
 depend only on (x, p, m); all views of one decision share them through a
 small cache, which holds tables of up to 2^16 positions only, so a large
 decision leaves no tables behind.
-
-At sampling rate 1 the shifted views of one string differ only by their
-offset, and since H[t] = sum_{s <= t} c_s x^(t - s), a window's hash does
-not depend on where its prefix starts. One prefix over the string padded
-on both sides with the sentinel therefore answers every view exactly:
-view o's hash of base window [i, j] within [1, n] is
-ext[j + o + P] - ext[i - 1 + o + P] x^(j - i + 1), with P >= |o| the
-padding: bit for bit what a state over the view alone gives (`PaddedViews`).
 """
 
 from __future__ import annotations
@@ -66,7 +58,7 @@ class OpCounters:
 
     init_steps: int = 0  # characters folded into prefix hashes
     retrievals: int = 0  # range-hash retrievals answered
-    table_lookups: int = 0  # membership probes against prebuilt tables
+    table_lookups: int = 0  # membership probes against tables or an index
     oracle_queries: int = 0  # alignment-oracle invocations
 
     def merge(self, other: "OpCounters") -> None:
@@ -126,11 +118,11 @@ def sample_rate(n: int, granularity: int) -> float:
     return min(4.0 * math.log(n) / granularity, 1.0) if n > 1 else 1.0
 
 
-def draw_sample(n: int, granularity: int, rng: np.random.Generator | None,
+def draw_sample(n: int, granularity: int, rng: np.random.Generator,
                 force_anchors: np.ndarray | None = None) -> SampleSet:
     """Include each position of [1, n] independently at rate
     min(4 ln n / granularity, 1), then union in any forced anchors. The
-    generator is read only below rate 1, and may be None at rate 1."""
+    generator is read only below rate 1."""
     rate = sample_rate(n, granularity)
     if rate >= 1.0:
         idx = np.arange(1, n + 1, dtype=np.int64)
@@ -320,75 +312,3 @@ class ViewStack:
         self.counters.retrievals += taken
         return hit
 
-
-class PaddedViews:
-    """Shifted views of two strings at sampling rate 1, read from one
-    padded prefix per string.
-
-    A and B are each hashed once over positions 1 - P .. n + P, where
-    reads outside [1, n] give the string's sentinel and P is the largest
-    |offset|, capped at n: a view shifted by n or more reads sentinels
-    only, as one shifted by exactly n does. Column v (A offsets first,
-    then B's) reads base window [i, j], clipped to [1, n], at rows shifted
-    by its offset. Hits, scan order and retrieval counts are those of a
-    `ViewStack` over per-view states, for 2(n + 2P) folds in place of one
-    n-fold build per view.
-    """
-
-    def __init__(self, a, b, a_offsets, b_offsets, cfg: HashConfig,
-                 counters: OpCounters):
-        n = len(a)
-        pad = min(max(abs(o) for o in (*a_offsets, *b_offsets)), n)
-        padded = SampleSet(np.arange(1, n + 2 * pad + 1, dtype=np.int64),
-                           n + 2 * pad, 1.0, -pad)
-        ext_a, ext_b = (RollingHashState(s, padded, cfg, counters)
-                        for s in (a, b))
-        self.counters = counters
-        self.n = n
-        self.p = cfg.p
-        self.xpow = ext_a.xpow
-        rows_a, rows_b = ext_a.prefix.tolist(), ext_b.prefix.tolist()
-        # (prefix row list, row shift) per column
-        self.columns = [(rows, max(-pad, min(o, pad)) + pad)
-                        for rows, offsets in ((rows_a, a_offsets),
-                                              (rows_b, b_offsets))
-                        for o in offsets]
-
-    def first_collision(self, i: int, j: int, a_cols: range, b_cols: range
-                        ) -> tuple[int, int] | None:
-        """`ViewStack.first_collision` read from the padded prefixes."""
-        n = self.n
-        # base window clipped to [1, n]; an empty one reads lo = hi
-        lo = 0 if i < 1 else min(i, n + 1) - 1
-        hi = lo if j <= lo else min(j, n)
-        xp = int(self.xpow[hi - lo])
-        p = self.p
-        cols = self.columns
-        b_hashes = {}
-        for v in b_cols:
-            rows, s = cols[v]
-            b_hashes.setdefault((rows[hi + s] - rows[lo + s] * xp) % p, v)
-        taken = len(b_cols)
-        hit = None
-        for v in a_cols:
-            taken += 1
-            rows, s = cols[v]
-            w = b_hashes.get((rows[hi + s] - rows[lo + s] * xp) % p)
-            if w is not None:
-                hit = v, w
-                break
-        self.counters.retrievals += taken
-        return hit
-
-
-def shifted_views(a, b, samples: SampleSet, a_offsets, b_offsets,
-                  cfg: HashConfig, counters: OpCounters):
-    """Views of A at a_offsets, then of B at b_offsets, over one sample set,
-    as columns in that order: `PaddedViews` at rate 1, else a `ViewStack`
-    over one state per view."""
-    if samples.rate >= 1.0:
-        return PaddedViews(a, b, a_offsets, b_offsets, cfg, counters)
-    states = [RollingHashState(s, samples.shift(o), cfg, counters)
-              for s, offsets in ((a, a_offsets), (b, b_offsets))
-              for o in offsets]
-    return ViewStack(states, counters)

@@ -6,32 +6,36 @@ decider's shift-alignment question at l = k and i_a = i_b, so
 `NoPrepOracle` is `wave.NoPrepShiftOracle` built for those calls: one view
 build, one probe and one length search serve both deciders.
 
-Every candidate shift c in [-k, k] factors as c = a * r + b with
-r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r. Instead of
-hashing one range per shift (2k + 1 states), the oracle keeps 2q + 1
-shifted views of A and r shifted views of B over one shared sample set; a
-shift-c alignment shows up as a hash collision between the view pair
-(a, b). All views reuse the same base positions, so both sides of any
-probe compare exactly the same sampled offsets.
+At sampling rate 1 (k <= 4 ln n) the oracle folds A and B once each, 2n
+folds, and answers by the exact shift search of the two-sided index
+(`two_sided.TwoSidedIndex.align`) over their prefixes, at every shift
+|c| <= k: the birthday split would fold the same n positions per string
+and save nothing. Its answers are exact up to hash collisions. A call
+makes O(log n) probes, each hashing at most 2k + 1 copies of A, so the
+2k + 1 calls of a decision take O(n + k^2 log n), inside the bound.
 
-Probed ranges are shaved by k on both ends, which keeps every candidate
-window inside the strings for every shift; matches are therefore reported
-up to an edit slack proportional to k rather than exactly.
+Below rate 1, every candidate shift c in [-k, k] factors as c = a * r + b
+with r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r.
+Instead of hashing one range per shift (2k + 1 states), the oracle keeps
+2q + 1 shifted views of A and r shifted views of B over one shared sample
+set; a shift-c alignment shows up as a hash collision between the view
+pair (a, b). All views reuse the same base positions, so both sides of
+any probe compare exactly the same sampled offsets.
 
-Cost model: the 2q + 1 + r <= 3r + 1 views share one sample of rate
-min(4 ln n / k, 1). Below rate 1 (k > 4 ln n), building a view folds each
-sampled position once, so construction takes (2q + 1 + r) * |S| folds, at
-most about 12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor.
-A probe window lands on the same pair of prefix rows in every view, so a
+There, probed ranges are shaved by k on both ends, which keeps every
+candidate window inside the strings for every shift; matches are
+therefore reported up to an edit slack proportional to k rather than
+exactly.
+
+Cost model below rate 1 (k > 4 ln n): the 2q + 1 + r <= 3r + 1 views share
+one sample of rate 4 ln n / k, and building a view folds each sampled
+position once, so construction takes (2q + 1 + r) * |S| folds, at most
+about 12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor. A
+probe window lands on the same pair of prefix rows in every view, so a
 probe is one locate (two binary searches) plus reads of those two rows of
-a ViewStack, then at most 2q + 1 + r modular combinations. Once the rate
-saturates at 1 (k <= 4 ln n) the views differ only by their offset, and
-A and B are each folded once over n + 2P positions, padded with the
-sentinel by P = min(q r, n) on both sides: 2(n + 2P) folds, linear in n.
-A probe then reads each view's two rows at its own offset, without a
-locate (`hashing.PaddedViews`). A call gallops up the length from the
-floor 2k and then bisects, scanning after each hit only the A views from
-the hit's on.
+a ViewStack, then at most 2q + 1 + r modular combinations. A call gallops
+up the length from the floor 2k and then bisects, scanning after each hit
+only the A views from the hit's on.
 """
 
 from __future__ import annotations

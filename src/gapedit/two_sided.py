@@ -14,18 +14,22 @@ and with d = j - i + 1 it hashes to h exactly when
 
 `member` returns the shifts that pass this test instead of a yes or no.
 
-The search gallops, then bisects. It probes d = 1, 2, 4, ... while the
-probes hit, then bisects between the last hit and the first miss. After
-every hit it keeps only the shifts that matched. That is exact: a copy that
-matches B[i_b .. i_b + d - 1] at shift a also matches every shorter prefix
-at shift a, so a shift that fails at a hit length d can never match at a
-longer one, and a miss over the survivors is a miss over every shift. Only
-the first probe of an oracle call hashes all its starting shifts; the later
-probes hash the few survivors.
+The search (`TwoSidedIndex.align`) gallops, then bisects. It probes
+d = 1, 2, 4, ... while the probes hit, then bisects between the last hit
+and the first miss. After every hit it keeps only the shifts that matched.
+That is exact: a copy that matches B[i_b .. i_b + d - 1] at shift a also
+matches every shorter prefix at shift a, so a shift that fails at a hit
+length d can never match at a longer one, and a miss over the survivors is
+a miss over every shift. Only the first probe of an oracle call hashes all
+its starting shifts; the later probes hash the few survivors. A probe reads
+B's window hash from B's prefix list and runs the test above inline, with
+no call per probe.
 
 The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k: the wave asks at (i_a, i_b) for the shifts delta + c,
 delta = i_a - i_b, |c| <= l, |delta + c| <= k; greedy is l = k, i_a = i_b.
+The noprep oracles run the same search at sampling rate 1, over an index
+of A and B's prefix built per pair.
 """
 
 from __future__ import annotations
@@ -40,6 +44,14 @@ from .strings import ByteString
 
 def full_sample(n: int) -> SampleSet:
     return SampleSet(np.arange(1, n + 1, dtype=np.int64), n, 1.0)
+
+
+def prefix_rows(s: ByteString, cfg: HashConfig,
+                counters: OpCounters) -> list[int]:
+    """The prefix hashes of s over every position, as a list; its n folds
+    are booked on `counters`."""
+    return RollingHashState(s, full_sample(len(s)), cfg,
+                            counters).prefix.tolist()
 
 
 class TwoSidedIndex:
@@ -58,7 +70,12 @@ class TwoSidedIndex:
     def preprocess(cls, a: ByteString, k: int,
                    cfg: HashConfig) -> "TwoSidedIndex":
         check_index_params(k)
-        counters = OpCounters()
+        return cls.build(a, k, cfg, OpCounters())
+
+    @classmethod
+    def build(cls, a: ByteString, k: int, cfg: HashConfig,
+              counters: OpCounters) -> "TwoSidedIndex":
+        """The index of A, its n folds booked on `counters`."""
         state = RollingHashState(a, full_sample(len(a)), cfg, counters)
         return cls(k, cfg, state.prefix.tolist(), state.xpow.tolist(),
                    counters)
@@ -84,31 +101,71 @@ class TwoSidedIndex:
         return [a for a in shifts
                 if (rows[before + a] * x_d + h) % P61 == rows[j + a]]
 
+    def align(self, b_rows: list[int], i_a: int, i_b: int,
+              ell: int) -> tuple[int, int]:
+        """The longest d with B[i_b .. i_b+d-1] equal to a copy
+        A[i_a+c .. i_a+c+d-1] with |c| <= l and |i_a + c - i_b| <= k, and
+        one such c; (0, 0) when none matches B[i_b]. Exact up to hash
+        collisions. `b_rows` are B's prefix hashes over every position,
+        under this index's (p, x).
+
+        Each probe counts what `member` and one `retrieve` on B's window
+        count: one table lookup, one retrieval for B and one per in-range
+        copy of A hashed."""
+        n = self.n
+        delta = i_a - i_b
+        before = i_b - 1
+        # the shifts a = delta + c relative to i_b whose copies start in A,
+        # in increasing order
+        alive = range(max(delta - ell, -self.k, -before),
+                      min(delta + ell, self.k) + 1)
+        rows, xpow = self.prefix, self.xpow
+        b_before = b_rows[before]
+        lo, hi = 0, n - before
+        probes = hashed = 0
+        galloping = True
+        while lo < hi:
+            if galloping:
+                d = 2 * lo if lo else 1
+                if d > hi:
+                    d = hi
+            else:
+                d = (lo + hi + 1) // 2
+            j = before + d
+            x_d = xpow[d]
+            h = (b_rows[j] - b_before * x_d) % P61
+            probes += 1
+            got = []
+            for a in alive:
+                if a > n - j:  # this copy, and the later ones, end past A
+                    break
+                hashed += 1
+                if (rows[before + a] * x_d + h) % P61 == rows[j + a]:
+                    got.append(a)
+            if got:
+                lo, alive = d, got
+            else:
+                hi, galloping = d - 1, False
+        self.counters.table_lookups += probes
+        self.counters.retrievals += probes + hashed
+        return lo, (alive[0] - delta if lo else 0)
+
 
 def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
-                        i_b: int, shifts=None) -> int:
+                        i_b: int) -> int:
     """Longest d with the hash of B[i_b .. i_b+d-1] present in the cell for
-    window (i_b, i_b+d-1), among the copies at `shifts` (default: every
-    |a| <= k). Gallops over d = 1, 2, 4, ... until a miss, then bisects;
-    each probe tests only the shifts that matched the last hit."""
-    lo, hi = 0, index.n - i_b + 1
-    alive = shifts  # the starting shifts, until the first hit
-    galloping = True
-    while lo < hi:
-        mid = min(2 * lo or 1, hi) if galloping else (lo + hi + 1) // 2
-        j = i_b + mid - 1
-        got = index.member(i_b, j, b_state.retrieve(i_b, j), alive)
-        if got:
-            lo, alive = mid, got
-        else:
-            hi, galloping = mid - 1, False
-    return lo
+    window (i_b, i_b+d-1): `TwoSidedIndex.align` at i_a = i_b and l = k,
+    read from a state over every position of B. It lists B's prefix on
+    every call; the oracles list it once."""
+    return index.align(b_state.prefix.tolist(), i_b, i_b, index.k)[0]
 
 
 class TwoSidedShiftOracle:
     """Wave shift-alignment oracle over a two-sided index: the longest d
     with B[i_b .. i_b+d-1] equal to A at shift delta + c, delta = i_a - i_b,
-    |c| <= l and |delta + c| <= k. Exact up to hash collisions."""
+    |c| <= l and |delta + c| <= k. Exact up to hash collisions. After a
+    call, `last_hint` is a c that matched at the returned d (0 when d is
+    0)."""
 
     def __init__(self, index: TwoSidedIndex, b: ByteString, ell: int,
                  counters: OpCounters | None = None):
@@ -118,15 +175,13 @@ class TwoSidedShiftOracle:
         self.index = index
         self.ell = ell
         self.counters = counters if counters is not None else OpCounters()
-        self.b_state = RollingHashState(b, full_sample(len(b)), index.cfg,
-                                        self.counters)
+        self.b_rows = prefix_rows(b, index.cfg, self.counters)
         self.last_hint = None
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        k, ell, delta = self.index.k, self.ell, i_a - i_b
-        shifts = range(max(delta - ell, -k), min(delta + ell, k) + 1)
-        return two_sided_max_align(self.index, self.b_state, i_b, shifts)
+        d, self.last_hint = self.index.align(self.b_rows, i_a, i_b, self.ell)
+        return d
 
 
 class TwoSidedOracle(TwoSidedShiftOracle):
@@ -139,4 +194,5 @@ class TwoSidedOracle(TwoSidedShiftOracle):
 
     def __call__(self, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        return two_sided_max_align(self.index, self.b_state, i_b)
+        d, self.last_hint = self.index.align(self.b_rows, i_b, i_b, self.ell)
+        return d

@@ -16,14 +16,17 @@ The pair is declared within distance k when h[k][0] reaches past n.
 `align(i_a, i_b)` approximates the longest d with B[i_b .. i_b+d-1] equal
 to A[i_a+c .. i_a+c+d-1] for some |c| <= l, under the promise
 |i_a - i_b| <= k. Three interchangeable backends are provided: a per-pair
-birthday-split oracle (no preprocessing), an indexed one over the sampled
-wave A-index (A preprocessed for one l), and the greedy decider's exact
-two-sided oracle asked for each call's shift window
+oracle (no preprocessing), an indexed one over the sampled wave A-index
+(A preprocessed for one l), and the greedy decider's exact two-sided
+oracle asked for each call's shift window
 (`two_sided.TwoSidedShiftOracle`: one index of A serves every l, and B is
-hashed once per decision). The per-pair oracle
-finds its d by galloping up from the floor 2l and then bisecting, scanning
-only the views at or after the last hit's. It builds only the A views its
-calls can scan, so the greedy decider's noprep oracle is the same class at
+hashed once per decision). At sampling rate 1 (l <= 4 ln n, nearly every
+wave run) the per-pair oracle folds A and B once and runs the two-sided
+oracle's exact search, so its tables equal `exact` mode's up to hash
+collisions. Below rate 1 it is a birthday split of shifts: it finds its d
+by galloping up from the floor 2l and then bisecting, scanning only the
+views at or after the last hit's, and it builds only the A views its
+calls can scan. The greedy decider's noprep oracle is the same class at
 l = k with i_a = i_b (`no_prep.NoPrepOracle`).
 """
 
@@ -32,11 +35,11 @@ from __future__ import annotations
 import math
 
 from .greedy import GapVerdict, check_gap_params, check_oracle_index
-from .hashing import (HashConfig, OpCounters, draw_sample, sample_rate,
-                      shifted_views)
+from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
+                      draw_sample, sample_rate)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString, max_shift_alignment_bruteforce
-from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
+from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, prefix_rows
 
 NEG_INF = float("-inf")
 
@@ -113,30 +116,34 @@ def wave_jump_violations(table: WaveTable, ell: int, n: int) -> list:
 class NoPrepShiftOracle:
     """Shift-alignment oracle without preprocessing.
 
-    Shifts relative to B factor as a * r + b_off with r = ceil(sqrt(k))
-    and b_off in [0, r). The oracle keeps r views of B, at offsets -b_off,
-    and the A views at offsets a * r that a call can ever scan: |a| <= q =
-    ceil((reach + l) / r), where reach bounds the promised |i_a - i_b|
-    (k here, so q <= 2r). Probes shave l characters from each end; only the
-    a-values compatible with the offset i_a - i_b and |c| <= l are scanned,
-    so reported matches have |c| <= l + 2r <= 3l. The greedy decider's
-    oracle (`no_prep.NoPrepOracle`) is this one at l = k and reach 0.
+    The sample has rate min(4 ln n / l, 1). At rate 1 (l <= 4 ln n, nearly
+    every wave run) the oracle folds A and B once each, 2n folds, into a
+    `TwoSidedIndex` of A and B's prefix, and asks `TwoSidedIndex.align`
+    for the shifts delta + c, delta = i_a - i_b, |c| <= l and
+    |delta + c| <= k: its answers are exact, up to hash collisions, and
+    `last_hint` is a c that matched at the returned d (0 when d is 0).
 
-    The sample has rate min(4 ln n / l, 1). Below rate 1 each of the
-    2q + 1 + r views folds every sampled position. At rate 1 (l <= 4 ln n,
-    nearly every wave run) A and B are each folded once, padded with the
-    sentinel by P = min(q r, n) on both sides, so the build takes
-    2(n + 2P) folds whatever the number of views.
+    Below rate 1, shifts relative to B factor as a * r + b_off with
+    r = ceil(sqrt(k)) and b_off in [0, r). The oracle keeps r views of B,
+    at offsets -b_off, and the A views at offsets a * r that a call can
+    ever scan: |a| <= q = ceil((reach + l) / r), where reach bounds the
+    promised |i_a - i_b| (k here, so q <= 2r). Each of the 2q + 1 + r
+    views folds every sampled position. Probes shave l characters from
+    each end; only the a-values compatible with the offset i_a - i_b and
+    |c| <= l are scanned, so reported matches have |c| <= l + 2r <= 3l.
+    The greedy decider's oracle (`no_prep.NoPrepOracle`) is this one at
+    l = k and reach 0.
 
-    A call probes d = 2l + 1, 2l + 2, 2l + 4, ... while probes hit, then
-    bisects between the last hit and the first miss. A probe hits when
-    some A view's window equals some B view's, and a window that matches
-    still matches when shortened, so hits form a prefix of the d range and
-    the search ends on the largest hit, the d plain bisection finds. After
-    a hit whose first colliding A view is v, later probes scan views v and
-    on: the views before v missed a shorter window. So every probe finds
-    the same first view as a full scan would, and the hint, read at the
-    final d, is the one bisection leaves; a call without a hit leaves 0.
+    Below rate 1 a call probes d = 2l + 1, 2l + 2, 2l + 4, ... while
+    probes hit, then bisects between the last hit and the first miss. A
+    probe hits when some A view's window equals some B view's, and a
+    window that matches still matches when shortened, so hits form a
+    prefix of the d range and the search ends on the largest hit, the d
+    plain bisection finds. After a hit whose first colliding A view is v,
+    later probes scan views v and on: the views before v missed a shorter
+    window. So every probe finds the same first view as a full scan would,
+    and the hint, read at the final d, is the one bisection leaves; a call
+    without a hit returns the floor 2l and leaves hint 0.
     """
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int,
@@ -146,9 +153,9 @@ class NoPrepShiftOracle:
     def _build(self, a: ByteString, b: ByteString, k: int, ell: int,
                reach: int, cfg: HashConfig,
                counters: OpCounters | None) -> None:
-        """Draw the sample and build the views for calls with
-        |i_a - i_b| <= reach; `NoPrepOracle.__init__` runs it at l = k and
-        reach 0."""
+        """Fold A and B at rate 1, else draw the sample and build the
+        views for calls with |i_a - i_b| <= reach; `NoPrepOracle.__init__`
+        runs it at l = k and reach 0."""
         n = len(b)
         if len(a) != n:
             raise ValueError("equal lengths required")
@@ -157,18 +164,24 @@ class NoPrepShiftOracle:
             r += 1
         if ell < r:
             raise ValueError("granularity below sqrt(k) is unsupported here")
-        q = -(-(reach + ell) // r)
-        self.n, self.k, self.ell, self.r, self.q = n, k, ell, r, q
+        self.n, self.k, self.ell = n, k, ell
         self.counters = counters if counters is not None else OpCounters()
-        # at rate 1 the draw takes every position and needs no generator
-        rng = cfg.sampling_rng() if sample_rate(n, ell) < 1 else None
-        self.samples = draw_sample(n, ell, rng)
-        # columns: A views ac = -q..q, then B views bo = 0..r-1
-        self.views = shifted_views(
-            a, b, self.samples, [ac * r for ac in range(-q, q + 1)],
-            [-bo for bo in range(r)], cfg, self.counters)
-        self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
         self.last_hint = None
+        if sample_rate(n, ell) >= 1:
+            self.index = TwoSidedIndex.build(a, k, cfg, self.counters)
+            self.b_rows = prefix_rows(b, cfg, self.counters)
+            return
+        self.index = None
+        q = -(-(reach + ell) // r)
+        self.r, self.q = r, q
+        self.samples = draw_sample(n, ell, cfg.sampling_rng())
+        # columns: A views ac = -q..q, then B views bo = 0..r-1
+        self.views = ViewStack(
+            [RollingHashState(s, self.samples.shift(o), cfg, self.counters)
+             for s, offsets in ((a, [ac * r for ac in range(-q, q + 1)]),
+                                (b, [-bo for bo in range(r)]))
+             for o in offsets], self.counters)
+        self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
@@ -177,6 +190,10 @@ class NoPrepShiftOracle:
     def _search(self, i_a: int, i_b: int) -> int:
         """One call's length search, without the query count;
         `NoPrepOracle.__call__` runs it at i_a = i_b."""
+        if self.index is not None:
+            d, self.last_hint = self.index.align(self.b_rows, i_a, i_b,
+                                                 self.ell)
+            return d
         ell, r, q = self.ell, self.r, self.q
         delta = i_a - i_b
         # the A views whose shifts meet offset delta with |c| <= l

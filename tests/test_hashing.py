@@ -241,64 +241,6 @@ class TestViewStack:
             ViewStack([one, two], OpCounters())
 
 
-class TestPaddedViews:
-    @given(st.integers(0, 10**6), st.integers(1, 6), st.sampled_from([2, 3]),
-           st.sampled_from([1, 2]), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_first_collision_matches_per_view_stack(self, seed, r, sigma,
-                                                    spread, data):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 120))
-        a = bstr(rng, n, sigma=sigma)
-        b = bstr(rng, n, sigma=sigma)
-        samples = draw_sample(n, 1, rng)
-        assert samples.rate == 1.0
-        cfg = HashConfig.from_seed(seed)
-        # the greedy (spread 1) and wave (spread 2) column layouts; at small
-        # n the largest offsets pass n and read sentinels only
-        a_offsets = [c * r for c in range(-spread * r, spread * r + 1)]
-        b_offsets = [-c for c in range(r)]
-        ref_ctr = OpCounters()
-        ref = ViewStack([RollingHashState(s, samples.shift(o), cfg, ref_ctr)
-                         for s, offs in ((a, a_offsets), (b, b_offsets))
-                         for o in offs], ref_ctr)
-        ctr = OpCounters()
-        padded = hashing.PaddedViews(a, b, a_offsets, b_offsets, cfg, ctr)
-        # padded by the largest |offset|, capped at n
-        assert ctr.init_steps == 2 * (n + 2 * min(spread * r * r, n))
-        assert len(padded.columns) == len(a_offsets) + len(b_offsets)
-        assert len(padded.columns) == ref.prefix.shape[1]
-        na = len(a_offsets)
-        for _ in range(4):
-            i = data.draw(st.integers(-5, n + 5))
-            j = data.draw(st.integers(i - 3, n + 8))
-            a_lo = data.draw(st.integers(0, na))
-            a_cols = range(a_lo, data.draw(st.integers(a_lo, na)))
-            b_cols = range(na, len(padded.columns))
-            before = (ctr.retrievals, ref_ctr.retrievals)
-            got = padded.first_collision(i, j, a_cols, b_cols)
-            assert got == ref.first_collision(i, j, a_cols, b_cols)
-            assert (ctr.retrievals - before[0]
-                    == ref_ctr.retrievals - before[1])
-
-    def test_shifted_views_pad_only_at_rate_one(self):
-        rng = np.random.default_rng(7)
-        a, b = bstr(rng, 90), bstr(rng, 90)
-        samples = draw_sample(90, 4, rng)
-        ctr = OpCounters()
-        views = hashing.shifted_views(a, b, samples, [-4, 0, 4], [0, -1],
-                                      HashConfig.from_seed(8), ctr)
-        assert isinstance(views, hashing.PaddedViews)
-        assert ctr.init_steps == 2 * (90 + 2 * 4)
-        sub = draw_sample(5000, 400, rng)
-        ctr = OpCounters()
-        a, b = bstr(rng, 5000), bstr(rng, 5000)
-        views = hashing.shifted_views(a, b, sub, [-4, 0, 4], [0, -1],
-                                      HashConfig.from_seed(8), ctr)
-        assert isinstance(views, ViewStack)
-        assert ctr.init_steps == 5 * len(sub)
-
-
 class TestSampling:
     def test_rate_formula(self):
         assert sample_rate(256, 4) == 1.0

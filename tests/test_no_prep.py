@@ -32,12 +32,15 @@ class TestNoPrepOracle:
                                                  hint=orc.last_hint)
 
     def test_floor_is_two_k(self):
-        # fully shaved probes are empty, so anything up to 2k passes
+        # below rate 1 (k = 20 > 4 ln 100) probes are shaved by k on both
+        # ends, and fully shaved probes are empty, so anything up to 2k
+        # passes
         inst = gen_planted(100, 4, 0, seed=0)
         b = inst.b
         b.data[10:90] = (b.data[10:90] % 4) + 1  # heavy damage mid-string
-        orc = NoPrepOracle(inst.a, b, 6, HashConfig.from_seed(5))
-        assert orc(20) >= 12
+        orc = NoPrepOracle(inst.a, b, 20, HashConfig.from_seed(5))
+        assert orc.samples.rate < 1
+        assert orc(20) >= 40
 
     def test_state_count_is_birthday_split(self):
         # n = 2000, k = 64 samples at rate 4 ln n / k < 1
@@ -51,18 +54,14 @@ class TestNoPrepOracle:
         # every view folds each sampled position once: the work AC06 fits
         assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
 
-    def test_rate_one_folds_two_padded_strings(self):
-        # n = 120, k = 10 samples at rate 1
+    def test_rate_one_folds_each_string_once(self):
+        # n = 120, k = 10 samples at rate 1: A and B are each folded once,
+        # with no views, and the search reads their prefixes: the work AC06
+        # fits in its saturated column
         inst = gen_planted(120, 4, 0, seed=1)
-        k = 10
-        orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
-        r, q = 4, 3  # q = ceil(k / r)
-        assert orc.samples.rate == 1
-        # 2q + 1 A views (offsets a r, |a| <= q), then r B views
-        assert len(orc.views.columns) == 2 * q + 1 + r == 11
-        # A and B are each folded once, padded by P = q r = 12 (the largest
-        # |offset|) on both sides
-        assert orc.counters.init_steps == 2 * (120 + 2 * q * r)
+        orc = NoPrepOracle(inst.a, inst.b, 10, HashConfig.from_seed(6))
+        assert orc.index is not None and not hasattr(orc, "views")
+        assert orc.counters.init_steps == 2 * 120
 
     def test_rejects_unequal_lengths(self):
         a = gen_planted(50, 4, 0, seed=2).a

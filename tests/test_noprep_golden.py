@@ -9,7 +9,11 @@ wave oracle's length search began to gallop and prune. When the greedy
 oracle became the wave's at l = k and both built only the A views they
 can scan, the `init_steps` of every wave cell and of the greedy k = 2
 cells moved down, and so did the `retrievals` of every greedy cell;
-nothing else in the file moved. Any change to
+nothing else in the file moved. The rate-1 cells (k, or l for the wave,
+at most 4 ln n) were recorded again when noprep there became the exact
+shift search over A's and B's prefixes: their traces, rows and counters
+now equal those of an exact search (the rows and jumps equal exact
+mode's), and the rate < 1 records did not move. Any change to
 hashing, sampling or the oracles' scan order shows up here as a diff.
 
 `tests/data/indexed_golden.json` holds the same records for the same cells
@@ -20,7 +24,9 @@ counters of both. Its wave twosided records were recorded again when the
 wave's twosided mode moved from the sampled one-sided index (with B hashed
 during preprocessing) to the exact `TwoSidedIndex`: their rows now equal
 exact mode's, and their counters include B's hashing; no other record
-moved.
+moved. The `hints` of its greedy twosided records were recorded again
+when the two-sided oracles began to report a matching shift (they were
+null); nothing else moved.
 
 Regenerate (only when a change is meant to alter these results):
 
@@ -130,14 +136,34 @@ def test_twosided_wave_records_equal_exact():
         assert (g["verdict"], g["rows"]) == (e["verdict"], e["rows"]), g["cell"]
 
 
+def _rate_one(cell, key):
+    n, k = cell[0], cell[2]
+    return (cell[3] if key == "wave" else k) <= 4 * math.log(n)
+
+
+def test_noprep_rate_one_records_equal_exact():
+    want = json.loads(GOLDEN.read_text())
+    exact = compute_grid("exact")
+    checked = 0
+    for key, fields in (("greedy", ("verdict", "starts", "jumps")),
+                        ("wave", ("verdict", "rows"))):
+        for g, e in zip(want[key], exact[key]):
+            if _rate_one(g["cell"], key):
+                checked += 1
+                assert ([g[f] for f in fields]
+                        == [e[f] for f in fields]), g["cell"]
+    assert checked == 10
+
+
 def test_grid_covers_both_verdicts_and_sampling_regimes():
     want = json.loads(GOLDEN.read_text())
     verdicts = {c["verdict"] for c in want["greedy"]}
     assert verdicts == {"small", "large"}
     assert {c["verdict"] for c in want["wave"]} == {"small", "large"}
     # both sampling regimes: saturated (k <= 4 ln n) and subsampled
-    regimes = {c["cell"][2] > 4 * math.log(c["cell"][0]) for c in want["greedy"]}
-    assert regimes == {False, True}
+    for key in ("greedy", "wave"):
+        regimes = {_rate_one(c["cell"], key) for c in want[key]}
+        assert regimes == {False, True}
 
 
 def dump_grid(grid: dict) -> str:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapedit.greedy import GapVerdict, greedy_match
+from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
@@ -47,36 +47,45 @@ class TestTwoSidedAlign:
         assert orc.counters.oracle_queries == 1
         assert idx.counters.table_lookups > before
 
-    def test_query_counts_a_rows_of_member(self, monkeypatch):
-        # query retrievals = B-side retrieves + A-side rows member computed
-        # (one per in-range shift it was asked to test); none of them lands
-        # on the build counters
+    def test_query_counts_a_rows_of_member(self):
+        # query retrievals = one per B window probed + the A-side rows
+        # `member` would compute (one per in-range shift tested), as the
+        # probe-by-probe search books them; none lands on the build counters
         inst = gen_planted(512, 8, 4, seed=6)
-        n, k = 512, 4
+        k = 4
         idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
         build = idx.counters
         built = (build.init_steps, build.retrievals)
         query = idx.counters = OpCounters()
         orc = TwoSidedOracle(idx, inst.b, query)
-        rows, b_retrieves = [], []
-        member = idx.member
-        b_retrieve = orc.b_state.retrieve
-
-        def counted_member(i, j, h, shifts=None):
-            if j >= i:
-                rows.append(in_range(n, i, j, shifts, k))
-            return member(i, j, h, shifts)
-
-        def counted_retrieve(i, j):
-            b_retrieves.append((i, j))
-            return b_retrieve(i, j)
-
-        monkeypatch.setattr(idx, "member", counted_member)
-        monkeypatch.setattr(orc.b_state, "retrieve", counted_retrieve)
-        assert greedy_match(inst.a, inst.b, 4, orc) == GapVerdict.SMALL
-        assert sum(rows) > 0
-        assert query.retrievals == len(b_retrieves) + sum(rows)
+        trace = GreedyTrace()
+        assert greedy_match(inst.a, inst.b, k, orc, trace) == GapVerdict.SMALL
+        ref = OpCounters()
+        ref_idx = TwoSidedIndex(k, CFG, idx.prefix, idx.xpow, ref)
+        st = RollingHashState(inst.b, full_sample(512), CFG, ref)
+        for i_b, d in zip(trace.starts, trace.jumps):
+            assert member_search(ref_idx, st, i_b, None) == d
+        assert ref.retrievals > len(trace.starts)
+        assert ((query.retrievals, query.table_lookups)
+                == (ref.retrievals, ref.table_lookups))
         assert (build.init_steps, build.retrievals) == built
+
+
+def member_search(index, b_state, i_b, shifts):
+    """Reference for `TwoSidedIndex.align`: the same gallop and bisection,
+    one `member` call and one `retrieve` of B's window per probe."""
+    lo, hi = 0, index.n - i_b + 1
+    alive = shifts  # the starting shifts, until the first hit
+    galloping = True
+    while lo < hi:
+        mid = min(2 * lo or 1, hi) if galloping else (lo + hi + 1) // 2
+        j = i_b + mid - 1
+        got = index.member(i_b, j, b_state.retrieve(i_b, j), alive)
+        if got:
+            lo, alive = mid, got
+        else:
+            hi, galloping = mid - 1, False
+    return lo
 
 
 def in_range(n, i, j, shifts, k):
@@ -102,36 +111,40 @@ def pairs(draw):
 
 
 class TestGallopSearch:
-    @given(pairs(), st.integers(0, 1 << 32))
+    @given(pairs(), st.integers(0, 1 << 32), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_bruteforce_and_counts_each_copy_hashed(self, pair, seed):
+    def test_equals_bruteforce_and_counts_each_copy_hashed(self, pair, seed,
+                                                           data):
+        """`align` against the brute-force referee, and against the search
+        run probe by probe through `member` and B's `retrieve`: the same d,
+        and the same retrievals and table lookups, at i_a = i_b with l = k
+        and at i_a - i_b in {0, +-l, +-k} with a drawn l."""
         a, b, k = pair
         n = len(a)
+        ell = data.draw(st.integers(1, k))
         cfg = HashConfig.from_seed(seed)
         idx = TwoSidedIndex.preprocess(a, k, cfg)
-        st_ = b_state(b, cfg)
-        hashed, b_retrieves = [], []
-        member, retrieve = idx.member, st_.retrieve
-
-        def counted_member(i, j, h, shifts=None):
-            if j >= i:
-                hashed.append(in_range(n, i, j, shifts, k))
-            return member(i, j, h, shifts)
-
-        def counted_retrieve(i, j):
-            b_retrieves.append((i, j))
-            return retrieve(i, j)
-
-        idx.member, st_.retrieve = counted_member, counted_retrieve
+        ref = OpCounters()
+        ref_idx = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, ref)
+        st_ = RollingHashState(b, full_sample(n), cfg, ref)
+        rows = st_.prefix.tolist()
         for i_b in range(1, n + 1):
-            hashed.clear()
-            b_retrieves.clear()
-            before = idx.counters.retrievals + st_.counters.retrievals
             assert (two_sided_max_align(idx, st_, i_b)
                     == max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)), i_b
-            added = (idx.counters.retrievals + st_.counters.retrievals
-                     - before)
-            assert added == len(b_retrieves) + sum(hashed)
+            wave = sorted({min(max(i_b + o, 1), n)
+                           for o in (-k, -ell, 0, ell, k)})
+            for i_a, l_ in [(i_b, k)] + [(i_a, ell) for i_a in wave]:
+                before = (idx.counters.retrievals, idx.counters.table_lookups,
+                          ref.retrievals, ref.table_lookups)
+                d, c = idx.align(rows, i_a, i_b, l_)
+                delta = i_a - i_b
+                shifts = range(max(delta - l_, -k), min(delta + l_, k) + 1)
+                assert d == member_search(ref_idx, st_, i_b, shifts)
+                assert d == max_shift_alignment_bruteforce(a, b, i_a, i_b,
+                                                           l_, k)
+                assert (idx.counters.retrievals - before[0],
+                        idx.counters.table_lookups - before[1]) == (
+                    ref.retrievals - before[2], ref.table_lookups - before[3])
 
 
 def shifted_copies(ref, n, k, i, j):

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapedit import gap_match
-from gapedit.greedy import GapVerdict
-from gapedit.hashing import HashConfig, PaddedViews, ViewStack
+from gapedit.greedy import GapVerdict, GreedyTrace
+from gapedit.hashing import HashConfig, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
 from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
-from gapedit.two_sided import TwoSidedIndex, TwoSidedShiftOracle
+from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle,
+                               TwoSidedShiftOracle)
 from gapedit.wave import (BruteForceShiftOracle, IndexedShiftOracle,
                           NoPrepShiftOracle, OneSidedWaveIndex, WaveTable,
                           gap_wave, greedy_wave, wave_jump_violations)
@@ -97,28 +98,23 @@ class TestNoPrepShiftOracle:
                 assert has_approximate_alignment(inst.a, inst.b, i_b, d,
                                                  3 * ell, 3 * ell, hint=hint)
 
-    @pytest.mark.parametrize("subsampled", [False, True])
-    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(),
-           st.data())
+    @pytest.mark.parametrize("greedy", [False, True])
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.data())
     @settings(max_examples=15, deadline=None)
-    def test_search_matches_bisection(self, subsampled, seed, sigma, greedy,
-                                      data):
-        """The galloping, pruning search against plain bisection over the
-        full column range, both read through `first_collision`: the same d
-        and hint for every (i_a, i_b), and hint 0 after a call without a
-        hit. The greedy case is `NoPrepOracle`, the same search at l = k
-        and i_a = i_b. Each probe scans a tail of the full range and finds
-        there the hit a full scan finds, at no more retrievals; a call
-        makes at most 2 b + 1 probes, b the bit length of d above the floor
-        2l. Per call the search can still take more retrievals than
-        bisection when d lies far above the floor, where it makes up to
-        twice as many probes."""
-        n = data.draw(st.integers(2 if subsampled else 1, 120))
-        rate_one_max = int(4 * math.log(n))  # l above this subsamples
-        if subsampled:
-            ell = data.draw(st.integers(rate_one_max + 1, 48))
-        else:
-            ell = data.draw(st.integers(1, max(rate_one_max, 1)))
+    def test_search_matches_bisection(self, greedy, seed, sigma, data):
+        """Below sampling rate 1, the galloping, pruning search against
+        plain bisection over the full column range, both read through
+        `first_collision`: the same d and hint for every (i_a, i_b), and
+        hint 0 after a call without a hit. The greedy case is
+        `NoPrepOracle`, the same search at l = k and i_a = i_b. Each probe
+        scans a tail of the full range and finds there the hit a full scan
+        finds, at no more retrievals; a call makes at most 2 b + 1 probes,
+        b the bit length of d above the floor 2l. Per call the search can
+        still take more retrievals than bisection when d lies far above the
+        floor, where it makes up to twice as many probes."""
+        n = data.draw(st.integers(2, 120))
+        # l above 4 ln n subsamples
+        ell = data.draw(st.integers(int(4 * math.log(n)) + 1, 48))
         inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 6))),
                            seed=seed)
         cfg = HashConfig.from_seed(seed)
@@ -131,7 +127,7 @@ class TestNoPrepShiftOracle:
             orc = NoPrepShiftOracle(inst.a, inst.b, k, ell, cfg)
             calls = [(i_a, i_b) for i_b in range(1, n + 1)
                      for i_a in range(max(1, i_b - k), min(n, i_b + k) + 1)]
-        assert isinstance(orc.views, ViewStack if subsampled else PaddedViews)
+        assert isinstance(orc.views, ViewStack)
         ctr, r, q = orc.counters, orc.r, orc.q
         a_views = range(orc.b_cols.start)  # column v reads A at (v - q) r
         first = orc.views.first_collision
@@ -178,17 +174,22 @@ class TestNoPrepShiftOracle:
 
     @pytest.mark.parametrize("greedy", [False, True])
     def test_call_without_hit_leaves_hint_zero(self, greedy):
-        # B is A shifted by 2 up to position 100, then symbols A never has
+        # B is A shifted by 2 up to position 100, then symbols A never has;
+        # l = 25 > 4 ln 200 subsamples, and at l = 9 the rate is 1
         rng = np.random.default_rng(3)
         a_data = rng.integers(1, 5, 200)
         b_data = np.concatenate([a_data[2:102], rng.integers(5, 9, 100)])
         a, b = ByteString(a_data, 8), ByteString(b_data, 8)
-        orc = (NoPrepOracle(a, b, 9, CFG) if greedy
-               else NoPrepShiftOracle(a, b, 9, 3, CFG))
-        ask = orc if greedy else (lambda i_b: orc(i_b, i_b))
-        floor = 2 * orc.ell
-        assert ask(1) > floor and orc.last_hint == 2
-        assert ask(120) == floor and orc.last_hint == 0
+        for k, ell in ((25, 25), (9, 9)):
+            orc = (NoPrepOracle(a, b, k, CFG) if greedy
+                   else NoPrepShiftOracle(a, b, k, ell, CFG))
+            ask = orc if greedy else (lambda i_b: orc(i_b, i_b))
+            subsampled = orc.index is None
+            assert subsampled == (ell == 25)
+            # below rate 1 nothing under the floor 2l is probed
+            floor = 2 * ell if subsampled else 0
+            assert ask(1) > floor and orc.last_hint == 2
+            assert ask(120) == floor and orc.last_hint == 0
 
     def test_granularity_precondition(self):
         inst = gen_planted(100, 4, 0, seed=2)
@@ -217,6 +218,55 @@ class TestOneSidedWaveIndex:
         orc = IndexedShiftOracle(idx, inst.a)
         for i_b in (1, 77, 200):
             assert orc(i_b, i_b) == 256 - i_b + 1
+
+
+def rate_one_cell(data) -> tuple[int, int, int]:
+    """(n, l, k) with 1 <= l <= k <= min(l^2, 20) and sampling rate 1 at
+    l, which holds for l <= 4 ln n."""
+    n = data.draw(st.integers(1, 200))
+    ell_max = int(4 * math.log(n)) if n > 1 else 20
+    ell = data.draw(st.integers(1, min(ell_max, 20)))
+    return n, ell, data.draw(st.integers(ell, min(ell * ell, 20)))
+
+
+class TestExactHints:
+    @pytest.mark.parametrize("mode", ["noprep", "twosided"])
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(),
+           st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_hint_is_a_shift_that_matches(self, mode, seed, sigma, greedy,
+                                          data):
+        """Every exact-answer oracle (noprep at rate 1, and twosided, in
+        both deciders) sets `last_hint` to a c with B[i_b .. i_b+d-1]
+        equal to A[i_a+c .. i_a+c+d-1] symbol for symbol, |c| <= l and
+        |i_a + c - i_b| <= k; after a call with d = 0 it is 0."""
+        n, ell, k = rate_one_cell(data)
+        if greedy:
+            k = ell
+        inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
+                           seed=seed)
+        a, b = inst.a, inst.b
+        cfg = HashConfig.from_seed(seed)
+        if mode == "noprep":
+            orc = (NoPrepOracle(a, b, k, cfg) if greedy
+                   else NoPrepShiftOracle(a, b, k, ell, cfg))
+        else:
+            index = TwoSidedIndex.preprocess(a, k, cfg)
+            orc = (TwoSidedOracle(index, b) if greedy
+                   else TwoSidedShiftOracle(index, b, ell))
+        assert orc.index is not None  # noprep at rate 1 searches exactly
+        for i_b in range(1, n + 1):
+            for i_a in ([i_b] if greedy
+                        else range(max(1, i_b - k), min(n, i_b + k) + 1)):
+                d = orc(i_b) if greedy else orc(i_a, i_b)
+                c = orc.last_hint
+                if d == 0:
+                    assert c == 0
+                    continue
+                assert abs(c) <= ell and abs(i_a + c - i_b) <= k
+                assert 1 <= i_a + c and i_a + c + d - 1 <= n
+                assert np.array_equal(a.window(i_a + c, i_a + c + d - 1),
+                                      b.window(i_b, i_b + d - 1))
 
 
 class TestGapWaveModes:
@@ -262,6 +312,26 @@ class TestGapWaveModes:
                         table=got)
         assert v == gap_wave(inst.a, inst.b, k, ell, "exact", table=want)[0]
         assert got.rows == want.rows
+
+    @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_noprep_at_rate_one_equals_exact(self, seed, sigma, data):
+        """At sampling rate 1 (l <= 4 ln n) the noprep oracles ask the exact
+        shift search, so the wave's verdict and `WaveTable` rows, and the
+        greedy decider's verdict and jumps at k = l, equal the brute-force
+        referee's, hash collisions aside."""
+        n, ell, k = rate_one_cell(data)
+        inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
+                           seed=seed)
+        got, want = WaveTable(), WaveTable()
+        v, _ = gap_wave(inst.a, inst.b, k, ell, "noprep", seed=seed,
+                        table=got)
+        assert v == gap_wave(inst.a, inst.b, k, ell, "exact", table=want)[0]
+        assert got.rows == want.rows
+        got, want = GreedyTrace(), GreedyTrace()
+        v, _ = gap_match(inst.a, inst.b, ell, "noprep", seed=seed, trace=got)
+        assert v == gap_match(inst.a, inst.b, ell, "exact", trace=want)[0]
+        assert (got.starts, got.jumps) == (want.starts, want.jumps)
 
     def test_unknown_mode(self):
         inst = gen_planted(64, 4, 0, seed=5)
