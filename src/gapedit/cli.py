@@ -83,6 +83,9 @@ def cmd_gen(args) -> int:
             raise ValueError(f"edits must be in 0..n = 0..{args.n}")
         if args.corrupt < 0:
             raise ValueError(f"corrupt must be at least 0, got {args.corrupt}")
+        if args.threshold < 0:
+            raise ValueError(f"threshold must be at least 0, got "
+                             f"{args.threshold}")
         if args.periodic and args.label == "large":
             raise ValueError(f"periodic pairs carry no certified distance, "
                              f"got --periodic {args.periodic} --label large")
@@ -190,6 +193,10 @@ def cmd_bench(args) -> int:
     try:
         if min(args.ns) < 1:
             raise ValueError("n must be at least 1")
+        if args.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {args.trials}")
+        if args.sigma < 1:
+            raise ValueError(f"sigma must be at least 1, got {args.sigma}")
         for k in args.ks:
             check_index_params(k)
             if k > min(args.ns):
@@ -261,15 +268,18 @@ def cmd_selftest(args) -> int:
         except ValueError:
             check("corrupt index rejected", True)
 
-    # fault injection: a degenerate hash (x = 1) must be caught by
-    # disagreement with the brute-force referee on some query
-    from .strings import max_shift_alignment_bruteforce
-    bad_cfg = HashConfig(x=1)
-    bad = OneSidedOracle(OneSidedIndex.preprocess(inst.a, 4, bad_cfg), inst.b)
-    mismatch = any(bad(i) != max_shift_alignment_bruteforce(inst.a, inst.b,
-                                                            i, i, 4, 4)
-                   for i in range(1, 257))
-    check("degenerate hash detected", mismatch)
+    # fault injection: a degenerate hash (x = 1) sums a window's symbols, so
+    # it cannot tell A from B = A with two adjacent unequal symbols swapped
+    # (past position 2); the brute-force referee must disagree on some query
+    from .strings import max_shift_alignment_bruteforce as referee
+    syms = inst.a.data.copy()
+    t = 2 + int(np.flatnonzero(syms[3:] != syms[2:-1])[0])
+    syms[[t, t + 1]] = syms[[t + 1, t]]
+    b = ByteString(syms, inst.a.sigma)
+    bad = OneSidedOracle(OneSidedIndex.preprocess(inst.a, 4, HashConfig(x=1)),
+                         b)
+    check("degenerate hash detected", any(
+        bad(i) != referee(inst.a, b, i, i, 4, 4) for i in range(1, 257)))
 
     print("selftest:", "FAIL" if failures else "ok")
     return 1 if failures else 0

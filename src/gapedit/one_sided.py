@@ -1,11 +1,20 @@
 """Gap decision with only A preprocessed: one A-index for both deciders.
 
-The index stores, for every window length 2^e, the sampled-window hashes of
-A under every shift |a| <= k, recorded at canonical start positions: one
-past each sampled position, and each position whose window ends exactly on
-a sampled position. A query hashes B over the same sample set and scans
-window lengths downward by powers of two until some length's hash appears
-in the table near the query's column and shift bucket.
+The index samples A at rate min(4 ln n / l, 1), l its column width. At
+rate 1 a query hashes all of B anyway, so the index keeps only A's prefix
+hashes H[0 .. n] and x^0 .. x^n, and the oracles ask the two-sided
+index's exact shift search (`two_sided.TwoSidedIndex.align`) for the
+shifts delta + c, delta = i_a - i_b, |c| <= l and |delta + c| <= k. Their
+answers are exact up to hash collisions, and `last_hint` is a c that
+matched at the returned d (0 when d is 0).
+
+Below rate 1 the index stores, for every window length 2^e, the
+sampled-window hashes of A under every shift |a| <= k, recorded at
+canonical start positions: one past each sampled position, and each
+position whose window ends exactly on a sampled position. A query hashes
+B over the same sample set and scans window lengths downward by powers of
+two until some length's hash appears in the table near the query's column
+and shift bucket.
 
 Columns bucket start positions by floor(i / l) and shift buckets bucket
 shifts by floor(a / l); every multiple of l is forced into the sample set,
@@ -22,8 +31,8 @@ a promised offset |i_a - i_b| <= k can ask for. Likewise the greedy
 oracle (`OneSidedOracle`) is the wave's (`IndexedShiftOracle`) asked only
 at i_a = i_b.
 
-The general layout is built in a few numpy passes per window length. The
-2k + 1 shifted views of A share one sample set, so a canonical start's
+Below rate 1 the tables are built in a few numpy passes per window length.
+The 2k + 1 shifted views of A share one sample set, so a canonical start's
 window lands on the same pair of prefix rows in every view: the views'
 prefixes are stacked in one matrix (`hashing.ViewStack`), and the hashes of
 every (start, shift) pair come from one locate and one modular pass. The
@@ -32,30 +41,22 @@ its up to 3 (greedy) or 9 (wave) cell keys, one stable sort on the narrow
 key array (a radix sort while the keys fit in int16) orders the copies by
 (key, hash), and one diff mask drops the duplicates.
 
-When the sampling rate saturates at 1 the sampled hash of a window is just
-the hash of the full substring, and the table collapses to one sorted
-(hash, start) array per window length with membership answered by a range
-check on starts. That dense layout answers exactly the same membership
-queries as the general table and is used automatically.
-
-A query probes one B window at a time (`max_shift_align`). B's window hash
-comes from `RollingHashState.retrieve`, which reads Python lists located
-with `bisect`. `member` boxes the hash once and makes one `searchsorted`
-method call on the cell (general layout). In the dense layout it searches
-the window length's hashes, returns on a miss, and only on a hit searches
-the starts filed under that hash for one in the cell's range.
+A query there probes one B window at a time (`max_shift_align`). B's
+window hash comes from `RollingHashState.retrieve`, which reads Python
+lists located with `bisect`. `member` boxes the hash once and makes one
+`searchsorted` method call on the cell. The oracles report no hint.
 
 File format, version 2, little-endian, every section 8-byte aligned:
 
     magic  b"GEDT1S"
-    head   version u8, layout u8 (0 general, 1 dense), p, x, n, k, l,
-           first and one-past-last shift bucket, sample count, key count
-           and hash count (u64 each, buckets i64)
-    int64  sample positions
-    int64  keys: one (exponent, column, bucket, count) row per general cell,
-           or one (exponent, 0, 0, count) row per dense window length
-    uint64 hashes of every key, in key order
-    int64  dense layout only: the start of every hash
+    head   version u8, layout u8 (0 general: the tables; 2 prefix: rate 1;
+           1 is retired and refused), p, x, n, k, l, first and one-past-last
+           shift bucket, sample count, key count and hash count (u64 each,
+           buckets i64)
+    int64  sample positions (general layout)
+    int64  keys: one (exponent, column, bucket, count) row per cell (general)
+    uint64 the hashes of every key, in key order (general), or H (prefix)
+    uint64 prefix layout only: x^0 .. x^n
     u32    zlib.crc32 of everything after the magic
 """
 
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import partial
 
 import numpy as np
 
@@ -70,12 +72,13 @@ from .greedy import check_index_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
                       ViewStack, check_hash_params, draw_sample, sample_rate)
 from .strings import ByteString
+from .two_sided import TwoSidedIndex, full_sample
 
 MAGIC_1S = b"GEDT1S"
 FORMAT_VERSION = 2
 _HEAD = struct.Struct("<BBQQQQQqqQQQ")
 _CRC = struct.Struct("<I")
-_LAYOUT_DENSE = 1
+_LAYOUT_GENERAL, _LAYOUT_RETIRED, _LAYOUT_PREFIX = 0, 1, 2
 
 
 def anchor_positions(n: int, k: int) -> np.ndarray:
@@ -117,41 +120,52 @@ def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
 
 
 class OneSidedIndex:
-    """Sampled window hashes of shifted copies of A, by window length,
-    start column and shift bucket."""
+    """A's prefix hashes at sampling rate 1; below it, sampled window
+    hashes of shifted copies of A, by window length, start column and shift
+    bucket."""
 
     def __init__(self, n: int, k: int, ell: int, buckets: range,
                  cfg: HashConfig, samples: SampleSet,
                  tables: dict | None = None, dense: list | None = None,
                  counters: OpCounters | None = None):
         self.n, self.k, self.ell, self.buckets = n, k, ell, buckets
-        self.cfg = cfg
-        self.samples = samples
-        self.tables = tables  # (e, col, bucket) -> sorted uint64 hash array
-        self.dense = dense  # per e: (hash-sorted hashes, starts) pair
+        self.cfg, self.samples = cfg, samples
+        self.tables = tables  # (e, col, bucket) -> sorted uint64 hashes
+        self.dense = dense  # rate 1: [(H, x-powers)], as perfbench reads it
         self.counters = counters if counters is not None else OpCounters()
         self.num_cols = -(-n // ell)
         self.exponents = max(n, 1).bit_length() - 1
+        self._rows = None  # the prefix as Python lists, made on first use
 
     @classmethod
-    def preprocess(cls, a: ByteString, k: int, cfg: HashConfig,
-                   force_general: bool = False) -> "OneSidedIndex":
+    def preprocess(cls, a: ByteString, k: int,
+                   cfg: HashConfig) -> "OneSidedIndex":
         """The greedy decider's index: column width k, bucket 0 only."""
         check_index_params(k)
-        return cls._build(a, k, k, range(0, 1), cfg, force_general)
+        return cls._build(a, k, k, range(0, 1), cfg)
 
     @classmethod
     def _build(cls, a: ByteString, k: int, ell: int, buckets: range,
-               cfg: HashConfig, force_general: bool) -> "OneSidedIndex":
+               cfg: HashConfig) -> "OneSidedIndex":
         n = len(a)
-        samples = draw_sample(n, ell, cfg.sampling_rng(),
-                              force_anchors=anchor_positions(n, ell))
-        idx = cls(n, k, ell, buckets, cfg, samples)
-        if samples.rate >= 1.0 and not force_general:
-            idx._build_dense(a)
+        if sample_rate(n, ell) >= 1.0:
+            idx = cls(n, k, ell, buckets, cfg, full_sample(n))
+            state = RollingHashState(a, idx.samples, cfg, idx.counters)
+            idx.dense = [(state.prefix, state.xpow)]
         else:
+            idx = cls(n, k, ell, buckets, cfg, draw_sample(
+                n, ell, cfg.sampling_rng(),
+                force_anchors=anchor_positions(n, ell)))
             idx._build_tables(a)
         return idx
+
+    def exact_search(self) -> TwoSidedIndex | None:
+        """At rate 1, A's prefix as a `TwoSidedIndex` that books its work on
+        this index's counters; below rate 1, None."""
+        if self.dense is None:
+            return None
+        self._rows = self._rows or [arr.tolist() for arr in self.dense[0]]
+        return TwoSidedIndex(self.k, self.cfg, *self._rows, self.counters)
 
     def _canonical_starts(self, e: int) -> np.ndarray:
         """Window starts recorded for length 2^e: those that some shift
@@ -217,51 +231,14 @@ class OneSidedIndex:
         dtype = np.int16 if sentinel <= np.iinfo(np.int16).max else np.int32
         return fan[:, :width].astype(dtype)
 
-    def _build_dense(self, a: ByteString) -> None:
-        # rate 1: sampled hashes are plain substring hashes, so store one
-        # (hash, start) array per window length instead of per-shift cells
-        state = RollingHashState(a, self.samples, self.cfg, self.counters)
-        dense = []
-        for e in range(self.exponents + 1):
-            w = 1 << e
-            u = np.arange(1, self.n - w + 2, dtype=np.int64)
-            h = state.retrieve_many(u, u + w - 1)
-            order = np.lexsort((u, h))
-            dense.append((h[order], u[order]))
-        self.dense = dense
-
     def member(self, e: int, col: int, bucket: int, h: int) -> bool:
         self.counters.table_lookups += 1
-        if self.dense is not None:
-            return self._member_dense(e, col, bucket, h)
         cell = self.tables.get((e, col, bucket))
         if cell is None:
             return False
         h = np.uint64(h)
         pos = cell.searchsorted(h)
         return bool(pos < cell.size and cell[pos] == h)
-
-    def _member_dense(self, e: int, col: int, bucket: int, h: int) -> bool:
-        if not (0 <= col < self.num_cols and bucket in self.buckets
-                and e < len(self.dense)):
-            return False
-        hs, us = self.dense[e]
-        h = np.uint64(h)
-        left = hs.searchsorted(h)
-        if left == hs.size or hs[left] != h:
-            return False
-        # starts and shifts filed under this cell span three widths each;
-        # in range, both spans are nonempty, and every stored start is in
-        # [1, n - w + 1], so their sum needs no clamp
-        n, ell, k, w = self.n, self.ell, self.k, 1 << e
-        i_lo, a_lo = (col - 1) * ell, (bucket - 1) * ell
-        i_hi, a_hi = i_lo + 3 * ell - 1, a_lo + 3 * ell - 1
-        u_lo = (i_lo if i_lo > 2 - w else 2 - w) + (a_lo if a_lo > -k else -k)
-        u_hi = (i_hi if i_hi < n + 1 else n + 1) + (a_hi if a_hi < k else k)
-        # the starts of h's run are sorted: the first one at or past u_lo
-        right = hs.searchsorted(h, side="right")
-        pos = left + us[left:right].searchsorted(u_lo)
-        return bool(pos < right and us[pos] <= u_hi)
 
     def hash_b(self, b: ByteString, counters: OpCounters) -> RollingHashState:
         """Hash B over the index's sample set; this is the whole per-query
@@ -273,20 +250,18 @@ class OneSidedIndex:
 
     def save(self, path) -> None:
         """Write the index in format version 2 (module docstring)."""
-        if self.dense is not None:
-            layout = _LAYOUT_DENSE
-            keys = [(e, 0, 0, hs.size) for e, (hs, _) in enumerate(self.dense)]
-            arrays = [hs for hs, _ in self.dense] + [us for _, us in self.dense]
+        if self.dense is not None:  # H and the x-powers, n + 1 of each
+            layout, s, keys = _LAYOUT_PREFIX, np.empty(0, np.int64), []
+            arrays, nh = list(self.dense[0]), self.n + 1
         else:
-            layout = 0
+            layout, s = _LAYOUT_GENERAL, self.samples.indices
             cells = sorted(self.tables.items())
             keys = [(*key, cell.size) for key, cell in cells]
             arrays = [cell for _, cell in cells]
-        s = self.samples.indices
+            nh = sum(key[3] for key in keys)
         head = _HEAD.pack(FORMAT_VERSION, layout, self.cfg.p, self.cfg.x,
                           self.n, self.k, self.ell, self.buckets.start,
-                          self.buckets.stop, s.size, len(keys),
-                          sum(key[3] for key in keys))
+                          self.buckets.stop, s.size, len(keys), nh)
         # one buffer and one write: a write per cell costs more than the copy
         blob = b"".join([MAGIC_1S, head, s, np.asarray(keys, dtype=np.int64),
                          *arrays])
@@ -325,8 +300,10 @@ class OneSidedIndex:
         (_, layout, p, x, n, k, ell, b_start, b_stop, ns, nk,
          nh) = _HEAD.unpack_from(raw, off)
         off += _HEAD.size
-        if layout not in (0, _LAYOUT_DENSE):
-            raise ValueError(f"unknown index layout {layout}")
+        if layout not in (_LAYOUT_GENERAL, _LAYOUT_PREFIX):
+            raise ValueError(f"unknown index layout {layout}" + (
+                ", a retired one: build the index again"
+                if layout == _LAYOUT_RETIRED else ""))
         check_index_params(k, ell)
         check_hash_params(p, x)
         reach = k // ell + 1  # the wave index keeps buckets -reach .. reach
@@ -334,8 +311,11 @@ class OneSidedIndex:
                 and not (ell == k and (b_start, b_stop) == (0, 1))):
             raise ValueError(f"shift buckets [{b_start}, {b_stop}) fit "
                              f"neither index at k = {k}, l = {ell}")
-        dense = layout == _LAYOUT_DENSE
-        need = off + 8 * (ns + 4 * nk + nh * (2 if dense else 1)) + _CRC.size
+        prefix = layout == _LAYOUT_PREFIX
+        if prefix and (ns, nk, nh) != (0, 0, n + 1):
+            raise ValueError(f"a prefix layout holds n + 1 = {n + 1} hashes "
+                             f"and no samples or keys")
+        need = off + 8 * (ns + 4 * nk + nh * (2 if prefix else 1)) + _CRC.size
         if size < need:
             raise short(f"{ns} samples, {nk} keys and {nh} hashes", need)
         if size > need:
@@ -353,19 +333,14 @@ class OneSidedIndex:
         s = view("<i8", ns)
         keys = view("<i8", 4 * nk).reshape(nk, 4).tolist()
         hashes = view("<u8", nh)
+        params = (n, k, ell, range(b_start, b_stop), HashConfig(x=x, p=p))
+        if prefix:
+            return cls(*params, full_sample(n),
+                       dense=[(hashes, view("<u8", nh))])
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
-        spans = list(zip([0, *ends], ends))
-        tables = dense_arrays = None
-        if dense:
-            starts = view("<i8", nh)
-            dense_arrays = [(hashes[lo:hi], starts[lo:hi]) for lo, hi in spans]
-        else:
-            tables = {(e, c, b): hashes[lo:hi]
-                      for (e, c, b, _), (lo, hi) in zip(keys, spans)}
-        samples = SampleSet(s, n, sample_rate(n, ell))
-        return cls(n, k, ell, range(b_start, b_stop),
-                   HashConfig(x=x, p=p), samples, tables=tables,
-                   dense=dense_arrays)
+        tables = {(e, c, b): hashes[lo:hi]
+                  for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
+        return cls(*params, SampleSet(s, n, sample_rate(n, ell)), tables=tables)
 
 
 class OneSidedWaveIndex(OneSidedIndex):
@@ -376,11 +351,11 @@ class OneSidedWaveIndex(OneSidedIndex):
     member = OneSidedIndex.member
 
     @classmethod
-    def preprocess(cls, a: ByteString, k: int, ell: int, cfg: HashConfig,
-                   force_general: bool = False) -> "OneSidedWaveIndex":
+    def preprocess(cls, a: ByteString, k: int, ell: int,
+                   cfg: HashConfig) -> "OneSidedWaveIndex":
         check_index_params(k, ell)
         return cls._build(a, k, ell, range(-(k // ell) - 1, k // ell + 2),
-                          cfg, force_general)
+                          cfg)
 
 
 def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
@@ -409,8 +384,10 @@ def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
 
 
 class IndexedShiftOracle:
-    """Wave shift-alignment oracle over an A-index: `max_shift_align` at
-    the asked (i_a, i_b), for the index's l."""
+    """Wave shift-alignment oracle over an A-index, for the index's l: at
+    rate 1 the exact search over A's prefix, with hints (module docstring);
+    below rate 1 `max_shift_align` at the asked (i_a, i_b), with no hint.
+    The search is chosen once, here, so a call pays for no test."""
 
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
@@ -419,10 +396,20 @@ class IndexedShiftOracle:
         self.counters = counters if counters is not None else OpCounters()
         self.b_state = index.hash_b(b, self.counters)
         self.last_hint = None
+        self.exact = index.exact_search()
+        if self.exact is None:
+            self._search = partial(max_shift_align, index, self.b_state)
+        else:
+            self.b_rows = self.b_state.prefix.tolist()
+            self._search = self._align
+
+    def _align(self, i_a: int, i_b: int) -> int:
+        d, self.last_hint = self.exact.align(self.b_rows, i_a, i_b, self.ell)
+        return d
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        return max_shift_align(self.index, self.b_state, i_a, i_b)
+        return self._search(i_a, i_b)
 
 
 class OneSidedOracle(IndexedShiftOracle):
@@ -434,4 +421,4 @@ class OneSidedOracle(IndexedShiftOracle):
 
     def __call__(self, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        return max_shift_align(self.index, self.b_state, i_b, i_b)
+        return self._search(i_b, i_b)

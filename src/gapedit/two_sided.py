@@ -28,8 +28,9 @@ no call per probe.
 The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k: the wave asks at (i_a, i_b) for the shifts delta + c,
 delta = i_a - i_b, |c| <= l, |delta + c| <= k; greedy is l = k, i_a = i_b.
-The noprep oracles run the same search at sampling rate 1, over an index
-of A and B's prefix built per pair.
+At sampling rate 1 the noprep oracles run the same search over an index
+of A and B's prefix built per pair, and the one-sided oracles over the
+prefix of A their index keeps.
 """
 
 from __future__ import annotations

@@ -16,18 +16,18 @@ The pair is declared within distance k when h[k][0] reaches past n.
 `align(i_a, i_b)` approximates the longest d with B[i_b .. i_b+d-1] equal
 to A[i_a+c .. i_a+c+d-1] for some |c| <= l, under the promise
 |i_a - i_b| <= k. Three interchangeable backends are provided: a per-pair
-oracle (no preprocessing), an indexed one over the sampled wave A-index
-(A preprocessed for one l), and the greedy decider's exact two-sided
-oracle asked for each call's shift window
-(`two_sided.TwoSidedShiftOracle`: one index of A serves every l, and B is
-hashed once per decision). At sampling rate 1 (l <= 4 ln n, nearly every
-wave run) the per-pair oracle folds A and B once and runs the two-sided
-oracle's exact search, so its tables equal `exact` mode's up to hash
-collisions. Below rate 1 it is a birthday split of shifts: it finds its d
-by galloping up from the floor 2l and then bisecting, scanning only the
-views at or after the last hit's, and it builds only the A views its
-calls can scan. The greedy decider's noprep oracle is the same class at
-l = k with i_a = i_b (`no_prep.NoPrepOracle`).
+oracle (no preprocessing), an indexed one over the wave A-index (A
+preprocessed for one l), and the greedy decider's exact two-sided oracle
+asked for each call's shift window (`two_sided.TwoSidedShiftOracle`: one
+index of A serves every l, and B is hashed once per decision). At
+sampling rate 1 (l <= 4 ln n, nearly every wave run) the first two run
+that exact search too, over A's and B's prefixes, so their tables equal
+`exact` mode's up to hash collisions. Below rate 1 the per-pair oracle is
+a birthday split of shifts: it finds its d by galloping up from the floor
+2l and then bisecting, scanning only the views at or after the last hit's,
+and it builds only the A views its calls can scan. The greedy decider's
+noprep oracle is the same class at l = k with i_a = i_b
+(`no_prep.NoPrepOracle`).
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
     """Decide the k versus 10 k l gap. Returns (verdict, query counters).
 
     Modes: "noprep" builds hashes per pair; "onesided" preprocesses A into
-    the sampled wave index for this l; "twosided" preprocesses A into the
+    the wave index for this l; "twosided" preprocesses A into the
     exact `TwoSidedIndex` and asks it for each call's shift window; "exact"
     uses the brute-force referee oracle. The indexed modes hash B once, on
     the query counters, as `gap_match` does. The seed picks the hash draw.

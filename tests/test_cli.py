@@ -195,9 +195,15 @@ class TestBadParameters:
         (["--ns", "128", "--ks", "4", "0"], "k must be at least 1"),
         (["--ns", "0", "--ks", "4"], "n must be at least 1"),
         (["--ns", "64", "8", "--ks", "4", "10"], "k = 10 exceeds n = 8"),
+        (["--ns", "64", "--ks", "4", "--trials", "-1"],
+         "trials must be at least 1, got -1"),
+        (["--ns", "64", "--ks", "4", "--trials", "0"],
+         "trials must be at least 1, got 0"),
+        (["--ns", "64", "--ks", "4", "--sigma", "0"],
+         "sigma must be at least 1, got 0"),
     ])
     def test_bench_bad_grid(self, capsys, opts, msg):
-        code = main(["bench", *opts, "--trials", "1", "--seed", "1"])
+        code = main(["bench", "--trials", "1", *opts, "--seed", "1"])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.strip() == f"gapedit bench: error: {msg}"
@@ -239,6 +245,8 @@ class TestBadParameters:
           "large", "--threshold", "30"],
          "periodic pairs carry no certified distance, got --periodic 3 "
          "--label large"),
+        (["--n", "64", "--label", "large", "--threshold", "-5"],
+         "threshold must be at least 0, got -5"),
     ])
     def test_gen_bad_request_writes_nothing(self, tmp_path, capsys, opts, msg):
         code = main(["gen", *opts, "--seed", "1", "--out",

@@ -6,9 +6,12 @@ carries every cell of the general layout, so any change to which hashes
 the builder files, under which (exponent, column, bucket) key, shows up
 here as a diff, as does any change to the work a build does.
 
-The grid covers both index classes, a build forced into the general layout
-at a size where the sampling rate is 1, n not a multiple of l, and k not a
-multiple of l.
+The grid covers both index classes, n not a multiple of l, and k not a
+multiple of l. The general layout is built exactly when the sampling rate
+is below 1, so every build is. Two builds forced into the general layout at
+rate 1 were dropped when that option went; each remaining record still
+ends its build with the option's value, false, so the records are the
+ones recorded before.
 
 Regenerate (only when a change is meant to alter the built index):
 
@@ -27,24 +30,22 @@ from gapedit.one_sided import OneSidedIndex, OneSidedWaveIndex
 
 GOLDEN = Path(__file__).parent / "data" / "index_cells_golden.json"
 
-# (class, n, sigma, k, ell, string seed, hash seed, force_general); the
-# greedy index has ell = k
+# (class, n, sigma, k, ell, string seed, hash seed); the greedy index has
+# ell = k
 BUILDS = [
-    ("greedy", 256, 4, 24, 24, 1, 11, False),
-    ("greedy", 300, 16, 20, 20, 2, 12, True),   # rate 1, forced
-    ("greedy", 777, 8, 50, 50, 3, 13, False),   # n % k != 0
-    ("wave", 512, 16, 64, 32, 4, 14, False),
-    ("wave", 300, 8, 50, 24, 5, 15, False),     # n % l != 0, k % l != 0
-    ("wave", 200, 4, 9, 3, 6, 16, True),        # rate 1, forced
+    ("greedy", 256, 4, 24, 24, 1, 11),
+    ("greedy", 777, 8, 50, 50, 3, 13),   # n % k != 0
+    ("wave", 512, 16, 64, 32, 4, 14),
+    ("wave", 300, 8, 50, 24, 5, 15),     # n % l != 0, k % l != 0
 ]
 
 
-def build(kind, n, sigma, k, ell, sseed, hseed, force):
+def build(kind, n, sigma, k, ell, sseed, hseed):
     a = gen_planted(n, sigma, 0, seed=sseed).a
     cfg = HashConfig.from_seed(hseed)
     if kind == "greedy":
-        return OneSidedIndex.preprocess(a, k, cfg, force_general=force)
-    return OneSidedWaveIndex.preprocess(a, k, ell, cfg, force_general=force)
+        return OneSidedIndex.preprocess(a, k, cfg)
+    return OneSidedWaveIndex.preprocess(a, k, ell, cfg)
 
 
 def record(spec, workdir: Path) -> dict:
@@ -52,7 +53,7 @@ def record(spec, workdir: Path) -> dict:
     path = workdir / "index.bin"
     index.save(path)
     raw = path.read_bytes()
-    return {"build": list(spec),
+    return {"build": [*spec, False],
             "hashes": int(sum(c.size for c in index.tables.values())),
             "sha256": hashlib.sha256(raw).hexdigest(),
             "counters": asdict(index.counters)}
@@ -65,9 +66,7 @@ def compute_grid(workdir: Path) -> list:
 def test_grid_covers_the_corner_cases():
     kinds = {spec[0] for spec in BUILDS}
     assert kinds == {"greedy", "wave"}
-    forced = [spec for spec in BUILDS if spec[7]]
-    assert forced and all(sample_rate(spec[1], spec[4]) >= 1.0
-                          for spec in forced)
+    assert all(sample_rate(spec[1], spec[4]) < 1.0 for spec in BUILDS)
     waves = [spec for spec in BUILDS if spec[0] == "wave"]
     assert any(spec[1] % spec[4] for spec in waves)
     assert any(spec[3] % spec[4] for spec in waves)

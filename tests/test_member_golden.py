@@ -1,13 +1,15 @@
 """Recorded `member` answers of the one-sided A-indexes on a fixed-seed grid.
 
+`member` is the probe of the general layout, the one built below sampling
+rate 1, so every build below is at a rate below 1.
+
 `tests/data/member_golden.json` holds, for every build below, the answer of
 each probe (a string of 0s and 1s, in probe order) and the `table_lookups`
 each probe added, together with the sha256 of the probe list, so a change
 to how `member` searches a cell shows up here as a diff while the probes
 stay fixed.
 
-Each index is built twice, in the dense layout and forced into the general
-one, and both classes are covered. The probes are:
+Both index classes are covered. The probes are:
 
 - hits from B: the hash of a B window, at its column and a promised shift
   bucket, the way `max_shift_align` probes;
@@ -16,6 +18,10 @@ one, and both classes are covered. The probes are:
 - misses: random values below p at random in-range cells;
 - edge cases: A hashes at columns and buckets just outside the kept range,
   and at exponents past the last window length.
+
+The grid held rate-1 builds until the rate-1 index became A's prefix
+hashes; it was then recorded at these specs with this generator on the
+code from before that change, and the changed code answers it unchanged.
 
 Regenerate (only when a change is meant to alter membership):
 
@@ -35,31 +41,30 @@ from gapedit.one_sided import OneSidedIndex, OneSidedWaveIndex
 
 GOLDEN = Path(__file__).parent / "data" / "member_golden.json"
 
-# (class, n, sigma, k, ell, edits in B, seed); the greedy index has ell = k.
-# Every spec is built in both layouts, so its sampling rate must be 1.
+# (class, n, sigma, k, ell, edits in B, seed); the greedy index has ell = k,
+# and every sampling rate is below 1 (ell > 4 ln n)
 SPECS = [
-    ("greedy", 256, 4, 16, 16, 6, 1),
-    ("greedy", 203, 8, 13, 13, 4, 2),   # n % k != 0
-    ("wave", 256, 4, 24, 8, 8, 3),      # the benchmark's indexed size
-    ("wave", 203, 8, 10, 3, 5, 4),      # n % l != 0, k % l != 0
+    ("greedy", 256, 4, 24, 24, 6, 1),   # the benchmark's indexed size
+    ("greedy", 203, 8, 26, 26, 4, 2),   # n % k != 0
+    ("wave", 300, 4, 48, 24, 8, 3),
+    ("wave", 203, 8, 50, 23, 5, 4),     # n % l != 0, k % l != 0
 ]
 
 PROBES_PER_KIND = 150
 
 
-def build(kind, n, sigma, k, ell, edits, seed, force):
+def build(kind, n, sigma, k, ell, edits, seed):
     inst = gen_planted(n, sigma, edits, seed=seed)
     cfg = HashConfig.from_seed(100 + seed)
     if kind == "greedy":
-        index = OneSidedIndex.preprocess(inst.a, k, cfg, force_general=force)
+        index = OneSidedIndex.preprocess(inst.a, k, cfg)
     else:
-        index = OneSidedWaveIndex.preprocess(inst.a, k, ell, cfg,
-                                             force_general=force)
+        index = OneSidedWaveIndex.preprocess(inst.a, k, ell, cfg)
     return inst, index
 
 
 def probes(inst, index, seed) -> list:
-    """(e, col, bucket, h) tuples; the same list for both layouts."""
+    """(e, col, bucket, h) tuples."""
     rng = np.random.default_rng(seed)
     n, k, ell = index.n, index.k, index.ell
     b_state = RollingHashState(inst.b, index.samples, index.cfg)
@@ -118,32 +123,28 @@ def probes(inst, index, seed) -> list:
     return out
 
 
-def record(spec) -> list:
-    rows = []
-    for force in (False, True):
-        inst, index = build(*spec, force)
-        ps = probes(inst, index, spec[-1])
-        answers, lookups = [], []
-        for p in ps:
-            before = index.counters.table_lookups
-            answers.append("1" if index.member(*p) else "0")
-            lookups.append(str(index.counters.table_lookups - before))
-        rows.append({"spec": list(spec), "layout": ("general" if force
-                                                    else "dense"),
-                     "probes_sha256": hashlib.sha256(
-                         json.dumps(ps).encode()).hexdigest(),
-                     "answers": "".join(answers),
-                     "lookups": "".join(lookups)})
-    return rows
+def record(spec) -> dict:
+    inst, index = build(*spec)
+    assert index.tables is not None
+    ps = probes(inst, index, spec[-1])
+    answers, lookups = [], []
+    for p in ps:
+        before = index.counters.table_lookups
+        answers.append("1" if index.member(*p) else "0")
+        lookups.append(str(index.counters.table_lookups - before))
+    return {"spec": list(spec), "layout": "general",
+            "probes_sha256": hashlib.sha256(
+                json.dumps(ps).encode()).hexdigest(),
+            "answers": "".join(answers), "lookups": "".join(lookups)}
 
 
 def compute_grid() -> list:
-    return [row for spec in SPECS for row in record(spec)]
+    return [record(spec) for spec in SPECS]
 
 
 def test_grid_covers_the_corner_cases():
     assert {spec[0] for spec in SPECS} == {"greedy", "wave"}
-    assert all(sample_rate(spec[1], spec[4]) >= 1.0 for spec in SPECS)
+    assert all(sample_rate(spec[1], spec[4]) < 1.0 for spec in SPECS)
     assert any(spec[1] % spec[4] for spec in SPECS if spec[0] == "greedy")
     waves = [spec for spec in SPECS if spec[0] == "wave"]
     assert any(spec[1] % spec[4] for spec in waves)
@@ -159,12 +160,11 @@ def test_member_matches_recorded_grid():
 
 
 def test_recorded_grid_is_not_trivial():
-    # both layouts answer alike, with hits and misses, one lookup a probe
+    # hits and misses, one lookup a probe
     want = json.loads(GOLDEN.read_text())
-    for dense, general in zip(want[::2], want[1::2]):
-        assert dense["answers"] == general["answers"]
-        assert dense["probes_sha256"] == general["probes_sha256"]
-        blocks = [dense["answers"][t:t + PROBES_PER_KIND]
+    assert len(want) == len(SPECS)
+    for row in want:
+        blocks = [row["answers"][t:t + PROBES_PER_KIND]
                   for t in range(0, 4 * PROBES_PER_KIND, PROBES_PER_KIND)]
         assert 0 < blocks[0].count("1") < PROBES_PER_KIND  # B hits, misses
         assert set(blocks[1]) == {"1"}  # every A hash is filed

@@ -26,7 +26,11 @@ during preprocessing) to the exact `TwoSidedIndex`: their rows now equal
 exact mode's, and their counters include B's hashing; no other record
 moved. The `hints` of its greedy twosided records were recorded again
 when the two-sided oracles began to report a matching shift (they were
-null); nothing else moved.
+null); nothing else moved. Its rate-1 onesided records (k, or l for the
+wave, at most 4 ln n) were recorded again when the rate-1 one-sided index
+became A's prefix hashes, asked through the two-sided index's exact shift
+search: their verdicts, traces, hints, rows and counters now equal the
+twosided records', and the rate < 1 records did not move.
 
 Regenerate (only when a change is meant to alter these results):
 
@@ -139,6 +143,21 @@ def test_twosided_wave_records_equal_exact():
 def _rate_one(cell, key):
     n, k = cell[0], cell[2]
     return (cell[3] if key == "wave" else k) <= 4 * math.log(n)
+
+
+def test_onesided_rate_one_records_equal_twosided():
+    want = json.loads(INDEXED_GOLDEN.read_text())
+    checked = 0
+    for key in ("greedy", "wave"):
+        by_mode = {mode: [r for r in want[key] if r["mode"] == mode]
+                   for mode in INDEXED_MODES}
+        assert len(by_mode["onesided"]) == len(by_mode["twosided"])
+        for one, two in zip(by_mode["onesided"], by_mode["twosided"]):
+            assert one["cell"] == two["cell"]
+            if _rate_one(one["cell"], key):
+                checked += 1
+                assert ({**one, "mode": "twosided"} == two), one["cell"]
+    assert checked == 10
 
 
 def test_noprep_rate_one_records_equal_exact():

@@ -1,11 +1,14 @@
+import math
 import struct
 import zlib
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapedit import GapVerdict, gap_match
-from gapedit.hashing import HashConfig
+from gapedit import GapVerdict, GreedyTrace, WaveTable, gap_match, gap_wave
+from gapedit.hashing import HashConfig, sample_rate
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
                                OneSidedIndex, OneSidedOracle,
@@ -13,23 +16,31 @@ from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
 
 CFG = HashConfig.from_seed(77)
+DATA = Path(__file__).parent / "data"
 
 # magic (6 bytes), then version, layout and ten 8-byte fields
 HEAD_END = 88
 
 
-def both_indexes(a, force_general):
-    """The greedy decider's and the wave decider's index of one A."""
-    return [OneSidedIndex.preprocess(a, 4, CFG, force_general=force_general),
-            OneSidedWaveIndex.preprocess(a, 6, 3, CFG,
-                                         force_general=force_general)]
+def both_indexes(a, rate_one):
+    """The greedy decider's and the wave decider's index of one A of
+    length 40 to 150: at sampling rate 1 (the prefix layout), or below it
+    (the general layout)."""
+    if rate_one:
+        out = [OneSidedIndex.preprocess(a, 4, CFG),
+               OneSidedWaveIndex.preprocess(a, 6, 3, CFG)]
+    else:
+        out = [OneSidedIndex.preprocess(a, 24, CFG),
+               OneSidedWaveIndex.preprocess(a, 30, 24, CFG)]
+    assert all((idx.dense is not None) == rate_one for idx in out)
+    return out
 
 
 def answers(index, b):
-    """Shift-oracle answers at every i_b, for offsets 0 and +-l."""
+    """Shift-oracle answers and hints at every i_b, for offsets 0 and +-l."""
     orc = IndexedShiftOracle(index, b)
     n, ell = index.n, index.ell
-    return [orc(i_b + d, i_b) for i_b in range(1, n + 1)
+    return [(orc(i_b + d, i_b), orc.last_hint) for i_b in range(1, n + 1)
             for d in (-ell, 0, ell) if 1 <= i_b + d <= n]
 
 
@@ -39,8 +50,8 @@ def saved_files(tmp_path_factory):
     inst = gen_planted(40, 4, 1, seed=11)
     path = tmp_path_factory.mktemp("saved") / "a.gedt1s"
     out = []
-    for force_general in (False, True):
-        for idx in both_indexes(inst.a, force_general):
+    for rate_one in (True, False):
+        for idx in both_indexes(inst.a, rate_one):
             idx.save(path)
             out.append(path.read_bytes())
     return out
@@ -57,15 +68,24 @@ class TestIndexStructure:
         for pos in anchor_positions(300, 7):
             assert pos in idx.samples.indices
 
-    def test_dense_strategy_when_rate_saturates(self):
+    def test_prefix_layout_at_rate_one(self):
+        # A's prefix hashes over every position, as the two-sided index
+        # keeps them, and nothing else
         inst = gen_planted(200, 4, 0, seed=1)
-        idx = OneSidedIndex.preprocess(inst.a, 4, CFG)
-        assert idx.dense is not None and idx.tables is None
+        for idx in (OneSidedIndex.preprocess(inst.a, 4, CFG),
+                    OneSidedWaveIndex.preprocess(inst.a, 21, 21, CFG)):
+            assert idx.tables is None and len(idx.dense) == 1
+            (h, xpow), = idx.dense
+            two = TwoSidedIndex.preprocess(inst.a, idx.k, CFG)
+            assert h.tolist() == two.prefix and xpow.tolist() == two.xpow
+            assert idx.counters.init_steps == 200
 
-    def test_general_strategy_when_forced(self):
+    def test_general_layout_below_rate_one(self):
         inst = gen_planted(200, 4, 0, seed=2)
-        idx = OneSidedIndex.preprocess(inst.a, 4, CFG, force_general=True)
-        assert idx.tables is not None and idx.dense is None
+        assert sample_rate(200, 22) < 1 <= sample_rate(200, 21)
+        for idx in (OneSidedIndex.preprocess(inst.a, 22, CFG),
+                    OneSidedWaveIndex.preprocess(inst.a, 30, 22, CFG)):
+            assert idx.tables is not None and idx.dense is None
 
 
 class TestBadIndexParameters:
@@ -84,18 +104,45 @@ class TestBadIndexParameters:
             OneSidedWaveIndex.preprocess(self.A, 4, 8, CFG)
 
 
-class TestStrategyEquivalence:
-    def test_dense_equals_general(self):
+class TestRateOne:
+    def test_rate_one_equals_twosided(self):
         for t in range(4):
             n, k = 180, 5
             inst = gen_planted(n, 4, 3, seed=t)
-            dense = OneSidedIndex.preprocess(inst.a, k, CFG)
-            gen = OneSidedIndex.preprocess(inst.a, k, CFG,
-                                           force_general=True)
-            od = OneSidedOracle(dense, inst.b)
-            og = OneSidedOracle(gen, inst.b)
+            one = OneSidedOracle(OneSidedIndex.preprocess(inst.a, k, CFG),
+                                 inst.b)
+            two = TwoSidedOracle(TwoSidedIndex.preprocess(inst.a, k, CFG),
+                                 inst.b)
             for i_b in range(1, n + 1):
-                assert od(i_b) == og(i_b)
+                assert (one(i_b), one.last_hint) == (two(i_b), two.last_hint)
+            assert one.counters == two.counters
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 160),
+           sigma=st.sampled_from([2, 4]), greedy=st.booleans(),
+           data=st.data())
+    def test_rate_one_decisions_equal_twosided(self, seed, n, sigma, greedy,
+                                               data):
+        """Both deciders in onesided mode at rate 1 give twosided's verdict,
+        greedy trace or wave rows, and counters."""
+        rate_one_l = int(4 * math.log(n)) if n > 1 else 20
+        ell = data.draw(st.integers(1, max(1, min(rate_one_l, 12))))
+        k = ell if greedy else data.draw(st.integers(ell, 2 * ell))
+        inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
+                           seed=seed)
+        got = {}
+        for mode in ("onesided", "twosided"):
+            if greedy:
+                trace = GreedyTrace()
+                verdict, ctr = gap_match(inst.a, inst.b, k, mode, seed,
+                                         trace=trace)
+                got[mode] = (verdict, ctr, trace)
+            else:
+                table = WaveTable()
+                verdict, ctr = gap_wave(inst.a, inst.b, k, ell, mode, seed,
+                                        table=table)
+                got[mode] = (verdict, ctr, table.rows)
+        assert got["onesided"] == got["twosided"]
 
 
 class TestQuery:
@@ -119,10 +166,11 @@ class TestQuery:
                 oracle(index, b)
 
     def test_retrieval_budget_per_call(self):
+        # below rate 1 a call probes one window per power of two
         inst = gen_planted(300, 4, 4, seed=4)
-        idx = OneSidedIndex.preprocess(inst.a, 8, CFG)
+        idx = OneSidedIndex.preprocess(inst.a, 24, CFG)
+        assert idx.tables is not None
         orc = OneSidedOracle(idx, inst.b)
-        import math
         budget = math.ceil(math.log2(300)) + 1
         for i_b in range(1, 301, 7):
             before = orc.counters.retrievals
@@ -163,7 +211,7 @@ class TestSerialization:
     def test_general_roundtrip(self, tmp_path):
         inst = gen_planted(150, 4, 2, seed=5)
         path = tmp_path / "a.gedt1s"
-        for idx in both_indexes(inst.a, force_general=True):
+        for idx in both_indexes(inst.a, rate_one=False):
             idx.save(path)
             idx2 = type(idx).load(path)
             assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
@@ -176,17 +224,38 @@ class TestSerialization:
             assert not any(c.flags.owndata for c in idx2.tables.values())
             assert answers(idx2, inst.b) == answers(idx, inst.b)
 
-    def test_dense_roundtrip(self, tmp_path):
+    def test_prefix_roundtrip(self, tmp_path):
         inst = gen_planted(150, 4, 2, seed=6)
         path = tmp_path / "a.gedt1s"
-        for idx in both_indexes(inst.a, force_general=False):
-            assert idx.dense is not None
+        for idx in both_indexes(inst.a, rate_one=True):
             idx.save(path)
             idx2 = type(idx).load(path)
-            assert idx2.tables is None and len(idx2.dense) == len(idx.dense)
-            for (h2, u2), (h, u) in zip(idx2.dense, idx.dense):
-                assert list(h2) == list(h) and list(u2) == list(u)
+            assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
+                idx.n, idx.k, idx.ell, idx.buckets)
+            assert (idx2.cfg.x, idx2.cfg.p) == (CFG.x, CFG.p)
+            assert idx2.tables is None and len(idx2.dense) == 1
+            (h2, xpow2), = idx2.dense
+            (h, xpow), = idx.dense
+            assert h2.tolist() == h.tolist() and xpow2.tolist() == xpow.tolist()
+            # the arrays are views of the file's bytes
+            assert not h2.flags.owndata and not xpow2.flags.owndata
+            # H and the x-powers, n + 1 of each; no samples and no keys
+            assert path.stat().st_size == HEAD_END + 16 * 151 + 4
             assert answers(idx2, inst.b) == answers(idx, inst.b)
+
+    def test_files_of_format_version_2(self):
+        # saved before the rate-1 layout changed: a general-layout index of
+        # A = gen_planted(16, 4, 0, seed=3).a at k = 12 still loads, and a
+        # file of the retired rate-1 layout (k = 4) is refused
+        a = gen_planted(16, 4, 0, seed=3).a
+        old = OneSidedIndex.load(DATA / "general_layout_v2.gedt1s")
+        new = OneSidedIndex.preprocess(a, 12, CFG)
+        assert old.tables.keys() == new.tables.keys()
+        assert all(np.array_equal(old.tables[key], cell)
+                   for key, cell in new.tables.items())
+        with pytest.raises(ValueError, match="^unknown index layout 1, a "
+                                             "retired one"):
+            OneSidedIndex.load(DATA / "retired_layout_v2.gedt1s")
 
     def test_corrupt_rejected(self, tmp_path):
         inst = gen_planted(100, 4, 1, seed=7)
@@ -214,7 +283,8 @@ class TestSerialization:
     # header fields after the magic: version, layout, p, x, n, k, l, first
     # and one-past-last shift bucket, sample, key and hash counts
     @pytest.mark.parametrize("field,change,match", [
-        (1, lambda h: 2, "unknown index layout 2"),
+        (1, lambda h: 3, "unknown index layout 3"),
+        (1, lambda h: 1, "unknown index layout 1, a retired one"),
         (1, lambda h: 255, "unknown index layout 255"),
         (5, lambda h: 0, "k must be at least 1"),
         (6, lambda h: 0, "need 1 <= l <= k"),
@@ -244,17 +314,46 @@ class TestSerialization:
                 else:  # the checksum alone would let it load
                     assert OneSidedIndex.load(path).k == head[5]
 
+    @pytest.mark.parametrize("field,change", [
+        (4, lambda h: h[4] + 1), (9, lambda h: 1), (10, lambda h: 1)])
+    def test_prefix_header_counts_checked(self, saved_files, tmp_path,
+                                          field, change):
+        # n, and the sample and key counts, which the prefix layout holds
+        # none of, under a good checksum
+        raw = saved_files[0]
+        head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
+        assert head[1] == 2  # the greedy index at rate 1
+        head[field] = change(head)
+        body = bytearray(raw[:-4])
+        _HEAD.pack_into(body, len(MAGIC_1S), *head)
+        crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
+        path = tmp_path / "edited.gedt1s"
+        path.write_bytes(bytes(body) + struct.pack("<I", crc))
+        with pytest.raises(ValueError, match="prefix layout holds n \\+ 1"):
+            OneSidedIndex.load(path)
+
     def test_truncated_or_overlong_file_rejected(self, tmp_path):
         inst = gen_planted(12, 4, 1, seed=8)
-        idx = OneSidedIndex.preprocess(inst.a, 3, CFG, force_general=True)
         path = tmp_path / "a.gedt1s"
-        idx.save(path)
-        raw = path.read_bytes()
+        # k = 10: the general layout (rate 0.99); k = 3: the prefix layout
+        for k in (10, 3):
+            idx = OneSidedIndex.preprocess(inst.a, k, CFG)
+            idx.save(path)
+            raw = path.read_bytes()
+            self._check_cuts(path, raw, idx)
+
+    @staticmethod
+    def _check_cuts(path, raw, idx):
         # the header ends with the sample, key and hash counts; then come
-        # the samples, (e, col, bucket, count) keys, hashes and the checksum
+        # the samples, (e, col, bucket, count) keys, hashes, in the prefix
+        # layout the x-powers, and the checksum
         ns, nk, nh = struct.unpack_from("<QQQ", raw, HEAD_END - 24)
-        assert len(raw) == HEAD_END + 8 * (ns + 4 * nk + nh) + 4
-        assert nk == len(idx.tables) > 1
+        if idx.tables is not None:
+            assert len(raw) == HEAD_END + 8 * (ns + 4 * nk + nh) + 4
+            assert nk == len(idx.tables) > 1
+        else:
+            assert (ns, nk, nh) == (0, 0, 13)
+            assert len(raw) == HEAD_END + 16 * nh + 4
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match=rf"^truncated index file: "
@@ -270,4 +369,4 @@ class TestSerialization:
                                              f"expected {len(raw)}"):
             OneSidedIndex.load(path)
         path.write_bytes(raw)
-        assert OneSidedIndex.load(path).tables.keys() == idx.tables.keys()
+        assert OneSidedIndex.load(path).n == 12

@@ -5,9 +5,10 @@
 helper breaks the benchmark's trace passes. `perfbench/families.py` calls
 the program through attribute chains rooted at the package (`G.gap_match`,
 `G.one_sided.OneSidedOracle`, ...), so one that moves or is renamed breaks
-every benchmark round. These tests load the tracer from its file and parse
-the families' source, and check both against the program; they change
-nothing under `perfbench/`.
+every benchmark round. The tracer also counts an index's entries from its
+`tables` or, when that is None, its `dense` attribute. These tests load
+the tracer from its file and parse the families' source, and check both
+against the program; they change nothing under `perfbench/`.
 """
 
 import ast
@@ -15,18 +16,24 @@ import importlib.util
 from pathlib import Path
 
 import gapedit
+from gapedit.hashing import HashConfig, sample_rate
+from gapedit.instances import gen_planted
 
 PERFBENCH = Path(__file__).parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 FAMILIES = PERFBENCH / "families.py"
 
 
-def _wrap_points():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing._wrap_points(gapedit)
+    return tracing
+
+
+def _wrap_points():
+    return _tracing()._wrap_points(gapedit)
 
 
 def test_every_wrapped_attribute_is_the_owners_own():
@@ -35,6 +42,18 @@ def test_every_wrapped_attribute_is_the_owners_own():
     missing = [f"{owner.__name__}.{attr}"
                for owner, attr, _, _ in points if attr not in vars(owner)]
     assert missing == []
+
+
+def test_the_tracer_counts_the_entries_of_every_index():
+    entries = _tracing()._entries
+    a = gen_planted(256, 4, 0, seed=1).a
+    cfg = HashConfig.from_seed(2)
+    assert sample_rate(256, 24) < 1 <= sample_rate(256, 8)
+    greedy = gapedit.OneSidedIndex.preprocess(a, 24, cfg)
+    wave_below = gapedit.OneSidedWaveIndex.preprocess(a, 48, 24, cfg)
+    wave_at_one = gapedit.OneSidedWaveIndex.preprocess(a, 24, 8, cfg)
+    assert entries(greedy) > 0 and entries(wave_below) > 0
+    assert entries(wave_at_one) == 257  # A's prefix hashes H[0 .. n]
 
 
 def _package_chains(source: str) -> set[tuple[str, ...]]:

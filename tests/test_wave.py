@@ -9,6 +9,7 @@ from gapedit.greedy import GapVerdict, GreedyTrace
 from gapedit.hashing import HashConfig, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
+from gapedit.one_sided import OneSidedIndex, OneSidedOracle
 from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
 from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle,
@@ -198,19 +199,27 @@ class TestNoPrepShiftOracle:
 
 
 class TestOneSidedWaveIndex:
-    def test_dense_equals_general(self):
+    def test_rate_one_equals_twosided(self):
         for t in range(3):
             n, k, ell = 160, 9, 3
             inst = gen_planted(n, 4, 4, seed=t)
-            dense = OneSidedWaveIndex.preprocess(inst.a, k, ell, CFG)
-            gen = OneSidedWaveIndex.preprocess(inst.a, k, ell, CFG,
-                                               force_general=True)
-            assert dense.dense is not None and gen.tables is not None
-            od = IndexedShiftOracle(dense, inst.b)
-            og = IndexedShiftOracle(gen, inst.b)
+            index = OneSidedWaveIndex.preprocess(inst.a, k, ell, CFG)
+            assert index.dense is not None
+            one = IndexedShiftOracle(index, inst.b)
+            two = TwoSidedShiftOracle(TwoSidedIndex.preprocess(inst.a, k, CFG),
+                                      inst.b, ell)
             for i_b in range(1, n + 1, 2):
                 for i_a in (max(1, i_b - 3), i_b, min(n, i_b + 3)):
-                    assert od(i_a, i_b) == og(i_a, i_b)
+                    assert ((one(i_a, i_b), one.last_hint)
+                            == (two(i_a, i_b), two.last_hint))
+            assert one.counters == two.counters
+
+    def test_no_hint_below_rate_one(self):
+        inst = gen_planted(200, 4, 4, seed=5)
+        orc = IndexedShiftOracle(
+            OneSidedWaveIndex.preprocess(inst.a, 30, 24, CFG), inst.b)
+        assert orc.exact is None
+        assert orc(1, 1) > 0 and orc.last_hint is None
 
     def test_identical_strings_reach_end(self):
         inst = gen_planted(256, 4, 0, seed=3)
@@ -230,14 +239,14 @@ def rate_one_cell(data) -> tuple[int, int, int]:
 
 
 class TestExactHints:
-    @pytest.mark.parametrize("mode", ["noprep", "twosided"])
+    @pytest.mark.parametrize("mode", ["noprep", "onesided", "twosided"])
     @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(),
            st.data())
     @settings(max_examples=25, deadline=None)
     def test_hint_is_a_shift_that_matches(self, mode, seed, sigma, greedy,
                                           data):
-        """Every exact-answer oracle (noprep at rate 1, and twosided, in
-        both deciders) sets `last_hint` to a c with B[i_b .. i_b+d-1]
+        """Every exact-answer oracle (noprep and onesided at rate 1, and
+        twosided, in both deciders) sets `last_hint` to a c with B[i_b .. i_b+d-1]
         equal to A[i_a+c .. i_a+c+d-1] symbol for symbol, |c| <= l and
         |i_a + c - i_b| <= k; after a call with d = 0 it is 0."""
         n, ell, k = rate_one_cell(data)
@@ -250,6 +259,11 @@ class TestExactHints:
         if mode == "noprep":
             orc = (NoPrepOracle(a, b, k, cfg) if greedy
                    else NoPrepShiftOracle(a, b, k, ell, cfg))
+        elif mode == "onesided":
+            orc = (OneSidedOracle(OneSidedIndex.preprocess(a, k, cfg), b)
+                   if greedy else IndexedShiftOracle(
+                       OneSidedWaveIndex.preprocess(a, k, ell, cfg), b))
+            assert orc.exact is not None  # onesided at rate 1, too
         else:
             index = TwoSidedIndex.preprocess(a, k, cfg)
             orc = (TwoSidedOracle(index, b) if greedy
