@@ -132,6 +132,9 @@ def cmd_gen(args) -> int:
 
 def cmd_exact(args) -> int:
     try:
+        if args.at_most is not None and args.at_most < 0:
+            raise ValueError(f"at-most must be at least 0, got "
+                             f"{args.at_most}")
         a = _read_string(args.a, args.sigma)
         b = _read_string(args.b, args.sigma)
     except ValueError as err:

@@ -5,13 +5,18 @@ sentinel value sigma + 1, which never equals any in-range symbol on either
 string, so shifted comparisons near the boundaries behave like comparisons
 against fresh characters.
 
-The exact oracles here (Myers' bit-vector DP, a quadratic referee, and an
-h-wave variant) serve both the public `exact` entry points and the test
-suite's independent ground truth. `optimal_edit_script` and `decompose`
-read one optimal alignment, walked once from a quadratic DP
-(`_alignment`). `max_shift_alignment_bruteforce` is the brute-force shift
-oracle behind exact mode in both deciders: the wave asks it at (i_a, i_b)
-and l, greedy at i_a = i_b and l = k.
+The exact oracles here (Myers' bit-vector DP, a diagonal-transition
+threshold check, a quadratic referee, and an h-wave variant) serve both the
+public `exact` entry points and the test suite's independent ground truth.
+`edit_distance_exact` is Myers: a full distance has no threshold to bound
+a band of diagonals. `edit_distance_at_most` picks diagonal transition
+(t + 1 rounds over the band of diagonals a path of cost <= t can touch)
+where a measured cost model says it wins, which is small t next to n, and
+Myers with its diagonal cutoff elsewhere (`_use_diagonal`).
+`optimal_edit_script` and `decompose` read one optimal alignment, walked
+once from a quadratic DP (`_alignment`). `max_shift_alignment_bruteforce`
+is the brute-force shift oracle behind exact mode in both deciders: the
+wave asks it at (i_a, i_b) and l, greedy at i_a = i_b and l = k.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -103,10 +109,11 @@ def _myers_ed(a: np.ndarray, b: np.ndarray, cutoff: int | None = None) -> int:
 
     The shorter string is the bit rows: Pv / Mv hold the +1 / -1 vertical
     deltas of one DP column, and each symbol of the other string advances
-    one column while `score` tracks the last row. With a cutoff t the scan
-    stops and returns t + 1 once the cell on the end cell's diagonal
-    exceeds t; DP values never decrease along a diagonal, so the distance
-    then exceeds t too.
+    one column. A cell is its column's row-0 value (the column index) plus
+    the deltas above it, so the distance is read off the last column. With
+    a cutoff t the scan stops and returns t + 1 once the cell on the end
+    cell's diagonal exceeds t; DP values never decrease along a diagonal,
+    so the distance then exceeds t too.
     """
     if a.size > b.size:
         a, b = b, a
@@ -117,8 +124,7 @@ def _myers_ed(a: np.ndarray, b: np.ndarray, cutoff: int | None = None) -> int:
                              "little")
            for c in set(a.tolist())}
     mask = (1 << m) - 1
-    top = 1 << (m - 1)
-    pv, mv, score = mask, 0, m
+    pv, mv = mask, 0
     lag = n - m  # column j meets the end cell's diagonal at row j - lag
     for j, c in enumerate(b.tolist(), 1):
         eq = peq.get(c, 0)
@@ -126,19 +132,107 @@ def _myers_ed(a: np.ndarray, b: np.ndarray, cutoff: int | None = None) -> int:
         xh = (((eq & pv) + pv) ^ pv) | eq
         ph = mv | (mask ^ (xh | pv))
         mh = pv & xh
-        if ph & top:
-            score += 1
-        elif mh & top:
-            score -= 1
         ph = ((ph << 1) | 1) & mask  # row 0 grows by one per column
         mh = (mh << 1) & mask
         pv = mh | (mask ^ (xv | ph))
         mv = ph & xv
         if cutoff is not None and j >= lag:
-            i = j - lag
-            if score - (pv >> i).bit_count() + (mv >> i).bit_count() > cutoff:
+            above = (1 << (j - lag)) - 1
+            if j + (pv & above).bit_count() - (mv & above).bit_count() \
+                    > cutoff:
                 return cutoff + 1
-    return score
+    return n + pv.bit_count() - mv.bit_count()
+
+
+# Route cost model for edit_distance_at_most, in microseconds of CPU time
+# on a close pair, fitted on a 2-core x86-64 machine (CPython 3.11, numpy
+# 2.4). With w = t + 1 diagonals and N >= M the two lengths:
+#   diagonal check: 43 + 4.8 w + 0.051 w^2 + 0.0019 w (n + 1)
+#                   (set-up, numpy calls per round, per diagonal per round,
+#                   per mismatch cell)
+#   Myers scan:     30 + N (0.95 + 0.019 ceil(M / 64))
+#                   (set-up, per column, per 64-bit word of a column)
+# The fit is off by up to 40% (low at large t, where the slides' binary
+# searches leave the cache), so the diagonal check runs only where its
+# estimate is below 0.6 of Myers': where the two are close, Myers keeps
+# the work. Its mismatch cells (about 9 bytes each) are capped, so its
+# memory stays bounded whatever t and n are.
+_DIAGONAL_MARGIN = 0.6
+_DIAGONAL_CELL_CAP = 1 << 23
+
+
+def _use_diagonal(n: int, m: int, t: int) -> bool:
+    """Whether edit_distance_at_most answers ed <= t for lengths n and m
+    by the diagonal check rather than by Myers' scan."""
+    w = t + 1
+    if w * (n + 1) > _DIAGONAL_CELL_CAP:
+        return False
+    big, small = max(n, m), min(n, m)
+    diagonal = 43 + 4.8 * w + 0.051 * w * w + 0.0019 * w * (n + 1)
+    myers = 30 + big * (0.95 + 0.019 * -(-small // 64))
+    return diagonal < _DIAGONAL_MARGIN * myers
+
+
+def _mismatch_keys(a: np.ndarray, b: np.ndarray, klo: int, w: int,
+                   rows: int) -> np.ndarray:
+    """Flat indices, sorted, of the mismatch cells of a (w, rows + 1) grid:
+    cell (q, i) with i < rows is a mismatch when a[i] != b[i + klo + q], b
+    read as -1 outside its range, and every cell of column `rows` is one."""
+    bpad = np.full(rows + w - 1, -1, dtype=np.int64)
+    lo, hi = max(klo, 0), min(b.size, rows + klo + w - 1)
+    bpad[lo - klo:hi - klo] = b[lo:hi]
+    cells = np.ones((w, rows + 1), dtype=bool)
+    np.not_equal(a[:rows], sliding_window_view(bpad, rows),
+                 out=cells[:, :rows])
+    return np.flatnonzero(cells)
+
+
+def _diagonal_at_most(a: np.ndarray, b: np.ndarray, t: int) -> bool:
+    """ed(a, b) <= t by diagonal transition (Ukkonen 1985; Landau & Vishkin
+    1989); False at once for t < |len(a) - len(b)|, so for every t < 0.
+
+    D[i][j] is the distance of a[:i] and b[:j], and diagonal k holds the
+    cells (i, i + k). Round e keeps, per diagonal, the furthest row i with
+    D[i][i + k] <= e: the best of a substitution, a deletion and an
+    insertion from round e - 1, clipped to the diagonal's last row, then
+    slid along its run of matches. A path of cost <= t
+    reaches diagonal k after at least |k| edits and needs |k - (m - n)|
+    more to end, so round e touches only the diagonals where both fit, a
+    band of about t + 1 diagonals, each in one numpy step. A slide is one
+    `searchsorted` into the sorted mismatch cells of the band. Those are
+    built up to row 4t + 64 first, enough for a pair far above t, whose
+    slides stay short, and for all n rows once a slide reaches that row."""
+    n, m = a.size, b.size
+    delta = m - n
+    if t < abs(delta):
+        return False
+    klo = max(-((t - delta) // 2), -n)
+    khi = min((t + delta) // 2, m)
+    w = khi - klo + 1
+    limit = np.minimum(n, m - np.arange(klo, khi + 1))
+    rows = min(n, 4 * t + 64)
+    keys = _mismatch_keys(a, b, klo, w, rows)
+    base = np.arange(w) * (rows + 1)
+    fr = np.full(w + 2, -n - 2, dtype=np.int64)  # diagonal klo + q at q + 1
+    fr[1 - klo] = -1  # round 0 starts at row 0 of diagonal 0
+    end = 1 + delta - klo
+    for e in range(t + 1):
+        q0 = max(-e, delta - t + e, klo) - klo
+        q1 = min(e, delta + t - e, khi) - klo + 1
+        cand = np.maximum(fr[q0 + 1:q1 + 1], fr[q0 + 2:q1 + 2])
+        cand += 1
+        np.maximum(cand, fr[q0:q1], out=cand)
+        np.minimum(cand, limit[q0:q1], out=cand)
+        got = keys[keys.searchsorted(cand + base[q0:q1])] - base[q0:q1]
+        if rows < n and got.max() >= rows:
+            rows = n
+            keys = _mismatch_keys(a, b, klo, w, rows)
+            base = np.arange(w) * (rows + 1)
+            got = keys[keys.searchsorted(cand + base[q0:q1])] - base[q0:q1]
+        fr[q0 + 1:q1 + 1] = got
+        if fr[end] >= n:
+            return True
+    return False
 
 
 def edit_distance_exact(a: ByteString, b: ByteString) -> int:
@@ -147,12 +241,15 @@ def edit_distance_exact(a: ByteString, b: ByteString) -> int:
 
 
 def edit_distance_at_most(a: ByteString, b: ByteString, t: int) -> bool:
-    """True iff edit distance <= t; the bit-vector scan stops early once
+    """True iff edit distance <= t, by the diagonal check where the cost
+    model picks it and otherwise by the bit-vector scan, which stops once
     the end cell's diagonal exceeds t."""
     if t < 0 or abs(len(a) - len(b)) > t:
         return False
     if t >= max(len(a), len(b)):
         return True
+    if _use_diagonal(len(a), len(b), t):
+        return _diagonal_at_most(a.data, b.data, t)
     return _myers_ed(a.data, b.data, t) <= t
 
 

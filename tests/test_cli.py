@@ -147,15 +147,17 @@ class TestBenchAndSelftest:
 
 class TestBadParameters:
     @pytest.mark.parametrize("argv", [
-        ["gap", "--k", "0", "--mode", "noprep"],
-        ["gap", "--k", "-3", "--mode", "onesided"],
-        ["wave", "--k", "4", "--ell", "0", "--mode", "noprep"],
-        ["wave", "--k", "4", "--ell", "5", "--mode", "twosided"],
+        ["gap", "--k", "0", "--mode", "noprep", "--seed", "1"],
+        ["gap", "--k", "-3", "--mode", "onesided", "--seed", "1"],
+        ["wave", "--k", "4", "--ell", "0", "--mode", "noprep", "--seed", "1"],
+        ["wave", "--k", "4", "--ell", "5", "--mode", "twosided", "--seed",
+         "1"],
+        ["exact", "--at-most", "-3"],
     ])
     def test_one_line_usage_error(self, small_pair, capsys, argv):
         cmd, *opts = argv
         code = main([cmd, str(small_pair) + ".a", str(small_pair) + ".b",
-                     "--sigma", "64", "--seed", "1", *opts])
+                     "--sigma", "64", *opts])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapedit.strings import (ByteString, apply_script, check_decomposition,
+from gapedit.strings import (ByteString, _diagonal_at_most, _use_diagonal,
+                             apply_script, check_decomposition,
                              decompose, edit_distance_at_most,
                              edit_distance_exact, edit_distance_quadratic,
                              exact_hwave, has_approximate_alignment,
@@ -156,6 +157,21 @@ class TestBitParallel:
         assert not edit_distance_at_most(a, b, 4)
         x = ByteString(rng.integers(1, 17, 2048), 16)
         assert not edit_distance_at_most(a, x, 8)
+
+
+class TestDiagonalCheck:
+    @given(distance_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_quadratic_at_every_threshold(self, pair):
+        # the core itself, whichever route edit_distance_at_most would take
+        a, b = pair
+        d = edit_distance_quadratic(a, b)
+        for t in range(-1, d + 3):
+            assert _diagonal_at_most(a.data, b.data, t) == (d <= t)
+
+    def test_route(self):
+        assert _use_diagonal(512, 512, 16) and _use_diagonal(256, 256, 8)
+        assert not _use_diagonal(512, 512, 128)
 
 
 class TestHWave:
