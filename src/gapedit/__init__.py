@@ -16,9 +16,10 @@ from .instances import (Instance, gen_large_side, gen_periodic, gen_planted,
 from .no_prep import NoPrepOracle
 from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import (ByteString, edit_distance_at_most, edit_distance_exact,
-                      exact_hwave, max_shift_alignment_bruteforce)
+                      exact_hwave)
 from .two_sided import TwoSidedIndex, TwoSidedOracle
-from .wave import OneSidedWaveIndex, WaveTable, gap_wave
+from .wave import (BruteForceShiftOracle, OneSidedWaveIndex, WaveTable,
+                   gap_wave)
 
 __all__ = [
     "ByteString", "GapVerdict", "GreedyTrace", "HashConfig", "Instance",
@@ -37,16 +38,14 @@ def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
     Modes: "noprep" hashes both strings per call, "onesided" preprocesses
     A, "twosided" preprocesses both (cells computed lazily from A's
     hashes; B's hashing is booked on the query counters), "exact" asks the
-    brute-force shift referee `max_shift_alignment_bruteforce` at
-    i_a = i_b and l = k, as exact `gap_wave` does at its l. The seed
-    picks the hash draw.
+    brute-force shift referee `BruteForceShiftOracle` built for l = k, as
+    exact `gap_wave` does at its l. The seed picks the hash draw.
     """
     check_gap_params(a, b, k)
     cfg = HashConfig.from_seed(seed)
     counters = OpCounters()
     if mode == "exact":
-        def oracle(i_b):
-            return max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)
+        oracle = BruteForceShiftOracle(a, b, k, k)
     elif mode == "noprep":
         oracle = NoPrepOracle(a, b, k, cfg, counters)
     elif mode == "onesided":

@@ -46,9 +46,16 @@ def _default_seed(args_seed):
     return secrets.randbits(63) if seed is None else seed
 
 
+def _check_sigma(sigma: int) -> None:
+    if not 1 <= sigma <= 256:
+        raise ValueError("sigma must be in 1..256 (one byte per symbol on "
+                         "disk)")
+
+
 def _read_string(path: str, sigma: int) -> ByteString:
-    """The string in `path`; a file that cannot be read, or that holds a
-    symbol above sigma, raises ValueError."""
+    """The string in `path`; a sigma outside 1..256, a file that cannot be
+    read, or one that holds a symbol above sigma raises ValueError."""
+    _check_sigma(sigma)
     try:
         raw = Path(path).read_bytes()
     except OSError as err:
@@ -76,9 +83,7 @@ def cmd_gen(args) -> int:
     try:
         if args.n < 1:
             raise ValueError("n must be at least 1")
-        if not 1 <= args.sigma <= 256:
-            raise ValueError("sigma must be in 1..256 (one byte per symbol "
-                             "on disk)")
+        _check_sigma(args.sigma)
         if not 0 <= args.edits <= args.n:
             raise ValueError(f"edits must be in 0..n = 0..{args.n}")
         if args.corrupt < 0:
@@ -282,7 +287,7 @@ def cmd_selftest(args) -> int:
     bad = OneSidedOracle(OneSidedIndex.preprocess(inst.a, 4, HashConfig(x=1)),
                          b)
     check("degenerate hash detected", any(
-        bad(i) != referee(inst.a, b, i, i, 4, 4) for i in range(1, 257)))
+        bad(i, i) != referee(inst.a, b, i, i, 4, 4) for i in range(1, 257)))
 
     print("selftest:", "FAIL" if failures else "ok")
     return 1 if failures else 0

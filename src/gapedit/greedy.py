@@ -6,6 +6,10 @@ pair within distance k decomposes into at most 2k + 1 such pieces, so
 2k + 1 rounds suffice to cross the whole string when the pair is close; a
 far pair cannot be crossed because every greedy jump can be charged against
 genuine edits.
+
+The greedy question is the wave decider's shift-alignment question at
+i_a = i_b and l = k, so both deciders share one oracle protocol: greedy
+asks `oracle(i_b, i_b)` of a shift oracle built for l = k.
 """
 
 from __future__ import annotations
@@ -44,38 +48,34 @@ def check_gap_params(a, b, k: int, ell: int | None = None) -> None:
         raise ValueError("equal lengths required")
 
 
-def check_oracle_index(oracle, k: int, ell: int | None = None) -> None:
-    """Raise ValueError if the oracle answers from an index built for
-    another k, or (when given) was built for another l; l is the oracle's,
-    since one two-sided index serves every l. Oracles without an index
-    pass."""
-    index = getattr(oracle, "index", None)
-    if index is None:
-        return
-    if index.k != k:
-        raise ValueError(f"the index was built for k = {index.k}, "
-                         f"the decider runs at k = {k}")
-    if ell is not None and oracle.ell != ell:
-        raise ValueError(f"the oracle was built for l = {oracle.ell}, "
-                         f"the decider runs at l = {ell}")
+def check_oracle_index(oracle, k: int, ell: int) -> None:
+    """Raise ValueError if the oracle was built for another k or l than the
+    decider's; l is the oracle's, since one two-sided index serves every
+    l. Every package oracle records both; oracles that record neither pass."""
+    for name, attr, want in (("k", "k", k), ("l", "ell", ell)):
+        built = getattr(oracle, attr, want)
+        if built != want:
+            raise ValueError(f"the oracle was built for {name} = {built}, "
+                             f"the decider runs at {name} = {want}")
 
 
 def greedy_match(a, b, k: int, oracle, trace: GreedyTrace | None = None) -> GapVerdict:
     """Run 2k + 1 oracle rounds starting at B-position 1.
 
-    `oracle(i_b)` must return a jump length d >= 0 (an exact or relaxed
-    longest-alignment value for B starting at i_b). An oracle over an index
-    built for another k is refused with ValueError. Returns SMALL iff the
-    cursor passes position n.
+    `oracle(i_b, i_b)` must return a jump length d >= 0 (an exact or
+    relaxed longest-alignment value for B starting at i_b): the wave
+    decider's shift oracle asked at i_a = i_b, built for l = k. An oracle
+    built for another k or l is refused with ValueError. Returns SMALL iff
+    the cursor passes position n.
     """
     check_gap_params(a, b, k)
-    check_oracle_index(oracle, k)
+    check_oracle_index(oracle, k, k)
     n = len(b)
     i_b = 1
     for _ in range(2 * k + 1):
         if i_b > n:
             break
-        d = oracle(i_b)
+        d = oracle(i_b, i_b)
         if trace is not None:
             trace.starts.append(i_b)
             trace.jumps.append(d)

@@ -27,9 +27,10 @@ The greedy decider is the wave decider's oracle problem at i_a = i_b and
 l = k. Its index (`OneSidedIndex.preprocess`) has column width k and keeps
 bucket 0 only, under which every shift in [-k, k] is filed. The wave index
 (`OneSidedWaveIndex.preprocess`) has column width l and keeps every bucket
-a promised offset |i_a - i_b| <= k can ask for. Likewise the greedy
-oracle (`OneSidedOracle`) is the wave's (`IndexedShiftOracle`) asked only
-at i_a = i_b.
+a promised offset |i_a - i_b| <= k can ask for. One oracle class,
+`IndexedShiftOracle`, answers `oracle(i_a, i_b)` over either index, and
+the greedy decider asks it at (i_b, i_b); `OneSidedOracle` is that class
+under a name of its own, for the greedy index.
 
 Below rate 1 the tables are built in a few numpy passes per window length.
 The 2k + 1 shifted views of A share one sample set, so a canonical start's
@@ -392,7 +393,7 @@ class IndexedShiftOracle:
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
         self.index = index
-        self.ell = index.ell
+        self.k, self.ell = index.k, index.ell
         self.counters = counters if counters is not None else OpCounters()
         self.b_state = index.hash_b(b, self.counters)
         self.last_hint = None
@@ -414,11 +415,9 @@ class IndexedShiftOracle:
 
 class OneSidedOracle(IndexedShiftOracle):
     """Greedy alignment oracle over an A-index: the shift oracle at l = k,
-    asked only at i_a = i_b."""
+    asked at (i_b, i_b)."""
 
-    # an entry of its own, so a trace can time B's hashing for greedy alone
+    # entries of their own, so a trace can time greedy's B hashing and
+    # calls apart from the wave's
     __init__ = IndexedShiftOracle.__init__
-
-    def __call__(self, i_b: int) -> int:
-        self.counters.oracle_queries += 1
-        return self._search(i_b, i_b)
+    __call__ = IndexedShiftOracle.__call__

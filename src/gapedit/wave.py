@@ -23,11 +23,11 @@ index of A serves every l, and B is hashed once per decision). At
 sampling rate 1 (l <= 4 ln n, nearly every wave run) the first two run
 that exact search too, over A's and B's prefixes, so their tables equal
 `exact` mode's up to hash collisions. Below rate 1 the per-pair oracle is
-a birthday split of shifts: it finds its d by galloping up from the floor
-2l and then bisecting, scanning only the views at or after the last hit's,
-and it builds only the A views its calls can scan. The greedy decider's
-noprep oracle is the same class at l = k with i_a = i_b
-(`no_prep.NoPrepOracle`).
+a birthday split of shifts, which needs l >= ceil(sqrt(k)): it finds its d
+by galloping up from the floor 2l and then bisecting, scanning only the
+views at or after the last hit's, and it builds only the A views its calls
+can scan. The greedy decider asks the same oracles, built for l = k, at
+i_a = i_b (`greedy.greedy_match`).
 """
 
 from __future__ import annotations
@@ -131,8 +131,9 @@ class NoPrepShiftOracle:
     views folds every sampled position. Probes shave l characters from
     each end; only the a-values compatible with the offset i_a - i_b and
     |c| <= l are scanned, so reported matches have |c| <= l + 2r <= 3l.
+    Only this split needs l >= r; at rate 1 every 1 <= l <= k is served.
     The greedy decider's oracle (`no_prep.NoPrepOracle`) is this one at
-    l = k and reach 0.
+    l = k and reach 0, asked at (i_b, i_b).
 
     Below rate 1 a call probes d = 2l + 1, 2l + 2, 2l + 4, ... while
     probes hit, then bisects between the last hit and the first miss. A
@@ -159,11 +160,6 @@ class NoPrepShiftOracle:
         n = len(b)
         if len(a) != n:
             raise ValueError("equal lengths required")
-        r = math.isqrt(k)
-        if r * r < k:
-            r += 1
-        if ell < r:
-            raise ValueError("granularity below sqrt(k) is unsupported here")
         self.n, self.k, self.ell = n, k, ell
         self.counters = counters if counters is not None else OpCounters()
         self.last_hint = None
@@ -172,6 +168,10 @@ class NoPrepShiftOracle:
             self.b_rows = prefix_rows(b, cfg, self.counters)
             return
         self.index = None
+        r = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
+        if ell < r:
+            raise ValueError("granularity below sqrt(k) is unsupported "
+                             "below sampling rate 1")
         q = -(-(reach + ell) // r)
         self.r, self.q = r, q
         self.samples = draw_sample(n, ell, cfg.sampling_rng())
@@ -185,11 +185,6 @@ class NoPrepShiftOracle:
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        return self._search(i_a, i_b)
-
-    def _search(self, i_a: int, i_b: int) -> int:
-        """One call's length search, without the query count;
-        `NoPrepOracle.__call__` runs it at i_a = i_b."""
         if self.index is not None:
             d, self.last_hint = self.index.align(self.b_rows, i_a, i_b,
                                                  self.ell)
@@ -222,7 +217,8 @@ class NoPrepShiftOracle:
 
 
 class BruteForceShiftOracle:
-    """Exact shift-alignment oracle; referee for tests and the exact mode."""
+    """Exact shift-alignment oracle: the referee for tests and the exact
+    mode of both deciders (greedy builds it at l = k)."""
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int):
         self.a, self.b, self.k, self.ell = a, b, k, ell

@@ -182,7 +182,7 @@ class TestAcceptance:
                                HashConfig.from_seed(43_000 + t))
             for i_b in range(1, n + 1):
                 queries += 1
-                d = orc(i_b)
+                d = orc(i_b, i_b)
                 ref, ref_c = bf_align_with_shift(inst.a, inst.b, i_b, k)
                 if d < ref:
                     undershoots += 1
@@ -207,7 +207,7 @@ class TestAcceptance:
             orc = OneSidedOracle(index, inst.b)
             for i_b in range(1, n + 1):
                 queries += 1
-                d = orc(i_b)
+                d = orc(i_b, i_b)
                 ref, ref_c = bf_align_with_shift(inst.a, inst.b, i_b, k)
                 if 2 * d <= ref:
                     half_fails += 1
@@ -293,7 +293,7 @@ class TestAcceptance:
         worst = 0
         for i_b in range(1, 4097, 17):
             before = orc.counters.retrievals
-            orc(i_b)
+            orc(i_b, i_b)
             worst = max(worst, orc.counters.retrievals - before)
         ok = abs(n_slope - 1.0) <= 0.15 and worst <= budget
         report("AC07 one-sided preprocessing linear, query budget exact", ok,

@@ -193,6 +193,21 @@ class TestBadParameters:
         assert err.strip() == (f"gapedit {cmd}: error: symbol out of range "
                                "1..sigma")
 
+    @pytest.mark.parametrize("cmd,opts", [
+        ("gap", ["--k", "4"]),
+        ("wave", ["--k", "4", "--ell", "2"]),
+        ("exact", []),
+    ])
+    @pytest.mark.parametrize("sigma", ["0", "257", "300"])
+    def test_sigma_outside_one_byte(self, small_pair, capsys, cmd, opts,
+                                    sigma):
+        code = main([cmd, str(small_pair) + ".a", str(small_pair) + ".b",
+                     "--sigma", sigma, *opts])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit {cmd}: error: sigma must be in "
+                               "1..256 (one byte per symbol on disk)")
+
     @pytest.mark.parametrize("opts,msg", [
         (["--ns", "128", "--ks", "4", "0"], "k must be at least 1"),
         (["--ns", "0", "--ks", "4"], "n must be at least 1"),

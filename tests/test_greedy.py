@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
 
+from gapedit import gap_match
 from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
-from gapedit.hashing import HashConfig
+from gapedit.hashing import HashConfig, OpCounters, sample_rate
 from gapedit.instances import gen_large_side, gen_planted
-from gapedit.one_sided import OneSidedIndex, OneSidedOracle
-from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
+from gapedit.no_prep import NoPrepOracle
+from gapedit.one_sided import (IndexedShiftOracle, OneSidedIndex,
+                               OneSidedOracle, OneSidedWaveIndex)
+from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle,
+                               TwoSidedShiftOracle)
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
+from gapedit.wave import BruteForceShiftOracle, NoPrepShiftOracle
 
 
 def exact_oracle(a, b, k):
-    return lambda i_b: max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)
+    return lambda i_a, i_b: max_shift_alignment_bruteforce(a, b, i_a, i_b,
+                                                            k, k)
 
 
 class TestGreedyMatch:
@@ -48,15 +54,16 @@ class TestGreedyMatch:
         a = ByteString(np.full(5, 1), 2)
         b = ByteString(np.full(5, 2), 2)
         trace = GreedyTrace()
-        greedy_match(a, b, 1, lambda i: 0, trace=trace)
+        greedy_match(a, b, 1, lambda i_a, i_b: 0, trace=trace)
         assert trace.starts == [1, 2, 3]
 
     def test_parameter_validation(self):
         a = ByteString(np.array([1, 2]), 2)
         with pytest.raises(ValueError):
-            greedy_match(a, a, 0, lambda i: 0)
+            greedy_match(a, a, 0, lambda i_a, i_b: 0)
         with pytest.raises(ValueError):
-            greedy_match(a, ByteString(np.array([1]), 2), 1, lambda i: 0)
+            greedy_match(a, ByteString(np.array([1]), 2), 1,
+                         lambda i_a, i_b: 0)
 
     def test_index_built_for_another_k_refused(self):
         inst = gen_planted(64, 4, 1, seed=4)
@@ -68,3 +75,87 @@ class TestGreedyMatch:
             with pytest.raises(ValueError, match="built for k = 3"):
                 greedy_match(inst.a, inst.b, 4, orc)
             assert greedy_match(inst.a, inst.b, 3, orc) is GapVerdict.SMALL
+        # below sampling rate 1 (64 > 4 ln 2000) the noprep oracle holds no
+        # index, and is refused all the same
+        inst = gen_planted(2000, 4, 0, seed=4)
+        orc = NoPrepOracle(inst.a, inst.b, 64, cfg)
+        assert orc.index is None
+        with pytest.raises(ValueError, match="built for k = 64"):
+            greedy_match(inst.a, inst.b, 16, orc)
+
+
+def decide(a, b, k, oracle, counters):
+    """greedy_match's verdict, trace and counters over `oracle`."""
+    trace = GreedyTrace()
+    verdict = greedy_match(a, b, k, oracle, trace=trace)
+    return verdict, (trace.starts, trace.jumps, trace.hints), counters
+
+
+def indexed(a, b, k, cfg, build, oracle):
+    """greedy_match over oracle(index, b, counters), with A's index built
+    and its work booked as `gap_match` books it."""
+    counters = OpCounters()
+    index = build(a, k, cfg)
+    index.counters = counters
+    return decide(a, b, k, oracle(index, b, counters), counters)
+
+
+class TestOneProtocol:
+    """greedy_match asks every oracle at (i_b, i_b), so each backend's shift
+    oracle built at l = k decides as its greedy class does: the same
+    verdict, starts, jumps, hints and counters."""
+
+    @pytest.mark.parametrize("edits", [2, 60])
+    @pytest.mark.parametrize("backend,k", [
+        ("twosided", 4), ("twosided", 25), ("onesided", 4), ("onesided", 25),
+        ("noprep", 4),
+        ("exact", 4)])
+    def test_shift_oracle_at_l_equals_k_decides_as_greedy_class(
+            self, backend, k, edits):
+        assert (sample_rate(300, k) < 1) == (k == 25)  # 25 > 4 ln 300
+        inst = gen_planted(300, 4, edits, seed=edits + k)
+        a, b, cfg = inst.a, inst.b, HashConfig.from_seed(k)
+        if backend == "twosided":
+            shift = indexed(a, b, k, cfg, TwoSidedIndex.preprocess,
+                            lambda ix, b, c: TwoSidedShiftOracle(ix, b, k, c))
+            greedy = indexed(a, b, k, cfg, TwoSidedIndex.preprocess,
+                             TwoSidedOracle)
+        elif backend == "onesided":
+            shift = indexed(a, b, k, cfg, OneSidedIndex.preprocess,
+                            IndexedShiftOracle)
+            greedy = indexed(a, b, k, cfg, OneSidedIndex.preprocess,
+                             OneSidedOracle)
+        elif backend == "noprep":
+            # below rate 1 the greedy class builds only the views of
+            # i_a = i_b, so the two agree at rate 1 only
+            ctr = OpCounters()
+            orc = NoPrepShiftOracle(a, b, k, k, cfg, ctr)
+            assert orc.index is not None
+            shift = decide(a, b, k, orc, ctr)
+            ctr = OpCounters()
+            greedy = decide(a, b, k, NoPrepOracle(a, b, k, cfg, ctr), ctr)
+        else:
+            shift = decide(a, b, k, BruteForceShiftOracle(a, b, k, k),
+                           OpCounters())
+            trace = GreedyTrace()
+            verdict, ctr = gap_match(a, b, k, "exact", trace=trace)
+            greedy = verdict, (trace.starts, trace.jumps, trace.hints), ctr
+        assert shift == greedy
+        assert len(shift[1][0]) > 1  # more than one round was asked
+
+    @pytest.mark.parametrize("backend", ["noprep", "onesided", "twosided",
+                                         "exact"])
+    def test_wave_oracle_for_l_below_k_refused(self, backend):
+        inst = gen_planted(200, 4, 2, seed=7)
+        a, b, cfg = inst.a, inst.b, HashConfig.from_seed(7)
+        k, ell = 8, 4
+        orc = {
+            "noprep": lambda: NoPrepShiftOracle(a, b, k, ell, cfg),
+            "onesided": lambda: IndexedShiftOracle(
+                OneSidedWaveIndex.preprocess(a, k, ell, cfg), b),
+            "twosided": lambda: TwoSidedShiftOracle(
+                TwoSidedIndex.preprocess(a, k, cfg), b, ell),
+            "exact": lambda: BruteForceShiftOracle(a, b, k, ell),
+        }[backend]()
+        with pytest.raises(ValueError, match="built for l = 4"):
+            greedy_match(a, b, k, orc)

@@ -16,7 +16,7 @@ class TestNoPrepOracle:
             inst = gen_planted(n, 4, 5, seed=t)
             orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(t))
             for i_b in range(1, n + 1, 3):
-                d = orc(i_b)
+                d = orc(i_b, i_b)
                 assert d >= max_shift_alignment_bruteforce(
                     inst.a, inst.b, i_b, i_b, k, k)
 
@@ -26,7 +26,7 @@ class TestNoPrepOracle:
             inst = gen_planted(n, 4, 5, seed=100 + t)
             orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(t))
             for i_b in range(1, n + 1, 5):
-                d = orc(i_b)
+                d = orc(i_b, i_b)
                 assert has_approximate_alignment(inst.a, inst.b, i_b, d,
                                                  3 * k, 3 * k,
                                                  hint=orc.last_hint)
@@ -40,7 +40,7 @@ class TestNoPrepOracle:
         b.data[10:90] = (b.data[10:90] % 4) + 1  # heavy damage mid-string
         orc = NoPrepOracle(inst.a, b, 20, HashConfig.from_seed(5))
         assert orc.samples.rate < 1
-        assert orc(20) >= 40
+        assert orc(20, 20) >= 40
 
     def test_state_count_is_birthday_split(self):
         # n = 2000, k = 64 samples at rate 4 ln n / k < 1

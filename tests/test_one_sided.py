@@ -114,7 +114,8 @@ class TestRateOne:
             two = TwoSidedOracle(TwoSidedIndex.preprocess(inst.a, k, CFG),
                                  inst.b)
             for i_b in range(1, n + 1):
-                assert (one(i_b), one.last_hint) == (two(i_b), two.last_hint)
+                assert ((one(i_b, i_b), one.last_hint)
+                        == (two(i_b, i_b), two.last_hint))
             assert one.counters == two.counters
 
     @settings(max_examples=40, deadline=None)
@@ -152,7 +153,7 @@ class TestQuery:
         orc = OneSidedOracle(idx, inst.a)
         # binary expansion must cover the whole remaining suffix
         for i_b in (1, 100, 256):
-            assert orc(i_b) == 256 - i_b + 1
+            assert orc(i_b, i_b) == 256 - i_b + 1
 
     def test_b_of_wrong_length_rejected(self):
         a = gen_planted(256, 4, 0, seed=9).a
@@ -174,7 +175,7 @@ class TestQuery:
         budget = math.ceil(math.log2(300)) + 1
         for i_b in range(1, 301, 7):
             before = orc.counters.retrievals
-            orc(i_b)
+            orc(i_b, i_b)
             assert orc.counters.retrievals - before <= budget
 
     def test_half_correctness_at_saturated_rate(self):
@@ -190,7 +191,7 @@ class TestQuery:
             for i_b in range(1, n + 1):
                 bf = max_shift_alignment_bruteforce(inst.a, inst.b, i_b, i_b,
                                                     k, k)
-                assert orc(i_b) >= bf
+                assert orc(i_b, i_b) >= bf
 
 
 class TestOneSidedGap:

@@ -43,7 +43,7 @@ class TestTwoSidedAlign:
         idx = TwoSidedIndex.preprocess(inst.a, 3, CFG)
         orc = TwoSidedOracle(idx, inst.b)
         before = idx.counters.table_lookups
-        orc(1)
+        orc(1, 1)
         assert orc.counters.oracle_queries == 1
         assert idx.counters.table_lookups > before
 

@@ -62,6 +62,15 @@ class TestGreedyWaveExact:
             with pytest.raises(ValueError, match="built for l = 3"):
                 greedy_wave(inst.a, inst.b, 6, 2, orc)
             assert greedy_wave(inst.a, inst.b, 6, 3, orc) is GapVerdict.SMALL
+        # below sampling rate 1 (32 > 4 ln 2000) the noprep oracle holds no
+        # index, and is refused all the same
+        inst = gen_planted(2000, 4, 0, seed=4)
+        orc = NoPrepShiftOracle(inst.a, inst.b, 64, 32, CFG)
+        assert orc.index is None
+        with pytest.raises(ValueError, match="built for l = 32"):
+            greedy_wave(inst.a, inst.b, 64, 16, orc)
+        with pytest.raises(ValueError, match="built for k = 64"):
+            greedy_wave(inst.a, inst.b, 128, 32, orc)
 
 
 class TestJumpProperty:
@@ -162,7 +171,7 @@ class TestNoPrepShiftOracle:
                             - delta)
             probes.clear()
             before = ctr.retrievals
-            assert (orc(i_b) if greedy else orc(i_a, i_b)) == lo
+            assert orc(i_a, i_b) == lo
             assert orc.last_hint == hint
             assert ctr.retrievals - before == sum(p[5] for p in probes)
             assert len(probes) <= 2 * (lo - floor).bit_length() + 1
@@ -184,18 +193,28 @@ class TestNoPrepShiftOracle:
         for k, ell in ((25, 25), (9, 9)):
             orc = (NoPrepOracle(a, b, k, CFG) if greedy
                    else NoPrepShiftOracle(a, b, k, ell, CFG))
-            ask = orc if greedy else (lambda i_b: orc(i_b, i_b))
             subsampled = orc.index is None
             assert subsampled == (ell == 25)
             # below rate 1 nothing under the floor 2l is probed
             floor = 2 * ell if subsampled else 0
-            assert ask(1) > floor and orc.last_hint == 2
-            assert ask(120) == floor and orc.last_hint == 0
+            assert orc(1, 1) > floor and orc.last_hint == 2
+            assert orc(120, 120) == floor and orc.last_hint == 0
 
     def test_granularity_precondition(self):
-        inst = gen_planted(100, 4, 0, seed=2)
-        with pytest.raises(ValueError):
-            NoPrepShiftOracle(inst.a, inst.b, 9, 2, CFG)  # l < sqrt(k)
+        # only the birthday split below rate 1 needs l >= ceil(sqrt(k)):
+        # 4 ln 2000 < 31 < 32 = ceil(sqrt(1024))
+        inst = gen_planted(2000, 4, 0, seed=2)
+        with pytest.raises(ValueError, match="below sampling rate 1"):
+            NoPrepShiftOracle(inst.a, inst.b, 1024, 31, CFG)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rate_one_serves_granularity_below_sqrt_k(self, seed):
+        # l = 2 < 3 = ceil(sqrt(9)), at rate 1: the exact shift search
+        inst = gen_planted(100, 4, seed + 1, seed=seed)
+        got, want = WaveTable(), WaveTable()
+        v, _ = gap_wave(inst.a, inst.b, 9, 2, "noprep", seed=seed, table=got)
+        assert v == gap_wave(inst.a, inst.b, 9, 2, "exact", table=want)[0]
+        assert got.rows == want.rows
 
 
 class TestOneSidedWaveIndex:
@@ -272,7 +291,7 @@ class TestExactHints:
         for i_b in range(1, n + 1):
             for i_a in ([i_b] if greedy
                         else range(max(1, i_b - k), min(n, i_b + k) + 1)):
-                d = orc(i_b) if greedy else orc(i_a, i_b)
+                d = orc(i_a, i_b)
                 c = orc.last_hint
                 if d == 0:
                     assert c == 0
