@@ -23,7 +23,7 @@ larger m c (a huge alphabet, or m near MAX_N) c_s x^-s is reduced mod p
 first and its own limbs are summed; those sums stay below m 2^31 <= 2^57.
 Both sums are folded mod p (2^61 = 1 mod p) and multiplied by x^t, so H
 equals the recurrence bit for bit. The tables x^t and the limbs of x^-t
-depend only on (x, p, m); all views of one decision share them through a
+depend only on (x, m); all views of one decision share them through a
 small cache, which holds tables of up to 2^16 positions only, so a large
 decision leaves no tables behind.
 """
@@ -70,11 +70,11 @@ class OpCounters:
 
 @dataclass(frozen=True)
 class HashConfig:
-    """Shared hash parameters. Both strings of one comparison must use the
-    same (p, x) and the same sample draw for hashes to be comparable."""
+    """Shared hash parameters: the base x mod p = 2^61 - 1 and the seed of
+    the sample draw. Both strings of one comparison must use the same x and
+    the same sample draw for hashes to be comparable."""
 
     x: int
-    p: int = P61
     rng_seed: int | None = None
 
     @classmethod
@@ -100,15 +100,13 @@ class SampleSet:
     """Sorted base positions plus an additive offset (a shifted view)."""
 
     indices: np.ndarray  # sorted unique int64, base positions
-    n: int
-    rate: float
     offset: int = 0
 
     def __len__(self) -> int:
         return int(self.indices.size)
 
     def shift(self, a: int) -> "SampleSet":
-        return SampleSet(self.indices, self.n, self.rate, self.offset + a)
+        return SampleSet(self.indices, self.offset + a)
 
     def positions(self) -> np.ndarray:
         return self.indices + self.offset
@@ -133,19 +131,19 @@ def draw_sample(n: int, granularity: int, rng: np.random.Generator,
         anchors = np.asarray(force_anchors, dtype=np.int64)
         anchors = anchors[(anchors >= 1) & (anchors <= n)]
         idx = np.union1d(idx, anchors)
-    return SampleSet(idx, n, rate)
+    return SampleSet(idx)
 
 
 @functools.lru_cache(maxsize=4)
-def _cached_power_tables(x: int, p: int, m: int
+def _cached_power_tables(x: int, m: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tables = _power_tables(x, p, m)
+    tables = _power_tables(x, m)
     for table in tables:
         table.flags.writeable = False  # every caller gets the same arrays
     return tables
 
 
-def _power_tables(x: int, p: int, m: int
+def _power_tables(x: int, m: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x^t for t = 0..m, and the limbs of x^t and of x^-t for t = 1..m."""
     # x^t as x^(q s) * x^r for t = q s + r, from two tables of about
@@ -161,11 +159,12 @@ def _power_tables(x: int, p: int, m: int
     xpow = mulmod_vec(np.array(big, dtype=np.uint64)[:, None],
                       np.array(small, dtype=np.uint64)[None, :]).ravel()[:m + 1]
     # x^-t = x^(m - t) * x^-m, and x^-m = x^(p - 1 - m) by Fermat
-    xinv = mulmod_vec(xpow[:m][::-1], np.uint64(pow(x, p - 1 - m, p)))
+    xinv = mulmod_vec(xpow[:m][::-1],
+                      np.array([pow(x, P61 - 1 - m, P61)], dtype=np.uint64))
     return xpow, limbs(xpow[1:]), limbs(xinv)
 
 
-def _prefix_hashes(syms: np.ndarray, top: int, x: int, p: int
+def _prefix_hashes(syms: np.ndarray, top: int, x: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """(H, x-powers) for symbols c_1..c_m, each at most `top`.
 
@@ -174,9 +173,9 @@ def _prefix_hashes(syms: np.ndarray, top: int, x: int, p: int
     """
     m = syms.size
     if m <= _CACHED_M:
-        xpow, fwd, inv = _cached_power_tables(x, p, m)
+        xpow, fwd, inv = _cached_power_tables(x, m)
     else:
-        xpow, fwd, inv = _power_tables(x, p, m)
+        xpow, fwd, inv = _power_tables(x, m)
     c = syms.astype(np.uint64)
     if m * top < _DIRECT_LIMIT:
         parts = inv * c  # c_s times each limb of x^-s
@@ -205,8 +204,8 @@ class RollingHashState:
         n = len(string)
         if n > MAX_N:
             raise ValueError("string too long for collision guarantee")
-        check_hash_params(cfg.p, cfg.x)
-        if cfg.p <= n * n * (string.sigma + 1):
+        check_hash_params(P61, cfg.x)
+        if P61 <= n * n * (string.sigma + 1):
             raise ValueError("modulus too small for this length and alphabet")
         self.cfg = cfg
         self.samples = samples
@@ -214,7 +213,7 @@ class RollingHashState:
         syms = string.gather(samples.positions())
         # reads outside [1, n] give the sentinel sigma + 1
         self.prefix, self.xpow = _prefix_hashes(syms, string.sigma + 1,
-                                                cfg.x, cfg.p)
+                                                cfg.x)
         self._lists = None
         self.counters.init_steps += syms.size
 
@@ -269,7 +268,6 @@ class ViewStack:
         if any(st.samples.indices is not base for st in states):
             raise ValueError("views must share one sample set")
         self.counters = counters
-        self.p = states[0].cfg.p
         self.xpow = states[0].xpow
         self.base = base
         self.positions = base.tolist()
@@ -297,15 +295,14 @@ class ViewStack:
         lo_row = self.prefix[lo].tolist()
         hi_row = self.prefix[hi].tolist()
         xp = int(self.xpow[hi - lo])
-        p = self.p
         b_hashes = {}
         for v in b_cols:
-            b_hashes.setdefault((hi_row[v] - lo_row[v] * xp) % p, v)
+            b_hashes.setdefault((hi_row[v] - lo_row[v] * xp) % P61, v)
         taken = len(b_cols)
         hit = None
         for v in a_cols:
             taken += 1
-            w = b_hashes.get((hi_row[v] - lo_row[v] * xp) % p)
+            w = b_hashes.get((hi_row[v] - lo_row[v] * xp) % P61)
             if w is not None:
                 hit = v, w
                 break

@@ -1,10 +1,10 @@
 """Modular arithmetic mod the Mersenne prime 2^61 - 1.
 
 Scalar paths use plain Python integers (arbitrary precision makes the
-straightforward expressions exact). The vector paths split 64-bit operands
-into 32-bit halves (`mulmod_vec`), or residues into 31-bit limbs when one
-factor's limbs are kept in a table (`mulmod_limbs`), so products never
-overflow numpy's uint64.
+straightforward expressions exact). The vector paths have one multiply,
+`mulmod_limbs`: it splits both operands into 31-bit limbs, so products
+never overflow numpy's uint64. `mulmod_vec` splits its second operand
+first; callers that keep one factor's limbs in a table pass them directly.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import numpy as np
 
 P61 = (1 << 61) - 1
 
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK29 = np.uint64((1 << 29) - 1)
 _MASK61 = np.uint64(P61)
 _SHIFT61 = np.uint64(61)
 _LIMB_BITS = np.uint64(31)
@@ -37,36 +35,20 @@ def _fold61(v: np.ndarray) -> np.ndarray:
 
 def mulmod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise (a * b) mod (2^61 - 1) for uint64 arrays with values < 2^62."""
-    a = np.asarray(a, dtype=np.uint64)
-    b = np.asarray(b, dtype=np.uint64)
-    ah = a >> np.uint64(32)
-    al = a & _MASK32
-    bh = b >> np.uint64(32)
-    bl = b & _MASK32
-    # a*b = ah*bh*2^64 + (ah*bl + al*bh)*2^32 + al*bl, with 2^64 = 8 (mod p).
-    hi = ah * bh  # < 2^60
-    mid = ah * bl + al * bh  # < 2^63
-    lo = al * bl  # < 2^64
-    mid_hi = mid >> np.uint64(29)  # mid = mid_hi*2^29 + mid_lo; mid*2^32 = mid_hi*2^61 + mid_lo*2^32
-    mid_lo = mid & _MASK29
-    acc = (hi << np.uint64(3)) + mid_hi + (mid_lo << np.uint64(32))  # < 2^64
-    # half-fold both terms (each ends <= p + 7), so their sum cannot wrap
-    acc = (acc >> _SHIFT61) + (acc & _MASK61)
-    lo = (lo >> _SHIFT61) + (lo & _MASK61)
-    return _fold61(acc + lo)
+    return mulmod_limbs(a, *limbs(b))
 
 
 def mulmod_limbs(a: np.ndarray, b_lo: np.ndarray, b_hi: np.ndarray
                  ) -> np.ndarray:
-    """Elementwise a * (b_lo + b_hi 2^31) mod (2^61 - 1), for uint64 a <= p + 7
-    and limbs b_lo < 2^31, b_hi < 2^30 (see `limbs`)."""
+    """Elementwise a * (b_lo + b_hi 2^31) mod (2^61 - 1), for uint64 a < 2^62
+    and limbs b_lo, b_hi < 2^31 (see `limbs`)."""
     a_lo = a & _LIMB_MASK
-    a_hi = a >> _LIMB_BITS  # <= 2^30
+    a_hi = a >> _LIMB_BITS  # < 2^31
     # a*b = a_lo*b_lo + mid*2^31 + a_hi*b_hi*2^62, with 2^62 = 2 (mod p);
     # mid*2^31 = (mid >> 30)*2^61 + (mid mod 2^30)*2^31
-    mid = a_lo * b_hi + a_hi * b_lo  # < 2^62
+    mid = a_lo * b_hi + a_hi * b_lo  # < 2^63
     v = (a_lo * b_lo + (mid >> _SHIFT30) + ((mid & _MASK30) << _LIMB_BITS)
-         + ((a_hi * b_hi) << _ONE))  # < 2^63 + 2^32
+         + ((a_hi * b_hi) << _ONE))  # < 2^62 + 2^33 + 2^61 + 2^63 < 2^64
     return _fold61(v)
 
 
@@ -80,7 +62,7 @@ def fold_limbs(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def limbs(a: np.ndarray) -> np.ndarray:
-    """The 31-bit limbs (a mod 2^31, a >> 31) of residues a < p, stacked."""
+    """The 31-bit limbs (a mod 2^31, a >> 31) of uint64 a < 2^62, stacked."""
     return np.stack([a & _LIMB_MASK, a >> _LIMB_BITS])
 
 

@@ -30,7 +30,9 @@ bucket 0 only, under which every shift in [-k, k] is filed. The wave index
 a promised offset |i_a - i_b| <= k can ask for. One oracle class,
 `IndexedShiftOracle`, answers `oracle(i_a, i_b)` over either index, and
 the greedy decider asks it at (i_b, i_b); `OneSidedOracle` is that class
-under a name of its own, for the greedy index.
+under a name of its own, for the greedy index. Below rate 1 the oracle
+records the index's shift buckets, and the wave refuses one that lacks a
+bucket its diagonals probe, such as the greedy index's.
 
 Below rate 1 the tables are built in a few numpy passes per window length.
 The 2k + 1 shifted views of A share one sample set, so a canonical start's
@@ -72,6 +74,7 @@ import numpy as np
 from .greedy import check_index_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
                       ViewStack, check_hash_params, draw_sample, sample_rate)
+from .mers61 import P61
 from .strings import ByteString
 from .two_sided import TwoSidedIndex, full_sample
 
@@ -260,7 +263,7 @@ class OneSidedIndex:
             keys = [(*key, cell.size) for key, cell in cells]
             arrays = [cell for _, cell in cells]
             nh = sum(key[3] for key in keys)
-        head = _HEAD.pack(FORMAT_VERSION, layout, self.cfg.p, self.cfg.x,
+        head = _HEAD.pack(FORMAT_VERSION, layout, P61, self.cfg.x,
                           self.n, self.k, self.ell, self.buckets.start,
                           self.buckets.stop, s.size, len(keys), nh)
         # one buffer and one write: a write per cell costs more than the copy
@@ -334,14 +337,14 @@ class OneSidedIndex:
         s = view("<i8", ns)
         keys = view("<i8", 4 * nk).reshape(nk, 4).tolist()
         hashes = view("<u8", nh)
-        params = (n, k, ell, range(b_start, b_stop), HashConfig(x=x, p=p))
+        params = (n, k, ell, range(b_start, b_stop), HashConfig(x=x))
         if prefix:
             return cls(*params, full_sample(n),
                        dense=[(hashes, view("<u8", nh))])
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
         tables = {(e, c, b): hashes[lo:hi]
                   for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
-        return cls(*params, SampleSet(s, n, sample_rate(n, ell)), tables=tables)
+        return cls(*params, SampleSet(s), tables=tables)
 
 
 class OneSidedWaveIndex(OneSidedIndex):
@@ -388,7 +391,10 @@ class IndexedShiftOracle:
     """Wave shift-alignment oracle over an A-index, for the index's l: at
     rate 1 the exact search over A's prefix, with hints (module docstring);
     below rate 1 `max_shift_align` at the asked (i_a, i_b), with no hint.
-    The search is chosen once, here, so a call pays for no test."""
+    The search is chosen once, here, so a call pays for no test.
+
+    `buckets` records the shift buckets a call can probe: below rate 1 the
+    index's, at rate 1 None, since the exact search serves every shift."""
 
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
@@ -398,6 +404,7 @@ class IndexedShiftOracle:
         self.b_state = index.hash_b(b, self.counters)
         self.last_hint = None
         self.exact = index.exact_search()
+        self.buckets = index.buckets if self.exact is None else None
         if self.exact is None:
             self._search = partial(max_shift_align, index, self.b_state)
         else:

@@ -45,7 +45,7 @@ from .strings import ByteString
 
 
 def full_sample(n: int) -> SampleSet:
-    return SampleSet(np.arange(1, n + 1, dtype=np.int64), n, 1.0)
+    return SampleSet(np.arange(1, n + 1, dtype=np.int64))
 
 
 def prefix_rows(s: ByteString, cfg: HashConfig,
@@ -109,7 +109,7 @@ class TwoSidedIndex:
         A[i_a+c .. i_a+c+d-1] with |c| <= l and |i_a + c - i_b| <= k, and
         one such c; (0, 0) when none matches B[i_b]. Exact up to hash
         collisions. `b_rows` are B's prefix hashes over every position,
-        under this index's (p, x).
+        under this index's base x.
 
         Each probe counts what `member` and one `retrieve` on B's window
         count: one table lookup, one retrieval for B and one per in-range
@@ -151,15 +151,6 @@ class TwoSidedIndex:
         self.counters.table_lookups += probes
         self.counters.retrievals += probes + hashed
         return lo, (alive[0] - delta if lo else 0)
-
-
-def two_sided_max_align(index: TwoSidedIndex, b_state: RollingHashState,
-                        i_b: int) -> int:
-    """Longest d with the hash of B[i_b .. i_b+d-1] present in the cell for
-    window (i_b, i_b+d-1): `TwoSidedIndex.align` at i_a = i_b and l = k,
-    read from a state over every position of B. It lists B's prefix on
-    every call; the oracles list it once."""
-    return index.align(b_state.prefix.tolist(), i_b, i_b, index.k)[0]
 
 
 class TwoSidedShiftOracle:

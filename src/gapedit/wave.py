@@ -62,11 +62,20 @@ class WaveTable:
 def greedy_wave(a: ByteString, b: ByteString, k: int, ell: int, oracle,
                 table: WaveTable | None = None) -> GapVerdict:
     """Run k wave rounds; SMALL iff diagonal 0 reaches past n. An oracle
-    over an index built for another k or l is refused with ValueError."""
+    over an index built for another k or l, or one that records `buckets`
+    (shift buckets floor((i_a - i_b) / l) it can probe) without every
+    diagonal's, is refused with ValueError."""
     check_gap_params(a, b, k, ell)
     check_oracle_index(oracle, k, ell)
+    reach = k // ell
+    buckets = getattr(oracle, "buckets", None)
+    if buckets is not None and not (buckets.start <= -reach
+                                    and reach < buckets.stop):
+        raise ValueError(f"the oracle's index keeps shift buckets "
+                         f"[{buckets.start}, {buckets.stop}), the wave probes "
+                         f"{-reach} .. {reach}")
     n = len(b)
-    diagonals = list(range(-(k // ell) * ell, (k // ell) * ell + 1, ell))
+    diagonals = list(range(-reach * ell, reach * ell + 1, ell))
 
     def extend(m: int, j: int) -> int:
         i_b = m + 1

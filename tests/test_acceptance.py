@@ -20,7 +20,7 @@ from gapedit.one_sided import OneSidedIndex, OneSidedOracle
 from gapedit.strings import (ByteString, edit_distance_at_most,
                              edit_distance_exact, edit_distance_quadratic,
                              exact_hwave)
-from gapedit.two_sided import TwoSidedIndex, full_sample, two_sided_max_align
+from gapedit.two_sided import TwoSidedIndex, full_sample
 from gapedit.wave import WaveTable, gap_wave as wave_run, wave_jump_violations
 
 
@@ -108,7 +108,7 @@ class TestAcceptance:
             st = RollingHashState(b, full_sample(n), cfg)
             for i_b in range(1, n + 1):
                 queries += 1
-                got = two_sided_max_align(index, st, i_b)
+                got = index.align(st.prefix.tolist(), i_b, i_b, k)[0]
                 ref, _ = bf_align_with_shift(a, b, i_b, k)
                 mismatches += (got != ref)
         elapsed = time.time() - t0
@@ -235,8 +235,8 @@ class TestAcceptance:
         # k > 4 ln n. There the 3 ceil(sqrt k) + 1 views fold about
         # 12 n ln n / sqrt(k) positions: the n / sqrt(k) law up to its log
         # factor. For smaller k the rate is 1 and the oracle folds A and B
-        # once each, padded by r^2 <= 2k sentinels per side, so work is
-        # linear in n and carries no k^-1/2 dependence.
+        # once each, exactly 2n folds, so work is linear in n and carries
+        # no k^-1/2 dependence.
         sub = [(n, k, w) for n, k, w in rows if k > 4 * math.log(n)]
         sat = [(n, k, w) for n, k, w in rows if k <= 4 * math.log(n)]
         assert {n for n, _, _ in sub} == {4096, 16384, 65536}

@@ -39,7 +39,7 @@ class TestNoPrepOracle:
         b = inst.b
         b.data[10:90] = (b.data[10:90] % 4) + 1  # heavy damage mid-string
         orc = NoPrepOracle(inst.a, b, 20, HashConfig.from_seed(5))
-        assert orc.samples.rate < 1
+        assert orc.index is None  # below rate 1
         assert orc(20, 20) >= 40
 
     def test_state_count_is_birthday_split(self):
@@ -48,7 +48,7 @@ class TestNoPrepOracle:
         k = 64
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
         r = 8
-        assert orc.samples.rate < 1
+        assert orc.index is None  # below rate 1
         # columns: 2q + 1 A views (q = ceil(k / r) = r here), then r B views
         assert orc.views.prefix.shape[1] == 3 * r + 1
         # every view folds each sampled position once: the work AC06 fits

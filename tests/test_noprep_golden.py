@@ -2,19 +2,18 @@
 
 `tests/data/noprep_golden.json` holds, for every cell below, the verdict,
 the greedy trace or wave table and the `OpCounters` of one noprep
-decision, recorded before the hash layer was vectorised. The `init_steps`
-of the rate-1 cells were recorded again when those oracles moved to one
-padded prefix per string, and the `retrievals` of the wave cells when the
-wave oracle's length search began to gallop and prune. When the greedy
-oracle became the wave's at l = k and both built only the A views they
-can scan, the `init_steps` of every wave cell and of the greedy k = 2
-cells moved down, and so did the `retrievals` of every greedy cell;
-nothing else in the file moved. The rate-1 cells (k, or l for the wave,
-at most 4 ln n) were recorded again when noprep there became the exact
-shift search over A's and B's prefixes: their traces, rows and counters
-now equal those of an exact search (the rows and jumps equal exact
-mode's), and the rate < 1 records did not move. Any change to
-hashing, sampling or the oracles' scan order shows up here as a diff.
+decision, recorded before the hash layer was vectorised. The `retrievals`
+of the wave cells were recorded again when the wave oracle's length search
+began to gallop and prune. When the greedy oracle became the wave's at
+l = k and both built only the A views they can scan, the `init_steps` of
+every wave cell and of the greedy k = 2 cells moved down, and so did the
+`retrievals` of every greedy cell; nothing else in the file moved. The
+rate-1 cells (k, or l for the wave, at most 4 ln n) were recorded again
+when noprep there became the exact shift search over A's and B's
+prefixes, each folded once: their traces, rows and counters now equal
+those of an exact search (the rows and jumps equal exact mode's), and the
+rate < 1 records did not move. Any change to hashing, sampling or the
+oracles' scan order shows up here as a diff.
 
 `tests/data/indexed_golden.json` holds the same records for the same cells
 decided in the onesided and twosided modes, each record tagged with its

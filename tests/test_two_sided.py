@@ -5,9 +5,9 @@ from hypothesis import given, settings, strategies as st
 from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
+from gapedit.mers61 import P61
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
-from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle, full_sample,
-                               two_sided_max_align)
+from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle, full_sample
 
 CFG = HashConfig.from_seed(1234)
 
@@ -24,7 +24,7 @@ class TestTwoSidedAlign:
             idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
             st = b_state(inst.b)
             for i_b in range(1, n + 1):
-                assert (two_sided_max_align(idx, st, i_b)
+                assert (idx.align(st.prefix.tolist(), i_b, i_b, k)[0]
                         == max_shift_alignment_bruteforce(inst.a, inst.b,
                                                           i_b, i_b, k, k))
 
@@ -33,7 +33,7 @@ class TestTwoSidedAlign:
         idx = TwoSidedIndex.preprocess(inst.a, 3, CFG)
         st = b_state(inst.b)
         for i_b in (1, 20, 41):
-            d = two_sided_max_align(idx, st, i_b)
+            d = idx.align(st.prefix.tolist(), i_b, i_b, idx.k)[0]
             for dd in range(0, d + 1):
                 h = st.retrieve(i_b, i_b + dd - 1)
                 assert idx.member(i_b, i_b + dd - 1, h)
@@ -129,7 +129,7 @@ class TestGallopSearch:
         st_ = RollingHashState(b, full_sample(n), cfg, ref)
         rows = st_.prefix.tolist()
         for i_b in range(1, n + 1):
-            assert (two_sided_max_align(idx, st_, i_b)
+            assert (idx.align(rows, i_b, i_b, k)[0]
                     == max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)), i_b
             wave = sorted({min(max(i_b + o, 1), n)
                            for o in (-k, -ell, 0, ell, k)})
@@ -171,7 +171,7 @@ class TestMemberEquivalence:
         for i, j in sorted(windows):
             cell = shifted_copies(ref, n, k, i, j)
             rows = len(cell) if j >= i else 0
-            probes = [st.retrieve(i, j), int(rng.integers(0, CFG.p))]
+            probes = [st.retrieve(i, j), int(rng.integers(0, P61))]
             if j >= i and rows:
                 a = int(rng.integers(max(-k, 1 - i), min(k, n - j) + 1))
                 probes.append(ref.retrieve(i + a, j + a))

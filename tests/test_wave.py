@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapedit import gap_match
-from gapedit.greedy import GapVerdict, GreedyTrace
+from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, ViewStack
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
@@ -71,6 +71,34 @@ class TestGreedyWaveExact:
             greedy_wave(inst.a, inst.b, 64, 16, orc)
         with pytest.raises(ValueError, match="built for k = 64"):
             greedy_wave(inst.a, inst.b, 128, 32, orc)
+
+    def test_index_without_every_diagonals_bucket_refused(self):
+        # below sampling rate 1 (64 > 4 ln 2000) greedy's index keeps shift
+        # bucket 0 only, where the wave at l = k probes buckets -1 .. 1
+        inst = gen_planted(2000, 4, 40, seed=1)
+        orc = IndexedShiftOracle(OneSidedIndex.preprocess(inst.a, 64, CFG),
+                                 inst.b)
+        with pytest.raises(ValueError, match=r"shift buckets \[0, 1\)"):
+            greedy_wave(inst.a, inst.b, 64, 64, orc)
+        # the wave index at l = k keeps them, and serves greedy as well
+        wave_index = OneSidedWaveIndex.preprocess(inst.a, 64, 64, CFG)
+        tab = WaveTable()
+        assert greedy_wave(inst.a, inst.b, 64, 64,
+                           IndexedShiftOracle(wave_index, inst.b),
+                           table=tab) is GapVerdict.SMALL
+        assert len(set(tab.rows[1].values())) == 1  # every diagonal reached
+        assert greedy_match(inst.a, inst.b, 64, OneSidedOracle(
+            wave_index, inst.b)) is GapVerdict.SMALL
+        # at rate 1 the exact search serves every shift: greedy's index
+        # answers the wave at l = k, as exact mode does
+        inst = gen_planted(64, 4, 1, seed=4)
+        orc = IndexedShiftOracle(OneSidedIndex.preprocess(inst.a, 6, CFG),
+                                 inst.b)
+        assert orc.buckets is None
+        tab, ref = WaveTable(), WaveTable()
+        verdict = greedy_wave(inst.a, inst.b, 6, 6, orc, table=tab)
+        assert (verdict, tab.rows) == (
+            gap_wave(inst.a, inst.b, 6, 6, "exact", table=ref)[0], ref.rows)
 
 
 class TestJumpProperty:
