@@ -196,6 +196,14 @@ def check_hash_params(p: int, x: int) -> None:
         raise ValueError("hash base must be nonzero mod p")
 
 
+def check_alphabet(n: int, sigma: int) -> None:
+    """Raise ValueError unless p > n^2 (sigma + 1), the margin the collision
+    guarantee needs for length n over symbols 1 .. sigma + 1 (the sentinel
+    included)."""
+    if P61 <= n * n * (sigma + 1):
+        raise ValueError("modulus too small for this length and alphabet")
+
+
 class RollingHashState:
     """Prefix hashes over one shifted view of a sample set on one string."""
 
@@ -205,8 +213,7 @@ class RollingHashState:
         if n > MAX_N:
             raise ValueError("string too long for collision guarantee")
         check_hash_params(P61, cfg.x)
-        if P61 <= n * n * (string.sigma + 1):
-            raise ValueError("modulus too small for this length and alphabet")
+        check_alphabet(n, string.sigma)
         self.cfg = cfg
         self.samples = samples
         self.counters = counters if counters is not None else OpCounters()

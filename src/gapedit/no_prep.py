@@ -12,8 +12,10 @@ folds, and answers by the exact shift search of the two-sided index
 (`two_sided.TwoSidedIndex.align`) over their prefixes, at every shift
 |c| <= k: the birthday split would fold the same n positions per string
 and save nothing. Its answers are exact up to hash collisions. A call
-makes O(log n) probes, each hashing at most 2k + 1 copies of A, so the
-2k + 1 calls of a decision take O(n + k^2 log n), inside the bound.
+makes O(log n) probes, each testing at most 2k + 1 copies of A: the first
+compares A's symbols with B[i_b], the later ones hash the survivors, and
+every copy tested counts as a retrieval. So the 2k + 1 calls of a
+decision take O(n + k^2 log n), inside the bound.
 
 Below rate 1, every candidate shift c in [-k, k] factors as c = a * r + b
 with r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r.

@@ -2,11 +2,11 @@
 
 The index samples A at rate min(4 ln n / l, 1), l its column width. At
 rate 1 a query hashes all of B anyway, so the index keeps only A's prefix
-hashes H[0 .. n] and x^0 .. x^n, and the oracles ask the two-sided
-index's exact shift search (`two_sided.TwoSidedIndex.align`) for the
-shifts delta + c, delta = i_a - i_b, |c| <= l and |delta + c| <= k. Their
-answers are exact up to hash collisions, and `last_hint` is a c that
-matched at the returned d (0 when d is 0).
+hashes H[0 .. n], x^0 .. x^n and A's symbols, and the oracles ask the
+two-sided index's exact shift search (`two_sided.TwoSidedIndex.align`)
+for the shifts delta + c, delta = i_a - i_b, |c| <= l and
+|delta + c| <= k. Their answers are exact up to hash collisions, and
+`last_hint` is a c that matched at the returned d (0 when d is 0).
 
 Below rate 1 the index stores, for every window length 2^e, the
 sampled-window hashes of A under every shift |a| <= k, recorded at
@@ -73,8 +73,9 @@ import numpy as np
 
 from .greedy import check_index_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      ViewStack, check_hash_params, draw_sample, sample_rate)
-from .mers61 import P61
+                      ViewStack, check_alphabet, check_hash_params,
+                      draw_sample, sample_rate)
+from .mers61 import P61, mulmod_vec, submod_vec
 from .strings import ByteString
 from .two_sided import TwoSidedIndex, full_sample
 
@@ -123,6 +124,29 @@ def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
     return keys[fresh], distinct[rank[fresh]]
 
 
+def _prefix_symbols(h: np.ndarray, xpow: np.ndarray, x: int) -> list[int]:
+    """A's symbols c_t = H[t] - x H[t - 1] mod p, read from a prefix body.
+
+    The body is refused with ValueError unless H[0] = 0, every H[t] < p,
+    the x-powers are 1, x, x^2, ... under x, and every symbol is at least 1
+    and passes the alphabet guard. Then H is the prefix hash of those
+    symbols under x, so comparing symbols answers as comparing length-1
+    window hashes does."""
+    if h[0] != 0 or np.any(h >= P61):
+        raise ValueError("prefix hashes must start at 0 and lie below p")
+    x = np.array([x % P61], dtype=np.uint64)
+    # each power is checked against the checked one before it, so the
+    # first bad power fails its check whatever it multiplies to
+    if xpow[0] != 1 or np.any(mulmod_vec(xpow[:-1], x) != xpow[1:]):
+        raise ValueError("the x-power table does not match the header's x")
+    syms = submod_vec(h[1:], mulmod_vec(h[:-1], x))
+    if syms.size:
+        if syms.min() < 1:
+            raise ValueError("prefix hashes decode to a symbol below 1")
+        check_alphabet(syms.size, int(syms.max()))
+    return syms.tolist()
+
+
 class OneSidedIndex:
     """A's prefix hashes at sampling rate 1; below it, sampled window
     hashes of shifted copies of A, by window length, start column and shift
@@ -131,11 +155,13 @@ class OneSidedIndex:
     def __init__(self, n: int, k: int, ell: int, buckets: range,
                  cfg: HashConfig, samples: SampleSet,
                  tables: dict | None = None, dense: list | None = None,
+                 syms: list[int] | None = None,
                  counters: OpCounters | None = None):
         self.n, self.k, self.ell, self.buckets = n, k, ell, buckets
         self.cfg, self.samples = cfg, samples
         self.tables = tables  # (e, col, bucket) -> sorted uint64 hashes
         self.dense = dense  # rate 1: [(H, x-powers)], as perfbench reads it
+        self.syms = syms  # rate 1: A's symbols, A[t] at t - 1
         self.counters = counters if counters is not None else OpCounters()
         self.num_cols = -(-n // ell)
         self.exponents = max(n, 1).bit_length() - 1
@@ -156,6 +182,7 @@ class OneSidedIndex:
             idx = cls(n, k, ell, buckets, cfg, full_sample(n))
             state = RollingHashState(a, idx.samples, cfg, idx.counters)
             idx.dense = [(state.prefix, state.xpow)]
+            idx.syms = a.data.tolist()
         else:
             idx = cls(n, k, ell, buckets, cfg, draw_sample(
                 n, ell, cfg.sampling_rng(),
@@ -169,7 +196,8 @@ class OneSidedIndex:
         if self.dense is None:
             return None
         self._rows = self._rows or [arr.tolist() for arr in self.dense[0]]
-        return TwoSidedIndex(self.k, self.cfg, *self._rows, self.counters)
+        return TwoSidedIndex(self.k, self.cfg, *self._rows, self.syms,
+                             self.counters)
 
     def _canonical_starts(self, e: int) -> np.ndarray:
         """Window starts recorded for length 2^e: those that some shift
@@ -282,8 +310,10 @@ class OneSidedIndex:
         checksum does not match, and one whose header holds an unknown
         layout, a k or l the builders refuse, hash parameters (p, x) that
         `RollingHashState` refuses, or shift buckets that neither the
-        greedy nor the wave index keeps at its k and l. Arrays are views of
-        the file's bytes."""
+        greedy nor the wave index keeps at its k and l. A prefix body must
+        also be the prefix hash, under the header's x, of symbols that pass
+        the alphabet guard (`_prefix_symbols`); A's symbols are recovered
+        from it. Arrays are views of the file's bytes."""
         with open(path, "rb") as f:
             raw = f.read()
         size = len(raw)
@@ -339,8 +369,9 @@ class OneSidedIndex:
         hashes = view("<u8", nh)
         params = (n, k, ell, range(b_start, b_stop), HashConfig(x=x))
         if prefix:
-            return cls(*params, full_sample(n),
-                       dense=[(hashes, view("<u8", nh))])
+            xpow = view("<u8", nh)
+            return cls(*params, full_sample(n), dense=[(hashes, xpow)],
+                       syms=_prefix_symbols(hashes, xpow, x))
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
         tables = {(e, c, b): hashes[lo:hi]
                   for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
@@ -409,10 +440,12 @@ class IndexedShiftOracle:
             self._search = partial(max_shift_align, index, self.b_state)
         else:
             self.b_rows = self.b_state.prefix.tolist()
+            self.b_syms = b.data.tolist()
             self._search = self._align
 
     def _align(self, i_a: int, i_b: int) -> int:
-        d, self.last_hint = self.exact.align(self.b_rows, i_a, i_b, self.ell)
+        d, self.last_hint = self.exact.align(self.b_rows, self.b_syms, i_a,
+                                             i_b, self.ell)
         return d
 
     def __call__(self, i_a: int, i_b: int) -> int:

@@ -6,9 +6,9 @@ query then searches the longest B-window whose hash lands in the matching
 cell.
 
 Cells are computed on demand from the prefix hashes H of A, so the index
-holds O(n) state: H and x^0 .. x^n, as Python lists. Every position of A
-is sampled, so the copy at shift a reads rows i - 1 + a and j + a of H,
-and with d = j - i + 1 it hashes to h exactly when
+holds O(n) state: H, x^0 .. x^n and A's symbols, as Python lists. Every
+position of A is sampled, so the copy at shift a reads rows i - 1 + a and
+j + a of H, and with d = j - i + 1 it hashes to h exactly when
 
     (H[i - 1 + a] x^d + h) mod p == H[j + a].
 
@@ -20,18 +20,21 @@ and the first miss. After every hit it keeps only the shifts that matched.
 That is exact: a copy that matches B[i_b .. i_b + d - 1] at shift a also
 matches every shorter prefix at shift a, so a shift that fails at a hit
 length d can never match at a longer one, and a miss over the survivors is
-a miss over every shift. Only the first probe of an oracle call hashes all
-its starting shifts; the later probes hash the few survivors. A probe reads
-B's window hash from B's prefix list and runs the test above inline, with
-no call per probe.
+a miss over every shift. Only the first probe of an oracle call tests all
+its starting shifts; the later probes hash the few survivors. That first
+probe, d = 1, compares symbols instead of hashes: a length-1 window hashes
+to its own symbol, so A[i_b + a] = B[i_b] gives the hash test's answer bit
+for bit, and it is counted as the hash test is. From d = 2 on, a probe
+reads B's window hash from B's prefix list and runs the test above inline,
+with no call per probe.
 
 The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k, through one call, `oracle(i_a, i_b)`: the wave asks for
 the shifts delta + c, delta = i_a - i_b, |c| <= l, |delta + c| <= k;
 greedy asks an oracle built for l = k at (i_b, i_b).
 At sampling rate 1 the noprep oracles run the same search over an index
-of A and B's prefix built per pair, and the one-sided oracles over the
-prefix of A their index keeps.
+of A and B's prefix and symbols built per pair, and the one-sided oracles
+over the prefix and symbols of A their index keeps.
 """
 
 from __future__ import annotations
@@ -60,13 +63,15 @@ class TwoSidedIndex:
     """Shift-closed window hashes of A for alignment against any B."""
 
     def __init__(self, k: int, cfg: HashConfig, prefix: list[int],
-                 xpow: list[int], counters: OpCounters | None = None):
+                 xpow: list[int], syms: list[int],
+                 counters: OpCounters | None = None):
         self.n = len(prefix) - 1
         self.k = k
         self.cfg = cfg
         self.counters = counters if counters is not None else OpCounters()
         self.prefix = prefix  # H[t]: hash of A[1 .. t]
         self.xpow = xpow  # x^d, d = 0 .. n
+        self.syms = syms  # syms[t - 1]: A[t], the hash of window (t, t)
 
     @classmethod
     def preprocess(cls, a: ByteString, k: int,
@@ -80,7 +85,7 @@ class TwoSidedIndex:
         """The index of A, its n folds booked on `counters`."""
         state = RollingHashState(a, full_sample(len(a)), cfg, counters)
         return cls(k, cfg, state.prefix.tolist(), state.xpow.tolist(),
-                   counters)
+                   a.data.tolist(), counters)
 
     def member(self, i: int, j: int, h: int,
                shifts: list[int] | None = None) -> list[int]:
@@ -103,32 +108,39 @@ class TwoSidedIndex:
         return [a for a in shifts
                 if (rows[before + a] * x_d + h) % P61 == rows[j + a]]
 
-    def align(self, b_rows: list[int], i_a: int, i_b: int,
-              ell: int) -> tuple[int, int]:
+    def align(self, b_rows: list[int], b_syms: list[int], i_a: int,
+              i_b: int, ell: int) -> tuple[int, int]:
         """The longest d with B[i_b .. i_b+d-1] equal to a copy
         A[i_a+c .. i_a+c+d-1] with |c| <= l and |i_a + c - i_b| <= k, and
         one such c; (0, 0) when none matches B[i_b]. Exact up to hash
         collisions. `b_rows` are B's prefix hashes over every position,
-        under this index's base x.
+        under this index's base x, and `b_syms` B's symbols.
 
+        The first probe, d = 1, compares A[i_b + a] with B[i_b] over the
+        in-range shifts a; later probes run the hash test on the survivors.
         Each probe counts what `member` and one `retrieve` on B's window
         count: one table lookup, one retrieval for B and one per in-range
-        copy of A hashed."""
+        copy of A tested."""
         n = self.n
         delta = i_a - i_b
         before = i_b - 1
-        # the shifts a = delta + c relative to i_b whose copies start in A,
-        # in increasing order
-        alive = range(max(delta - ell, -self.k, -before),
-                      min(delta + ell, self.k) + 1)
+        hi = n - before
+        if hi <= 0:
+            return 0, 0
+        # the shifts a = delta + c relative to i_b whose copies of B[i_b]
+        # lie in A, in increasing order
+        shifts = range(max(delta - ell, -self.k, -before),
+                       min(delta + ell, self.k, hi - 1) + 1)
+        syms, c = self.syms, b_syms[before]
+        alive = [a for a in shifts if syms[before + a] == c]
+        probes, hashed = 1, len(shifts)
+        lo, hi = (1, hi) if alive else (0, 0)
         rows, xpow = self.prefix, self.xpow
         b_before = b_rows[before]
-        lo, hi = 0, n - before
-        probes = hashed = 0
         galloping = True
         while lo < hi:
             if galloping:
-                d = 2 * lo if lo else 1
+                d = 2 * lo
                 if d > hi:
                     d = hi
             else:
@@ -169,11 +181,13 @@ class TwoSidedShiftOracle:
         self.k, self.ell = index.k, ell
         self.counters = counters if counters is not None else OpCounters()
         self.b_rows = prefix_rows(b, index.cfg, self.counters)
+        self.b_syms = b.data.tolist()
         self.last_hint = None
 
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
-        d, self.last_hint = self.index.align(self.b_rows, i_a, i_b, self.ell)
+        d, self.last_hint = self.index.align(self.b_rows, self.b_syms, i_a,
+                                             i_b, self.ell)
         return d
 
 

@@ -175,6 +175,7 @@ class NoPrepShiftOracle:
         if sample_rate(n, ell) >= 1:
             self.index = TwoSidedIndex.build(a, k, cfg, self.counters)
             self.b_rows = prefix_rows(b, cfg, self.counters)
+            self.b_syms = b.data.tolist()
             return
         self.index = None
         r = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
@@ -195,8 +196,8 @@ class NoPrepShiftOracle:
     def __call__(self, i_a: int, i_b: int) -> int:
         self.counters.oracle_queries += 1
         if self.index is not None:
-            d, self.last_hint = self.index.align(self.b_rows, i_a, i_b,
-                                                 self.ell)
+            d, self.last_hint = self.index.align(self.b_rows, self.b_syms,
+                                                 i_a, i_b, self.ell)
             return d
         ell, r, q = self.ell, self.r, self.q
         delta = i_a - i_b

@@ -106,9 +106,10 @@ class TestAcceptance:
             cfg = HashConfig.from_seed(500 + idx_t)
             index = TwoSidedIndex.preprocess(a, k, cfg)
             st = RollingHashState(b, full_sample(n), cfg)
+            rows, syms = st.prefix.tolist(), b.data.tolist()
             for i_b in range(1, n + 1):
                 queries += 1
-                got = index.align(st.prefix.tolist(), i_b, i_b, k)[0]
+                got = index.align(rows, syms, i_b, i_b, k)[0]
                 ref, _ = bf_align_with_shift(a, b, i_b, k)
                 mismatches += (got != ref)
         elapsed = time.time() - t0

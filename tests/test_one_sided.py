@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gapedit import GapVerdict, GreedyTrace, WaveTable, gap_match, gap_wave
+from gapedit import (GapVerdict, GreedyTrace, WaveTable, gap_match, gap_wave,
+                     greedy_match)
 from gapedit.hashing import HashConfig, sample_rate
 from gapedit.instances import gen_large_side, gen_planted
+from gapedit.mers61 import P61
 from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
                                OneSidedIndex, OneSidedOracle,
                                OneSidedWaveIndex, anchor_positions)
@@ -242,7 +244,20 @@ class TestSerialization:
             assert not h2.flags.owndata and not xpow2.flags.owndata
             # H and the x-powers, n + 1 of each; no samples and no keys
             assert path.stat().st_size == HEAD_END + 16 * 151 + 4
+            # A's symbols, recovered from H
+            assert idx2.syms == idx.syms == inst.a.data.tolist()
             assert answers(idx2, inst.b) == answers(idx, inst.b)
+        # the greedy decider's trace over the loaded index is the source's
+        idx = OneSidedIndex.preprocess(inst.a, 4, CFG)
+        idx.save(path)
+        traces = []
+        for index in (idx, OneSidedIndex.load(path)):
+            trace = GreedyTrace()
+            greedy_match(inst.a, inst.b, 4, OneSidedOracle(index, inst.b),
+                         trace)
+            traces.append((trace.starts, trace.jumps, trace.hints))
+        assert traces[0] == traces[1]
+        assert len(traces[0][0]) > 1 and None not in traces[0][2]
 
     def test_files_of_format_version_2(self):
         # saved before the rate-1 layout changed: a general-layout index of
@@ -314,6 +329,51 @@ class TestSerialization:
                         OneSidedIndex.load(path)
                 else:  # the checksum alone would let it load
                     assert OneSidedIndex.load(path).k == head[5]
+
+    # edits of a prefix body under a good checksum: the header's x alone,
+    # the header's x with the x-powers recomputed under it (H stays that of
+    # the old x), or one entry of H or of the x-powers
+    @pytest.mark.parametrize("part,t,change,match", [
+        ("x", None, lambda v: v + 1, "x-power table does not match"),
+        ("x", None, lambda v: 2, "x-power table does not match"),
+        ("x and powers", None, lambda v: v + 1,
+         "symbol below 1|modulus too small"),
+        ("H", 0, lambda v: 1, "must start at 0"),
+        ("H", 3, lambda v: v + P61, "lie below p"),
+        ("H", 1, lambda v: 0, "symbol below 1"),
+        ("H", 5, lambda v: P61 - 1, "modulus too small"),
+        ("powers", 0, lambda v: 2, "x-power table does not match"),
+        ("powers", 7, lambda v: v + 1, "x-power table does not match"),
+        ("powers", -1, lambda v: 0, "x-power table does not match"),
+    ])
+    def test_prefix_body_checked_under_a_good_checksum(
+            self, saved_files, tmp_path, part, t, change, match):
+        path = tmp_path / "edited.gedt1s"
+        for raw in saved_files[:2]:  # greedy and wave, at rate 1
+            for edit in (False, True):
+                head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
+                assert head[1] == 2
+                nh = head[11]
+                h = np.frombuffer(raw, "<u8", nh, HEAD_END).copy()
+                xpow = np.frombuffer(raw, "<u8", nh, HEAD_END + 8 * nh).copy()
+                if edit and part.startswith("x"):
+                    head[3] = change(head[3])
+                    if part == "x and powers":
+                        xpow = np.array([pow(head[3], e, P61)
+                                         for e in range(nh)], dtype="<u8")
+                elif edit:
+                    arr = h if part == "H" else xpow
+                    arr[t] = change(int(arr[t]))
+                body = bytearray(raw[:-4])
+                _HEAD.pack_into(body, len(MAGIC_1S), *head)
+                body[HEAD_END:] = h.tobytes() + xpow.tobytes()
+                crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
+                path.write_bytes(bytes(body) + struct.pack("<I", crc))
+                if edit:
+                    with pytest.raises(ValueError, match=match):
+                        OneSidedIndex.load(path)
+                else:  # the checksum alone would let it load
+                    assert OneSidedIndex.load(path).n == head[4]
 
     @pytest.mark.parametrize("field,change", [
         (4, lambda h: h[4] + 1), (9, lambda h: 1), (10, lambda h: 1)])

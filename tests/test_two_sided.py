@@ -6,6 +6,7 @@ from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
 from gapedit.mers61 import P61
+from gapedit.one_sided import _prefix_symbols
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle, full_sample
 
@@ -16,15 +17,20 @@ def b_state(b, cfg=CFG):
     return RollingHashState(b, full_sample(len(b)), cfg)
 
 
+def b_lists(b, cfg=CFG):
+    """B's prefix hashes and symbols, as `align` reads them."""
+    return b_state(b, cfg).prefix.tolist(), b.data.tolist()
+
+
 class TestTwoSidedAlign:
     def test_equals_bruteforce_everywhere(self):
         for t in range(8):
             n, k = 100, 5
             inst = gen_planted(n, 3, 4, seed=t)
             idx = TwoSidedIndex.preprocess(inst.a, k, CFG)
-            st = b_state(inst.b)
+            rows, syms = b_lists(inst.b)
             for i_b in range(1, n + 1):
-                assert (idx.align(st.prefix.tolist(), i_b, i_b, k)[0]
+                assert (idx.align(rows, syms, i_b, i_b, k)[0]
                         == max_shift_alignment_bruteforce(inst.a, inst.b,
                                                           i_b, i_b, k, k))
 
@@ -33,7 +39,7 @@ class TestTwoSidedAlign:
         idx = TwoSidedIndex.preprocess(inst.a, 3, CFG)
         st = b_state(inst.b)
         for i_b in (1, 20, 41):
-            d = idx.align(st.prefix.tolist(), i_b, i_b, idx.k)[0]
+            d = idx.align(*b_lists(inst.b), i_b, i_b, idx.k)[0]
             for dd in range(0, d + 1):
                 h = st.retrieve(i_b, i_b + dd - 1)
                 assert idx.member(i_b, i_b + dd - 1, h)
@@ -61,7 +67,7 @@ class TestTwoSidedAlign:
         trace = GreedyTrace()
         assert greedy_match(inst.a, inst.b, k, orc, trace) == GapVerdict.SMALL
         ref = OpCounters()
-        ref_idx = TwoSidedIndex(k, CFG, idx.prefix, idx.xpow, ref)
+        ref_idx = TwoSidedIndex(k, CFG, idx.prefix, idx.xpow, idx.syms, ref)
         st = RollingHashState(inst.b, full_sample(512), CFG, ref)
         for i_b, d in zip(trace.starts, trace.jumps):
             assert member_search(ref_idx, st, i_b, None) == d
@@ -69,6 +75,51 @@ class TestTwoSidedAlign:
         assert ((query.retrievals, query.table_lookups)
                 == (ref.retrievals, ref.table_lookups))
         assert (build.init_steps, build.retrievals) == built
+
+
+class TestFirstProbe:
+    """The d = 1 probe compares A[i_b + a] with B[i_b] and books what the
+    hash test would: one table lookup, one retrieval for B and one per
+    in-range copy of A."""
+
+    @staticmethod
+    def _align(a, b, k, i_a, i_b, ell):
+        idx = TwoSidedIndex.preprocess(a, k, CFG)
+        idx.counters = OpCounters()
+        got = idx.align(*b_lists(b), i_a, i_b, ell)
+        assert got[0] == max_shift_alignment_bruteforce(a, b, i_a, i_b, ell,
+                                                        k)
+        return got, (idx.counters.table_lookups, idx.counters.retrievals)
+
+    def test_last_position_allows_only_d_up_to_one(self):
+        a = ByteString(np.array([1, 2, 3, 1, 2, 3, 1, 2]), 3)
+        n, k = 8, 3
+        for sym, hit in ((1, (1, -1)), (3, (1, -2)), (2, (1, -3))):
+            b = ByteString(np.array([1, 2, 3, 1, 2, 3, 1, sym]), 3)
+            # shifts -3 .. 0 keep A[n + a] inside A: one probe of 4 copies
+            assert self._align(a, b, k, n, n, k) == (hit, (1, 1 + 4))
+        b = ByteString(np.array([1, 2, 3, 1, 2, 3, 1, 2]), 3)
+        # from i_a = n - 2 at l = 1 only shifts -3 .. -1 are asked, and
+        # A[n - 3] = B[n] at c = -1
+        assert self._align(a, b, k, n - 2, n, 1) == ((1, -1), (1, 1 + 3))
+
+    def test_absent_symbol_books_one_probe(self):
+        n, k, i_b = 40, 5, 17
+        a = ByteString(np.tile([1, 2], n // 2), 3)
+        b = ByteString(np.where(np.arange(1, n + 1) == i_b, 3, a.data), 3)
+        assert self._align(a, b, k, i_b, i_b, k) == ((0, 0), (1, 1 + 11))
+        assert self._align(a, b, k, i_b + 2, i_b, 2) == ((0, 0), (1, 1 + 5))
+
+    def test_shifts_cut_off_at_the_right_end(self):
+        n, k = 10, 4
+        a = ByteString(np.ones(n, dtype=np.int64), 2)
+        # at i_b = n - 1 shifts -4 .. 1 stay inside A at d = 1 (6 copies),
+        # -4 .. 0 at d = 2 (5 copies)
+        assert self._align(a, a, k, n - 1, n - 1, k) == ((2, -4),
+                                                         (2, 2 + 6 + 5))
+        # from i_a = n, i_b = n - 2 at l = 1, shifts 1 .. 3 are asked: 1 .. 2
+        # stay inside at d = 1, 1 at d = 2, none at d = 3
+        assert self._align(a, a, k, n, n - 2, 1) == ((2, -1), (3, 3 + 3))
 
 
 def member_search(index, b_state, i_b, shifts):
@@ -118,33 +169,44 @@ class TestGallopSearch:
         """`align` against the brute-force referee, and against the search
         run probe by probe through `member` and B's `retrieve`: the same d,
         and the same retrievals and table lookups, at i_a = i_b with l = k
-        and at i_a - i_b in {0, +-l, +-k} with a drawn l."""
+        and at i_a - i_b in {0, +-l, +-k} with a drawn l. An index whose
+        symbols are recovered from H, as `OneSidedIndex.load` recovers
+        them, gives the same d, hint and counts."""
         a, b, k = pair
         n = len(a)
         ell = data.draw(st.integers(1, k))
         cfg = HashConfig.from_seed(seed)
         idx = TwoSidedIndex.preprocess(a, k, cfg)
         ref = OpCounters()
-        ref_idx = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, ref)
+        ref_idx = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, idx.syms, ref)
+        syms = _prefix_symbols(np.array(idx.prefix, dtype=np.uint64),
+                               np.array(idx.xpow, dtype=np.uint64), cfg.x)
+        assert syms == a.data.tolist()
+        rec = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, syms, OpCounters())
         st_ = RollingHashState(b, full_sample(n), cfg, ref)
-        rows = st_.prefix.tolist()
+        rows, b_syms = st_.prefix.tolist(), b.data.tolist()
+        booked = [0, 0]  # what the calls below book on idx
         for i_b in range(1, n + 1):
-            assert (idx.align(rows, i_b, i_b, k)[0]
+            assert (idx.align(rows, b_syms, i_b, i_b, k)[0]
                     == max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)), i_b
             wave = sorted({min(max(i_b + o, 1), n)
                            for o in (-k, -ell, 0, ell, k)})
             for i_a, l_ in [(i_b, k)] + [(i_a, ell) for i_a in wave]:
                 before = (idx.counters.retrievals, idx.counters.table_lookups,
                           ref.retrievals, ref.table_lookups)
-                d, c = idx.align(rows, i_a, i_b, l_)
+                d, c = idx.align(rows, b_syms, i_a, i_b, l_)
                 delta = i_a - i_b
                 shifts = range(max(delta - l_, -k), min(delta + l_, k) + 1)
                 assert d == member_search(ref_idx, st_, i_b, shifts)
                 assert d == max_shift_alignment_bruteforce(a, b, i_a, i_b,
                                                            l_, k)
+                booked[0] += idx.counters.retrievals - before[0]
+                booked[1] += idx.counters.table_lookups - before[1]
                 assert (idx.counters.retrievals - before[0],
                         idx.counters.table_lookups - before[1]) == (
                     ref.retrievals - before[2], ref.table_lookups - before[3])
+                assert rec.align(rows, b_syms, i_a, i_b, l_) == (d, c)
+        assert [rec.counters.retrievals, rec.counters.table_lookups] == booked
 
 
 def shifted_copies(ref, n, k, i, j):
