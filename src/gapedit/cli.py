@@ -19,10 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import (ByteString, GapVerdict, HashConfig, OpCounters, gap_match,
-               gap_wave, gen_large_side, gen_periodic, gen_planted,
+from . import (ByteString, GapVerdict, GreedyTrace, HashConfig, OpCounters,
+               gap_match, gap_wave, gen_large_side, gen_periodic, gen_planted,
                load_instance, save_instance)
 from .greedy import check_index_params
+from .hashing import check_alphabet
 from .instances import Instance
 from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import edit_distance_at_most, edit_distance_exact
@@ -32,11 +33,12 @@ MODES = ("exact", "noprep", "onesided", "twosided")
 
 
 def _given_seed(args_seed):
-    """--seed, else GAPEDIT_SEED, else None."""
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("GAPEDIT_SEED")
-    return int(env) if env else None
+    """--seed, else GAPEDIT_SEED, else None; ValueError if not digits."""
+    text = str(args_seed) if args_seed is not None else os.environ.get(
+        "GAPEDIT_SEED")
+    if text and not (text.isascii() and text.isdigit()):
+        raise ValueError(f"seed must be a non-negative integer, got {text}")
+    return int(text) if text else None
 
 
 def _default_seed(args_seed):
@@ -79,8 +81,8 @@ def _warn_params(n: int, k: int) -> None:
 
 
 def cmd_gen(args) -> int:
-    seed = _default_seed(args.seed)
     try:
+        seed = _default_seed(args.seed)
         if args.n < 1:
             raise ValueError("n must be at least 1")
         _check_sigma(args.sigma)
@@ -163,8 +165,8 @@ def _usage_error(command: str, err: ValueError) -> int:
 
 
 def cmd_gap(args) -> int:
-    seed = _default_seed(args.seed)
     try:
+        seed = _default_seed(args.seed)
         a = _read_string(args.a, args.sigma)
         b = _read_string(args.b, args.sigma)
         _warn_params(len(b), args.k)
@@ -180,8 +182,8 @@ def cmd_gap(args) -> int:
 
 
 def cmd_wave(args) -> int:
-    seed = _default_seed(args.seed)
     try:
+        seed = _default_seed(args.seed)
         a = _read_string(args.a, args.sigma)
         b = _read_string(args.b, args.sigma)
         _warn_params(len(b), args.k)
@@ -199,12 +201,14 @@ def cmd_wave(args) -> int:
 
 def cmd_bench(args) -> int:
     try:
+        seed = _default_seed(args.seed)
         if min(args.ns) < 1:
             raise ValueError("n must be at least 1")
         if args.trials < 1:
             raise ValueError(f"trials must be at least 1, got {args.trials}")
         if args.sigma < 1:
             raise ValueError(f"sigma must be at least 1, got {args.sigma}")
+        check_alphabet(max(args.ns), args.sigma)
         for k in args.ks:
             check_index_params(k)
             if k > min(args.ns):
@@ -212,7 +216,6 @@ def cmd_bench(args) -> int:
                 raise ValueError(f"k = {k} exceeds n = {min(args.ns)}")
     except ValueError as err:
         return _usage_error("bench", err)
-    seed = _default_seed(args.seed)
     root = np.random.SeedSequence(seed)
     for n in args.ns:
         for k in args.ks:
@@ -238,7 +241,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    seed = _given_seed(args.seed) or 0
+    try:
+        seed = _given_seed(args.seed) or 0
+    except ValueError as err:
+        return _usage_error("selftest", err)
     failures = []
 
     def check(name, cond):
@@ -249,8 +255,10 @@ def cmd_selftest(args) -> int:
     inst = gen_planted(256, 8, 4, seed=seed)
     big = gen_large_side(256, 64, 200, seed=seed)
     wv = gen_planted(256, 8, 9, seed=seed + 1)
+    traces = {mode: GreedyTrace() for mode in MODES}
     for mode in MODES:
-        v, _ = gap_match(inst.a, inst.b, 4, mode=mode, seed=seed)
+        v, _ = gap_match(inst.a, inst.b, 4, mode=mode, seed=seed,
+                         trace=traces[mode])
         check(f"gap {mode} small", v == GapVerdict.SMALL)
         v, _ = gap_match(big.a, big.b, 2, mode=mode, seed=seed)
         check(f"gap {mode} large", v == GapVerdict.LARGE)
@@ -259,6 +267,9 @@ def cmd_selftest(args) -> int:
         # ed(big) > 200 > 10 k l = 80
         v, _ = gap_wave(big.a, big.b, 4, 2, mode, seed=seed)
         check(f"wave {mode} large", v == GapVerdict.LARGE)
+    # at sampling rate 1 (k = 4 <= 4 ln 256) the three ask one oracle
+    check("gap noprep, onesided and twosided trace alike",
+          traces["noprep"] == traces["onesided"] == traces["twosided"])
 
     # corrupted index files must be rejected, not silently used
     import tempfile

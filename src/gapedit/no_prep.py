@@ -7,15 +7,11 @@ it as `oracle(i_b, i_b)`, so `NoPrepOracle` is `wave.NoPrepShiftOracle`
 built for those calls, with the same `__call__`: one view build, one probe
 and one length search serve both deciders.
 
-At sampling rate 1 (k <= 4 ln n) the oracle folds A and B once each, 2n
-folds, and answers by the exact shift search of the two-sided index
-(`two_sided.TwoSidedIndex.align`) over their prefixes, at every shift
-|c| <= k: the birthday split would fold the same n positions per string
-and save nothing. Its answers are exact up to hash collisions. A call
-makes O(log n) probes, each testing at most 2k + 1 copies of A: the first
-compares A's symbols with B[i_b], the later ones hash the survivors, and
-every copy tested counts as a retrieval. So the 2k + 1 calls of a
-decision take O(n + k^2 log n), inside the bound.
+At sampling rate 1 (k <= 4 ln n) the birthday split would fold the same
+n positions per string and save nothing, so the oracle is
+`two_sided.TwoSidedShiftOracle` over an index of A it builds per pair:
+2n folds, then O(log n) probes of at most 2k + 1 copies of A per call,
+O(n + k^2 log n) per decision, inside the bound.
 
 Below rate 1, every candidate shift c in [-k, k] factors as c = a * r + b
 with r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r.

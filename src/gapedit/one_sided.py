@@ -2,11 +2,9 @@
 
 The index samples A at rate min(4 ln n / l, 1), l its column width. At
 rate 1 a query hashes all of B anyway, so the index keeps only A's prefix
-hashes H[0 .. n], x^0 .. x^n and A's symbols, and the oracles ask the
-two-sided index's exact shift search (`two_sided.TwoSidedIndex.align`)
-for the shifts delta + c, delta = i_a - i_b, |c| <= l and
-|delta + c| <= k. Their answers are exact up to hash collisions, and
-`last_hint` is a c that matched at the returned d (0 when d is 0).
+hashes H[0 .. n], x^0 .. x^n and A's symbols, and the oracles are
+`two_sided.TwoSidedShiftOracle` over them (`OneSidedIndex.exact_search`):
+exact up to hash collisions, with hints.
 
 Below rate 1 the index stores, for every window length 2^e, the
 sampled-window hashes of A under every shift |a| <= k, recorded at
@@ -67,7 +65,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from functools import partial
 
 import numpy as np
 
@@ -77,7 +74,7 @@ from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
                       draw_sample, sample_rate)
 from .mers61 import P61, mulmod_vec, submod_vec
 from .strings import ByteString
-from .two_sided import TwoSidedIndex, full_sample
+from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, full_sample
 
 MAGIC_1S = b"GEDT1S"
 FORMAT_VERSION = 2
@@ -92,6 +89,18 @@ def anchor_positions(n: int, k: int) -> np.ndarray:
     if n >= 2:
         anchors = np.union1d(anchors, np.asarray([n - 1], dtype=np.int64))
     return anchors
+
+
+def _check_samples(s: np.ndarray, n: int, ell: int) -> None:
+    """ValueError unless the positions increase strictly within [1, n] and
+    hold every multiple of l and n - 1 (sets: cheaper here than numpy)."""
+    pos = s.tolist()
+    have = set(pos)
+    if sorted(have) != pos or pos and (pos[0] < 1 or pos[-1] > n):
+        raise ValueError("sample positions must increase strictly within "
+                         "[1, n]")
+    if not have.issuperset(range(ell, n + 1, ell)) or n - 1 not in have:
+        raise ValueError("sample positions miss a multiple of l or n - 1")
 
 
 def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
@@ -272,14 +281,6 @@ class OneSidedIndex:
         pos = cell.searchsorted(h)
         return bool(pos < cell.size and cell[pos] == h)
 
-    def hash_b(self, b: ByteString, counters: OpCounters) -> RollingHashState:
-        """Hash B over the index's sample set; this is the whole per-query
-        pass over B, so its cost is the sample size, not n."""
-        if len(b) != self.n:
-            raise ValueError(f"B has length {len(b)}, the index was built "
-                             f"for n = {self.n}")
-        return RollingHashState(b, self.samples, self.cfg, counters)
-
     def save(self, path) -> None:
         """Write the index in format version 2 (module docstring)."""
         if self.dense is not None:  # H and the x-powers, n + 1 of each
@@ -313,7 +314,8 @@ class OneSidedIndex:
         greedy nor the wave index keeps at its k and l. A prefix body must
         also be the prefix hash, under the header's x, of symbols that pass
         the alphabet guard (`_prefix_symbols`); A's symbols are recovered
-        from it. Arrays are views of the file's bytes."""
+        from it. A general body's sample positions must pass
+        `_check_samples`. Arrays are views of the file's bytes."""
         with open(path, "rb") as f:
             raw = f.read()
         size = len(raw)
@@ -372,6 +374,7 @@ class OneSidedIndex:
             xpow = view("<u8", nh)
             return cls(*params, full_sample(n), dense=[(hashes, xpow)],
                        syms=_prefix_symbols(hashes, xpow, x))
+        _check_samples(s, n, ell)
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
         tables = {(e, c, b): hashes[lo:hi]
                   for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
@@ -418,39 +421,38 @@ def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
     return cur - i_b
 
 
-class IndexedShiftOracle:
+class IndexedShiftOracle(TwoSidedShiftOracle):
     """Wave shift-alignment oracle over an A-index, for the index's l: at
-    rate 1 the exact search over A's prefix, with hints (module docstring);
-    below rate 1 `max_shift_align` at the asked (i_a, i_b), with no hint.
-    The search is chosen once, here, so a call pays for no test.
+    rate 1 `two_sided.TwoSidedShiftOracle` over the index's
+    `exact_search()`, with hints; below rate 1 `max_shift_align` at the
+    asked (i_a, i_b), with no hint.
 
     `buckets` records the shift buckets a call can probe: below rate 1 the
     index's, at rate 1 None, since the exact search serves every shift."""
 
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
-        self.index = index
+        exact = index.exact_search()
+        if exact is not None:
+            TwoSidedShiftOracle.__init__(self, exact, b, index.ell, counters)
+            self.buckets = None
+            return
+        if len(b) != index.n:
+            raise ValueError(f"B has length {len(b)}, the index was built "
+                             f"for n = {index.n}")
+        self.index, self.buckets = index, index.buckets
         self.k, self.ell = index.k, index.ell
         self.counters = counters if counters is not None else OpCounters()
-        self.b_state = index.hash_b(b, self.counters)
+        # the whole per-query pass over B: the sample's size, not n
+        self.b_state = RollingHashState(b, index.samples, index.cfg,
+                                        self.counters)
         self.last_hint = None
-        self.exact = index.exact_search()
-        self.buckets = index.buckets if self.exact is None else None
-        if self.exact is None:
-            self._search = partial(max_shift_align, index, self.b_state)
-        else:
-            self.b_rows = self.b_state.prefix.tolist()
-            self.b_syms = b.data.tolist()
-            self._search = self._align
-
-    def _align(self, i_a: int, i_b: int) -> int:
-        d, self.last_hint = self.exact.align(self.b_rows, self.b_syms, i_a,
-                                             i_b, self.ell)
-        return d
 
     def __call__(self, i_a: int, i_b: int) -> int:
+        if self.buckets is None:
+            return TwoSidedShiftOracle.__call__(self, i_a, i_b)
         self.counters.oracle_queries += 1
-        return self._search(i_a, i_b)
+        return max_shift_align(self.index, self.b_state, i_a, i_b)
 
 
 class OneSidedOracle(IndexedShiftOracle):

@@ -31,13 +31,15 @@ with no call per probe.
 The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k, through one call, `oracle(i_a, i_b)`: the wave asks for
 the shifts delta + c, delta = i_a - i_b, |c| <= l, |delta + c| <= k;
-greedy asks an oracle built for l = k at (i_b, i_b).
-At sampling rate 1 the noprep oracles run the same search over an index
-of A and B's prefix and symbols built per pair, and the one-sided oracles
-over the prefix and symbols of A their index keeps.
+greedy asks an oracle built for l = k at (i_b, i_b). At sampling rate 1
+(l <= 4 ln n) the noprep and one-sided oracles are `TwoSidedShiftOracle`
+too: over an index of A built per pair (`wave.NoPrepShiftOracle`), or
+over the prefix of A a one-sided index keeps (`IndexedShiftOracle`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,16 +49,12 @@ from .mers61 import P61
 from .strings import ByteString
 
 
+@functools.lru_cache(maxsize=4)
 def full_sample(n: int) -> SampleSet:
-    return SampleSet(np.arange(1, n + 1, dtype=np.int64))
-
-
-def prefix_rows(s: ByteString, cfg: HashConfig,
-                counters: OpCounters) -> list[int]:
-    """The prefix hashes of s over every position, as a list; its n folds
-    are booked on `counters`."""
-    return RollingHashState(s, full_sample(len(s)), cfg,
-                            counters).prefix.tolist()
+    """Every position of [1, n]: one read-only set per n, shared."""
+    idx = np.arange(1, n + 1, dtype=np.int64)
+    idx.flags.writeable = False
+    return SampleSet(idx)
 
 
 class TwoSidedIndex:
@@ -114,13 +112,10 @@ class TwoSidedIndex:
         A[i_a+c .. i_a+c+d-1] with |c| <= l and |i_a + c - i_b| <= k, and
         one such c; (0, 0) when none matches B[i_b]. Exact up to hash
         collisions. `b_rows` are B's prefix hashes over every position,
-        under this index's base x, and `b_syms` B's symbols.
-
-        The first probe, d = 1, compares A[i_b + a] with B[i_b] over the
-        in-range shifts a; later probes run the hash test on the survivors.
-        Each probe counts what `member` and one `retrieve` on B's window
-        count: one table lookup, one retrieval for B and one per in-range
-        copy of A tested."""
+        under this index's base x, and `b_syms` B's symbols (module
+        docstring). Each probe counts what `member` and one `retrieve` on
+        B's window count: one table lookup, one retrieval for B and one per
+        in-range copy of A tested."""
         n = self.n
         delta = i_a - i_b
         before = i_b - 1
@@ -180,7 +175,8 @@ class TwoSidedShiftOracle:
         self.index = index
         self.k, self.ell = index.k, ell
         self.counters = counters if counters is not None else OpCounters()
-        self.b_rows = prefix_rows(b, index.cfg, self.counters)
+        self.b_rows = RollingHashState(b, full_sample(len(b)), index.cfg,
+                                       self.counters).prefix.tolist()
         self.b_syms = b.data.tolist()
         self.last_hint = None
 

@@ -20,8 +20,8 @@ oracle (no preprocessing), an indexed one over the wave A-index (A
 preprocessed for one l), and the greedy decider's exact two-sided oracle
 asked for each call's shift window (`two_sided.TwoSidedShiftOracle`: one
 index of A serves every l, and B is hashed once per decision). At
-sampling rate 1 (l <= 4 ln n, nearly every wave run) the first two run
-that exact search too, over A's and B's prefixes, so their tables equal
+sampling rate 1 (l <= 4 ln n, nearly every wave run) the first two are
+that oracle (`two_sided` module docstring), so their tables equal
 `exact` mode's up to hash collisions. Below rate 1 the per-pair oracle is
 a birthday split of shifts, which needs l >= ceil(sqrt(k)): it finds its d
 by galloping up from the floor 2l and then bisecting, scanning only the
@@ -39,7 +39,7 @@ from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
                       draw_sample, sample_rate)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString, max_shift_alignment_bruteforce
-from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, prefix_rows
+from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
 
 NEG_INF = float("-inf")
 
@@ -122,15 +122,12 @@ def wave_jump_violations(table: WaveTable, ell: int, n: int) -> list:
     return out
 
 
-class NoPrepShiftOracle:
+class NoPrepShiftOracle(TwoSidedShiftOracle):
     """Shift-alignment oracle without preprocessing.
 
     The sample has rate min(4 ln n / l, 1). At rate 1 (l <= 4 ln n, nearly
-    every wave run) the oracle folds A and B once each, 2n folds, into a
-    `TwoSidedIndex` of A and B's prefix, and asks `TwoSidedIndex.align`
-    for the shifts delta + c, delta = i_a - i_b, |c| <= l and
-    |delta + c| <= k: its answers are exact, up to hash collisions, and
-    `last_hint` is a c that matched at the returned d (0 when d is 0).
+    every wave run) it is `two_sided.TwoSidedShiftOracle` over a
+    `TwoSidedIndex` of A built per pair, folding A and B once each.
 
     Below rate 1, shifts relative to B factor as a * r + b_off with
     r = ceil(sqrt(k)) and b_off in [0, r). The oracle keeps r views of B,
@@ -169,14 +166,13 @@ class NoPrepShiftOracle:
         n = len(b)
         if len(a) != n:
             raise ValueError("equal lengths required")
-        self.n, self.k, self.ell = n, k, ell
-        self.counters = counters if counters is not None else OpCounters()
-        self.last_hint = None
+        counters = counters if counters is not None else OpCounters()
         if sample_rate(n, ell) >= 1:
-            self.index = TwoSidedIndex.build(a, k, cfg, self.counters)
-            self.b_rows = prefix_rows(b, cfg, self.counters)
-            self.b_syms = b.data.tolist()
+            index = TwoSidedIndex.build(a, k, cfg, counters)
+            TwoSidedShiftOracle.__init__(self, index, b, ell, counters)
             return
+        self.n, self.k, self.ell = n, k, ell
+        self.counters, self.last_hint = counters, None
         self.index = None
         r = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
         if ell < r:
@@ -194,11 +190,9 @@ class NoPrepShiftOracle:
         self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
 
     def __call__(self, i_a: int, i_b: int) -> int:
-        self.counters.oracle_queries += 1
         if self.index is not None:
-            d, self.last_hint = self.index.align(self.b_rows, self.b_syms,
-                                                 i_a, i_b, self.ell)
-            return d
+            return TwoSidedShiftOracle.__call__(self, i_a, i_b)
+        self.counters.oracle_queries += 1
         ell, r, q = self.ell, self.r, self.q
         delta = i_a - i_b
         # the A views whose shifts meet offset delta with |c| <= l

@@ -143,6 +143,7 @@ class TestBenchAndSelftest:
         out = capsys.readouterr().out
         assert "selftest: ok" in out
         assert "FAIL" not in out
+        assert "ok  gap noprep, onesided and twosided trace alike" in out
 
 
 class TestBadParameters:
@@ -218,6 +219,11 @@ class TestBadParameters:
          "trials must be at least 1, got 0"),
         (["--ns", "64", "--ks", "4", "--sigma", "0"],
          "sigma must be at least 1, got 0"),
+        (["--ns", "64", "--ks", "4", "--sigma", "10000000000000000"],
+         "modulus too small for this length and alphabet"),
+        # fits n = 64 but not n = 128: refused before any record
+        (["--ns", "64", "128", "--ks", "2", "--sigma", "300000000000000"],
+         "modulus too small for this length and alphabet"),
     ])
     def test_bench_bad_grid(self, capsys, opts, msg):
         code = main(["bench", "--trials", "1", *opts, "--seed", "1"])
@@ -273,6 +279,32 @@ class TestBadParameters:
         assert err.startswith(f"gapedit gen: error: {msg}")
         assert len(err.strip().splitlines()) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cmd", ["gap", "wave", "gen", "bench",
+                                     "selftest"])
+    @pytest.mark.parametrize("env,given", [
+        ("abc", None), ("-5", None), ("1.5", None), (None, "-1")])
+    def test_bad_seed(self, small_pair, tmp_path, capsys, monkeypatch, cmd,
+                      env, given):
+        # from GAPEDIT_SEED or --seed, read inside the command's checks
+        if env is None:
+            monkeypatch.delenv("GAPEDIT_SEED", raising=False)
+        else:
+            monkeypatch.setenv("GAPEDIT_SEED", env)
+        pair = [str(small_pair) + ".a", str(small_pair) + ".b", "--sigma",
+                "64"]
+        opts = {"gap": [*pair, "--k", "4"],
+                "wave": [*pair, "--k", "4", "--ell", "2"],
+                "gen": ["--n", "64", "--out", str(tmp_path / "x")],
+                "bench": ["--ns", "64", "--ks", "4", "--trials", "1"],
+                "selftest": []}[cmd]
+        seed = [] if given is None else ["--seed", given]
+        code = main([cmd, *opts, *seed])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit {cmd}: error: seed must be a "
+                               f"non-negative integer, got {env or given}")
+        assert not (tmp_path / "x.a").exists()
 
     def test_gen_unwritable_out(self, tmp_path, capsys):
         stem = tmp_path / "absent" / "x"

@@ -126,15 +126,16 @@ class TestRateOne:
            data=st.data())
     def test_rate_one_decisions_equal_twosided(self, seed, n, sigma, greedy,
                                                data):
-        """Both deciders in onesided mode at rate 1 give twosided's verdict,
-        greedy trace or wave rows, and counters."""
+        """Both deciders in onesided and noprep modes at rate 1 give
+        twosided's verdict, greedy trace (hints included) or wave rows, and
+        counters; noprep folds A on the query counters too, n more folds."""
         rate_one_l = int(4 * math.log(n)) if n > 1 else 20
         ell = data.draw(st.integers(1, max(1, min(rate_one_l, 12))))
         k = ell if greedy else data.draw(st.integers(ell, 2 * ell))
         inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
                            seed=seed)
         got = {}
-        for mode in ("onesided", "twosided"):
+        for mode in ("noprep", "onesided", "twosided"):
             if greedy:
                 trace = GreedyTrace()
                 verdict, ctr = gap_match(inst.a, inst.b, k, mode, seed,
@@ -146,6 +147,8 @@ class TestRateOne:
                                         table=table)
                 got[mode] = (verdict, ctr, table.rows)
         assert got["onesided"] == got["twosided"]
+        got["noprep"][1].init_steps -= n
+        assert got["noprep"] == got["twosided"]
 
 
 class TestQuery:
@@ -374,6 +377,42 @@ class TestSerialization:
                         OneSidedIndex.load(path)
                 else:  # the checksum alone would let it load
                     assert OneSidedIndex.load(path).n == head[4]
+
+    # edits of a general body's sample positions under a good checksum:
+    # reversed, moved past n, or without one anchor (n = 40, l = 24: the
+    # anchors are 24 and 39), the header's sample count kept in step
+    @pytest.mark.parametrize("change,match", [
+        (lambda s, n: s[::-1], "increase strictly"),
+        (lambda s, n: s + 1000, "increase strictly"),
+        (lambda s, n: np.concatenate(([0], s)), "increase strictly"),
+        (lambda s, n: np.repeat(s, 2), "increase strictly"),
+        (lambda s, n: s[s != 24], "miss a multiple of l or n - 1"),
+        (lambda s, n: s[s != n - 1], "miss a multiple of l or n - 1"),
+        (lambda s, n: s[:0], "miss a multiple of l or n - 1"),
+    ])
+    def test_sample_positions_checked_under_a_good_checksum(
+            self, saved_files, tmp_path, change, match):
+        path = tmp_path / "edited.gedt1s"
+        for raw in saved_files[2:]:  # greedy and wave, below rate 1
+            for edit in (False, True):
+                head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
+                assert head[1] == 0 and (head[4], head[6]) == (40, 24)
+                ns = head[9]
+                s = np.frombuffer(raw, "<i8", ns, HEAD_END)
+                assert set(anchor_positions(40, 24)) <= set(s)
+                if edit:
+                    s = change(s, head[4]).astype("<i8")
+                    head[9] = s.size
+                body = bytearray(raw[:HEAD_END])
+                _HEAD.pack_into(body, len(MAGIC_1S), *head)
+                body += s.tobytes() + raw[HEAD_END + 8 * ns:-4]
+                crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
+                path.write_bytes(bytes(body) + struct.pack("<I", crc))
+                if edit:
+                    with pytest.raises(ValueError, match=match):
+                        OneSidedIndex.load(path)
+                else:  # the checksum alone would let it load
+                    assert OneSidedIndex.load(path).samples.indices.size == ns
 
     @pytest.mark.parametrize("field,change", [
         (4, lambda h: h[4] + 1), (9, lambda h: 1), (10, lambda h: 1)])
