@@ -13,7 +13,9 @@ import math
 import os
 import secrets
 import sys
+import tempfile
 import time
+import zlib
 from dataclasses import asdict
 from pathlib import Path
 
@@ -23,9 +25,10 @@ from . import (ByteString, GapVerdict, GreedyTrace, HashConfig, OpCounters,
                gap_match, gap_wave, gen_large_side, gen_periodic, gen_planted,
                load_instance, save_instance)
 from .greedy import check_index_params
-from .hashing import check_alphabet
+from .hashing import RollingHashState, check_alphabet
 from .instances import Instance
-from .one_sided import OneSidedIndex, OneSidedOracle
+from .no_prep import NoPrepOracle
+from .one_sided import _HEAD, MAGIC_1S, OneSidedIndex, OneSidedOracle
 from .strings import edit_distance_at_most, edit_distance_exact
 
 RECORD_SCHEMA = 1
@@ -272,7 +275,6 @@ def cmd_selftest(args) -> int:
           traces["noprep"] == traces["onesided"] == traces["twosided"])
 
     # corrupted index files must be rejected, not silently used
-    import tempfile
     with tempfile.TemporaryDirectory() as td:
         cfg = HashConfig.from_seed(seed)
         idx = OneSidedIndex.preprocess(inst.a, 4, cfg)
@@ -286,6 +288,43 @@ def cmd_selftest(args) -> int:
             check("corrupt index rejected", False)
         except ValueError:
             check("corrupt index rejected", True)
+
+    # below sampling rate 1 (k = 24 > 4 ln 256): noprep's birthday split
+    # and the general-layout index, on a pair at the promise's edge ed <= k
+    sub = gen_planted(256, 8, 24, seed=seed + 2)
+    for mode in ("noprep", "onesided"):
+        v, _ = gap_match(sub.a, sub.b, 24, mode=mode, seed=seed)
+        check(f"gap {mode} small below rate 1", v == GapVerdict.SMALL)
+    cfg = HashConfig.from_seed(seed)
+    orc = NoPrepOracle(sub.a, sub.b, 24, cfg)
+    views = ([(sub.a, c * orc.r) for c in range(-orc.q, orc.q + 1)]
+             + [(sub.b, -c) for c in range(orc.r)])
+    check("noprep's stacked views equal one state per view", all(
+        np.array_equal(orc.views.prefix[:, col], RollingHashState(
+            s, orc.samples.shift(o), cfg).prefix)
+        for col, (s, o) in enumerate(views)))
+    with tempfile.TemporaryDirectory() as td:
+        p = Path(td) / "g.1s"
+        OneSidedIndex.preprocess(sub.a, 24, cfg).save(p)
+        raw = bytearray(p.read_bytes())
+        # the sample positions moved past n under a recomputed checksum,
+        # and one flipped hash byte under the old one
+        head = len(MAGIC_1S) + _HEAD.size
+        ns = _HEAD.unpack_from(raw, len(MAGIC_1S))[9]
+        moved = raw[:-4]
+        moved[head:head + 8 * ns] = (np.frombuffer(raw, "<i8", ns, head)
+                                     + 1000).tobytes()
+        moved += zlib.crc32(moved[len(MAGIC_1S):]).to_bytes(4, "little")
+        flipped = raw.copy()
+        flipped[-5] ^= 0xFF
+        refused = 0
+        for body in (moved, flipped):
+            p.write_bytes(body)
+            try:
+                OneSidedIndex.load(p)
+            except ValueError:
+                refused += 1
+        check("corrupt general-layout index rejected", refused == 2)
 
     # fault injection: a degenerate hash (x = 1) sums a window's symbols, so
     # it cannot tell A from B = A with two adjacent unequal symbols swapped

@@ -22,10 +22,25 @@ sigma + 1 included) they stay below m c 2^31, exact while m c < 2^33. For
 larger m c (a huge alphabet, or m near MAX_N) c_s x^-s is reduced mod p
 first and its own limbs are summed; those sums stay below m 2^31 <= 2^57.
 Both sums are folded mod p (2^61 = 1 mod p) and multiplied by x^t, so H
-equals the recurrence bit for bit. The tables x^t and the limbs of x^-t
-depend only on (x, m); all views of one decision share them through a
-small cache, which holds tables of up to 2^16 positions only, so a large
-decision leaves no tables behind.
+equals the recurrence bit for bit.
+
+One kernel, `_prefix_hashes`, hashes a block of rows, one view per row.
+A `RollingHashState` is one row. A `ViewStack` holds the shifted views of
+one sample set on one or two strings (the noprep oracle's A and B views,
+the one-sided index's 2k + 1 copies of A). It hashes them in blocks of
+about `_BLOCK` = 2^12 symbols, each one 2-D gather, one limb multiply, one
+cumsum and one fold, written straight into its prefix matrix. At the
+benchmark's sizes (|S| of a few hundred to a few thousand) a view alone is
+too small for numpy's per-call cost to vanish. A block much larger than
+2^12 symbols makes temporaries past about 200 KB; those come from fresh
+mmaps, and their page faults cost more than the calls saved.
+
+The tables x^t and the limbs of x^-t depend only on (x, m). A build
+fetches them once, and every view of a stack shares them. A small cache
+keeps them between builds: the states and stacks of one decision, and the
+one-sided, wave and two-sided queries on one A. It holds tables of up to
+`_CACHED_M` = 2^16 positions only, so a large decision leaves no tables
+behind.
 """
 
 from __future__ import annotations
@@ -50,6 +65,10 @@ _DIRECT_LIMIT = 1 << 33
 # this many positions. The views of one decision share an entry, and a
 # one-sided, a wave and a two-sided query on the same A use three.
 _CACHED_M = 1 << 16
+
+# A view stack hashes its views in blocks of about this many symbols, one
+# view at least (module docstring)
+_BLOCK = 1 << 12
 
 
 @dataclass
@@ -164,28 +183,37 @@ def _power_tables(x: int, m: int
     return xpow, limbs(xpow[1:]), limbs(xinv)
 
 
-def _prefix_hashes(syms: np.ndarray, top: int, x: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """(H, x-powers) for symbols c_1..c_m, each at most `top`.
-
-    H[t] = x^t * (sum over s <= t of c_s x^-s), summed exactly in uint64
-    over the two limbs of each summand and folded mod p once at the end.
-    """
-    m = syms.size
+def _tables_for(x: int, m: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power tables of (x, m): the cached ones up to `_CACHED_M`
+    positions, fresh ones that no cache keeps above it."""
     if m <= _CACHED_M:
-        xpow, fwd, inv = _cached_power_tables(x, m)
-    else:
-        xpow, fwd, inv = _power_tables(x, m)
-    c = syms.astype(np.uint64)
-    if m * top < _DIRECT_LIMIT:
-        parts = inv * c  # c_s times each limb of x^-s
+        return _cached_power_tables(x, m)
+    return _power_tables(x, m)
+
+
+def _prefix_hashes(syms: np.ndarray, top: int, tables, out: np.ndarray
+                   ) -> None:
+    """Prefix hashes of a block of rows of symbols, one view per row.
+
+    A row (the last axis of `syms`; a 1-D array is one row) holds the
+    symbols c_1..c_m of one view, each at most `top`, and the same row of
+    `out` (last axis m + 1) gets its H[0..m]: H[t] = x^t * (sum over s <= t
+    of c_s x^-s), summed exactly in uint64 over the two limbs of each
+    summand and folded mod p once at the end. `tables` are those of
+    `_tables_for(x, m)`.
+    """
+    _, fwd, inv = tables
+    c = syms.view(np.uint64)  # int64 symbols >= 1: the same bits
+    if syms.shape[-1] * top < _DIRECT_LIMIT:
+        parts = c[..., None, :] * inv  # c_s times each limb of x^-s
     else:
         # symbols too large for the limb sums: reduce c_s x^-s first
-        parts = limbs(mulmod_limbs(c, inv[0], inv[1]))
-    sums = np.cumsum(parts, axis=1)
-    h = np.zeros(m + 1, dtype=np.uint64)
-    h[1:] = mulmod_limbs(fold_limbs(sums[0], sums[1]), fwd[0], fwd[1])
-    return h, xpow
+        parts = np.moveaxis(limbs(mulmod_limbs(c, inv[0], inv[1])), 0, -2)
+    np.cumsum(parts, axis=-1, out=parts)
+    out[..., 0] = 0
+    out[..., 1:] = mulmod_limbs(fold_limbs(parts[..., 0, :], parts[..., 1, :]),
+                                fwd[0], fwd[1])
 
 
 def check_hash_params(p: int, x: int) -> None:
@@ -204,25 +232,34 @@ def check_alphabet(n: int, sigma: int) -> None:
         raise ValueError("modulus too small for this length and alphabet")
 
 
+def _check_string(string) -> None:
+    """Raise ValueError if the string is too long, or its alphabet too
+    large, for the collision guarantee."""
+    n = len(string)
+    if n > MAX_N:
+        raise ValueError("string too long for collision guarantee")
+    check_alphabet(n, string.sigma)
+
+
 class RollingHashState:
     """Prefix hashes over one shifted view of a sample set on one string."""
 
     def __init__(self, string, samples: SampleSet, cfg: HashConfig,
                  counters: OpCounters | None = None):
-        n = len(string)
-        if n > MAX_N:
-            raise ValueError("string too long for collision guarantee")
         check_hash_params(P61, cfg.x)
-        check_alphabet(n, string.sigma)
+        _check_string(string)
         self.cfg = cfg
         self.samples = samples
         self.counters = counters if counters is not None else OpCounters()
-        syms = string.gather(samples.positions())
+        m = len(samples)
+        tables = _tables_for(cfg.x, m)
+        self.xpow = tables[0]
+        self.prefix = np.empty(m + 1, dtype=np.uint64)
         # reads outside [1, n] give the sentinel sigma + 1
-        self.prefix, self.xpow = _prefix_hashes(syms, string.sigma + 1,
-                                                cfg.x)
+        _prefix_hashes(string.gather(samples.positions()), string.sigma + 1,
+                       tables, self.prefix)
         self._lists = None
-        self.counters.init_steps += syms.size
+        self.counters.init_steps += m
 
     def retrieve(self, i: int, j: int) -> int:
         """Hash of the sampled positions inside [i, j] (view coordinates).
@@ -260,25 +297,45 @@ class RollingHashState:
 
 
 class ViewStack:
-    """Shifted views of one sample set, read together.
+    """Shifted views of one sample set, built and read together.
 
-    Views that share `samples.indices` locate a window at the same pair of
-    prefix rows, each at its own offset: view v's hash of [i + off_v,
+    Views share `samples.indices`, so a window lands on the same pair of
+    prefix rows in each, at its own offset: view v's hash of [i + off_v,
     j + off_v] is H_v[h] - H_v[l] x^(h - l), with l and h the counts of
     base positions below i and up to j. The prefixes are held once, in an
-    (m + 1) x V matrix, one column per view.
+    (m + 1) x V matrix, one column per view, in the order of `views`:
+    (string, offsets) pairs, each offset one view of that string over the
+    sample. The columns are hashed in blocks of about `_BLOCK` symbols, a
+    2-D gather and one `_prefix_hashes` pass per block; each view folds
+    |S| symbols, as a `RollingHashState` of it would.
     """
 
-    def __init__(self, states: list[RollingHashState],
+    def __init__(self, samples: SampleSet, views, cfg: HashConfig,
                  counters: OpCounters):
-        base = states[0].samples.indices
-        if any(st.samples.indices is not base for st in states):
-            raise ValueError("views must share one sample set")
+        check_hash_params(P61, cfg.x)
+        for string, _ in views:
+            _check_string(string)
         self.counters = counters
-        self.xpow = states[0].xpow
-        self.base = base
-        self.positions = base.tolist()
-        self.prefix = np.stack([st.prefix for st in states], axis=1)
+        pos = samples.positions()
+        m = pos.size
+        tables = _tables_for(cfg.x, m)
+        self.xpow = tables[0]
+        self.base = samples.indices
+        self.positions = self.base.tolist()
+        self.prefix = np.empty((m + 1, sum(len(o) for _, o in views)),
+                               dtype=np.uint64)
+        rows = max(_BLOCK // max(m, 1), 1)
+        col = 0
+        for string, offsets in views:
+            offsets = np.asarray(offsets, dtype=np.int64)
+            for lo in range(0, offsets.size, rows):
+                block = offsets[lo:lo + rows]
+                end = col + block.size
+                _prefix_hashes(string.gather(block[:, None] + pos),
+                               string.sigma + 1, tables,
+                               self.prefix[:, col:end].T)
+                col = end
+        counters.init_steps += m * col
 
     def window_block(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Every view's hash of every base window [i_s, j_s] (j_s >= i_s - 1),

@@ -29,10 +29,13 @@ exactly.
 Cost model below rate 1 (k > 4 ln n): the 2q + 1 + r <= 3r + 1 views share
 one sample of rate 4 ln n / k, and building a view folds each sampled
 position once, so construction takes (2q + 1 + r) * |S| folds, at most
-about 12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor. A
-probe window lands on the same pair of prefix rows in every view, so a
-probe is one locate (two binary searches) plus reads of those two rows of
-a ViewStack, then at most 2q + 1 + r modular combinations. A call gallops
+about 12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor. The
+views are hashed together into one `hashing.ViewStack`, a few views per
+numpy pass (blocks of about 2^12 symbols), so at small |S| the build pays
+numpy's per-call cost per block rather than per view. A probe window
+lands on the same pair of prefix rows in every view, so a probe is one
+locate (two binary searches) plus reads of those two rows of the
+ViewStack, then at most 2q + 1 + r modular combinations. A call gallops
 up the length from the floor 2k and then bisects, scanning after each hit
 only the A views from the hit's on.
 """

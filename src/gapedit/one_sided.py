@@ -34,8 +34,9 @@ bucket its diagonals probe, such as the greedy index's.
 
 Below rate 1 the tables are built in a few numpy passes per window length.
 The 2k + 1 shifted views of A share one sample set, so a canonical start's
-window lands on the same pair of prefix rows in every view: the views'
-prefixes are stacked in one matrix (`hashing.ViewStack`), and the hashes of
+window lands on the same pair of prefix rows in every view. The views'
+prefixes are hashed straight into one matrix (`hashing.ViewStack`), in
+blocks of about 2^12 symbols with no state per view, and the hashes of
 every (start, shift) pair come from one locate and one modular pass. The
 entries are sorted by hash once, before the fan-out; each is then copied to
 its up to 3 (greedy) or 9 (wave) cell keys, one stable sort on the narrow
@@ -219,9 +220,8 @@ class OneSidedIndex:
     def _build_tables(self, a: ByteString) -> None:
         k, n, ell = self.k, self.n, self.ell
         shifts = np.arange(-k, k + 1, dtype=np.int64)
-        views = ViewStack([RollingHashState(a, self.samples.shift(sh),
-                                            self.cfg, self.counters)
-                           for sh in shifts.tolist()], self.counters)
+        views = ViewStack(self.samples, [(a, shifts)], self.cfg,
+                          self.counters)
         q = shifts // ell  # shift buckets, before trimming to the kept ones
         fan = self._fan_table(int(q[0]), int(q[-1]))
         shift_group = q - q[0]

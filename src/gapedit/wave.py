@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 
 from .greedy import GapVerdict, check_gap_params, check_oracle_index
-from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
-                      draw_sample, sample_rate)
+from .hashing import (HashConfig, OpCounters, ViewStack, draw_sample,
+                      sample_rate)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString, max_shift_alignment_bruteforce
 from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
@@ -134,9 +134,11 @@ class NoPrepShiftOracle(TwoSidedShiftOracle):
     at offsets -b_off, and the A views at offsets a * r that a call can
     ever scan: |a| <= q = ceil((reach + l) / r), where reach bounds the
     promised |i_a - i_b| (k here, so q <= 2r). Each of the 2q + 1 + r
-    views folds every sampled position. Probes shave l characters from
-    each end; only the a-values compatible with the offset i_a - i_b and
-    |c| <= l are scanned, so reported matches have |c| <= l + 2r <= 3l.
+    views folds every sampled position, all built together into one
+    `hashing.ViewStack`, with no `RollingHashState` per view. Probes shave
+    l characters from each end; only the a-values compatible with the
+    offset i_a - i_b and |c| <= l are scanned, so reported matches have
+    |c| <= l + 2r <= 3l.
     Only this split needs l >= r; at rate 1 every 1 <= l <= k is served.
     The greedy decider's oracle (`no_prep.NoPrepOracle`) is this one at
     l = k and reach 0, asked at (i_b, i_b).
@@ -182,11 +184,9 @@ class NoPrepShiftOracle(TwoSidedShiftOracle):
         self.r, self.q = r, q
         self.samples = draw_sample(n, ell, cfg.sampling_rng())
         # columns: A views ac = -q..q, then B views bo = 0..r-1
-        self.views = ViewStack(
-            [RollingHashState(s, self.samples.shift(o), cfg, self.counters)
-             for s, offsets in ((a, [ac * r for ac in range(-q, q + 1)]),
-                                (b, [-bo for bo in range(r)]))
-             for o in offsets], self.counters)
+        self.views = ViewStack(self.samples,
+                               [(a, range(-q * r, q * r + 1, r)),
+                                (b, range(0, -r, -1))], cfg, self.counters)
         self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
 
     def __call__(self, i_a: int, i_b: int) -> int:

@@ -144,6 +144,12 @@ class TestBenchAndSelftest:
         assert "selftest: ok" in out
         assert "FAIL" not in out
         assert "ok  gap noprep, onesided and twosided trace alike" in out
+        # one pair below sampling rate 1 (n = 256, k = 24)
+        for line in ("gap noprep small below rate 1",
+                     "gap onesided small below rate 1",
+                     "noprep's stacked views equal one state per view",
+                     "corrupt general-layout index rejected"):
+            assert f"ok  {line}\n" in out
 
 
 class TestBadParameters:

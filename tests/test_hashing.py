@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,7 +147,13 @@ class TestVectorisedPrefix:
         symbols = [int(c) for c in s.gather(samples.positions())]
         assert [int(h) for h in state.prefix] == reference_prefix(symbols,
                                                                   cfg.x)
+        stack = ViewStack(samples, [(s, [0, 1])], cfg, OpCounters())
+        assert hashing._cached_power_tables.cache_info().currsize == 0
+        assert np.array_equal(stack.prefix[:, 0], state.prefix)
         RollingHashState(s, SampleSet(samples.indices[:100]), cfg)
+        assert hashing._cached_power_tables.cache_info().currsize == 1
+        ViewStack(SampleSet(samples.indices[:100]), [(s, [0, 1])], cfg,
+                  OpCounters())
         assert hashing._cached_power_tables.cache_info().currsize == 1
 
     def test_rejects_zero_base_mod_p(self):
@@ -192,7 +200,77 @@ class TestScalarRetrieve:
             assert got == reference_hash(string, samples, cfg.x, i, j)
 
 
+def stack_and_states(a, a_offsets, b, b_offsets, samples, cfg):
+    """A stack of the views and, built apart, one state per view, each with
+    its own counters."""
+    ctr = OpCounters()
+    stack = ViewStack(samples, [(a, a_offsets), (b, b_offsets)], cfg, ctr)
+    ref_ctr = OpCounters()
+    states = [RollingHashState(s, samples.shift(o), cfg, ref_ctr)
+              for s, offsets in ((a, a_offsets), (b, b_offsets))
+              for o in offsets]
+    return stack, ctr, states, ref_ctr
+
+
+def assert_stack_equals_states(a, a_offsets, b, b_offsets, samples, cfg):
+    stack, ctr, states, ref_ctr = stack_and_states(a, a_offsets, b,
+                                                   b_offsets, samples, cfg)
+    v = len(a_offsets) + len(b_offsets)
+    assert stack.prefix.shape == (len(samples) + 1, v)
+    for col, state in enumerate(states):
+        assert np.array_equal(stack.prefix[:, col], state.prefix)
+        assert np.array_equal(stack.xpow, state.xpow)
+    assert ctr.init_steps == ref_ctr.init_steps == v * len(samples)
+
+
+@st.composite
+def stacks(draw):
+    """Two strings over one sample set (possibly empty, possibly offset),
+    offsets of each that may read past either end, a hash base and a block
+    size; sigma = 10^8 reaches the reduced limb sums once |S| >= 86."""
+    n = draw(st.integers(1, 150))
+    sigma = draw(st.sampled_from([2, 255, 10**8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = bstr(rng, n, sigma), bstr(rng, n, sigma)
+    keep = draw(st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+    idx = np.flatnonzero(rng.random(n) < keep).astype(np.int64) + 1
+    samples = SampleSet(idx, draw(st.integers(-3, 3)))
+    offsets = st.lists(st.integers(-n - 3, n + 3), max_size=9)
+    return (a, draw(offsets), b, draw(offsets), samples,
+            HashConfig(x=draw(st.integers(1, P61 - 1))),
+            draw(st.integers(1, 4 * n)))
+
+
+def edge_case(n, sigma, keep, block, n_a, n_b):
+    """A stack case of `stacks`' shape: n_a A views and n_b B views over
+    `keep` sampled positions, hashed in blocks of `block` symbols. A's
+    first and last views and B's first two read past an end of the
+    strings."""
+    rng = np.random.default_rng(n + keep)
+    a, b = bstr(rng, n, sigma), bstr(rng, n, sigma)
+    idx = rng.choice(np.arange(1, n + 1), keep, replace=False)
+    a_offsets = np.linspace(-n - 2, n + 2, n_a).astype(int).tolist()
+    b_offsets = [n + 1, *range(-n - 1, -n - 1 + 2 * (n_b - 1), 2)]
+    return (a, a_offsets, b, b_offsets, SampleSet(np.sort(idx)),
+            HashConfig.from_seed(n), block)
+
+
 class TestViewStack:
+    @given(stacks())
+    @settings(max_examples=200, deadline=None)
+    # two views a block: a block boundary inside A's views, then blocks
+    # that end at the A/B seam
+    @example(edge_case(40, 4, 10, 20, 5, 3))
+    @example(edge_case(40, 4, 10, 20, 4, 3))
+    @example(edge_case(80, 255, 50, 16, 3, 2))  # |S| above the block
+    # 200 (10^8 + 1) >= 2^33: the reduced limb sums, over a block of rows
+    @example(edge_case(200, 10**8, 200, 1 << 12, 5, 3))
+    @example(edge_case(30, 4, 0, 20, 3, 2))  # an empty sample
+    def test_columns_equal_one_state_per_view(self, case):
+        *views, block = case
+        with mock.patch.object(hashing, "_BLOCK", block):
+            assert_stack_equals_states(*views)
+
     @given(st.integers(0, 10**6), st.integers(1, 6), st.data())
     @settings(max_examples=150, deadline=None)
     def test_first_collision_matches_per_view_retrieve(self, seed, r, data):
@@ -202,14 +280,11 @@ class TestViewStack:
         b = bstr(rng, n, sigma=2)
         samples = draw_sample(n, int(rng.integers(1, 60)), rng)
         cfg = HashConfig.from_seed(seed)
-        views = ([(a, c * r) for c in range(-r, r + 1)]
-                 + [(b, -c) for c in range(r)])
-        ref = [RollingHashState(s, samples.shift(o), cfg) for s, o in views]
-        ctr = OpCounters()
-        states = [RollingHashState(s, samples.shift(o), cfg, ctr)
-                  for s, o in views]
-        stack = ViewStack(states, ctr)
-        v = len(views)
+        a_offsets = [c * r for c in range(-r, r + 1)]
+        b_offsets = [-c for c in range(r)]
+        stack, ctr, ref, _ = stack_and_states(a, a_offsets, b, b_offsets,
+                                              samples, cfg)
+        v = len(ref)
         i = data.draw(st.integers(-5, n + 5))
         j = data.draw(st.integers(i - 3, n + 8))
         a_lo = data.draw(st.integers(0, 2 * r + 1))
@@ -234,14 +309,17 @@ class TestViewStack:
         assert stack.first_collision(i, j, a_cols, b_cols) == want
         assert ctr.retrievals == taken
 
-    def test_rejects_views_of_different_samples(self):
+    def test_refuses_what_a_state_refuses(self, monkeypatch):
         rng = np.random.default_rng(24)
-        s = bstr(rng, 50)
-        cfg = HashConfig.from_seed(25)
-        one = RollingHashState(s, draw_sample(50, 10, rng), cfg)
-        two = RollingHashState(s, draw_sample(50, 10, rng), cfg)
-        with pytest.raises(ValueError):
-            ViewStack([one, two], OpCounters())
+        a = bstr(rng, 50)
+        samples = draw_sample(50, 10, rng)
+        wide = ByteString(a.data, (P61 - 1) // (50 * 50))  # past the guard
+        for b, cfg in ((a, HashConfig(x=P61)), (wide, HashConfig(x=3))):
+            with pytest.raises(ValueError):
+                ViewStack(samples, [(a, [0]), (b, [0])], cfg, OpCounters())
+        monkeypatch.setattr(hashing, "MAX_N", 49)
+        with pytest.raises(ValueError, match="too long"):
+            ViewStack(samples, [(a, [0])], HashConfig(x=3), OpCounters())
 
 
 class TestSampling:
