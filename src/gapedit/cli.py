@@ -301,7 +301,7 @@ def cmd_selftest(args) -> int:
              + [(sub.b, -c) for c in range(orc.r)])
     check("noprep's stacked views equal one state per view", all(
         np.array_equal(orc.views.prefix[:, col], RollingHashState(
-            s, orc.samples.shift(o), cfg).prefix)
+            s, orc.samples + o, cfg).prefix)
         for col, (s, o) in enumerate(views)))
     with tempfile.TemporaryDirectory() as td:
         p = Path(td) / "g.1s"
@@ -405,6 +405,14 @@ def main(argv=None) -> int:
     s.set_defaults(func=cmd_selftest)
 
     args = ap.parse_args(argv)
+    if args.record:
+        # opened as `_emit` opens it, before any work or file write, so a
+        # path that cannot take records fails fast
+        try:
+            open(args.record, "a").close()
+        except OSError as err:
+            return _usage_error(args.command, ValueError(
+                f"cannot write {args.record}: {err.strerror}"))
     return args.func(args)
 
 

@@ -1,6 +1,6 @@
 """Subsampled polynomial rolling hashes.
 
-A sample set S is a sorted collection of 1-based positions. A rolling hash
+A sample S is a sorted int64 array of 1-based positions. A rolling hash
 state over S stores prefix hashes H[t] = H[t-1] * x + sym(S[t]) mod p, so
 the hash of the sampled positions inside any range [i, j] comes from two
 binary searches and one modular combination:
@@ -8,8 +8,8 @@ binary searches and one modular combination:
     hash(S cap [i, j]) = H[hi] - H[lo] * x^(hi - lo) mod p
 
 with H over the first lo (resp. hi) sampled positions. An empty range
-hashes to 0. Shifted views reuse the same base positions with an additive
-offset, so the two sides of a comparison always sample the same set.
+hashes to 0. A copy of a string shifted by o is read over S + o, so the
+two sides of a comparison always sample the same set.
 
 The prefix hashes are built without a loop, from the identity
 
@@ -26,7 +26,7 @@ equals the recurrence bit for bit.
 
 One kernel, `_prefix_hashes`, hashes a block of rows, one view per row.
 A `RollingHashState` is one row. A `ViewStack` holds the shifted views of
-one sample set on one or two strings (the noprep oracle's A and B views,
+one sample on one or two strings (the noprep oracle's A and B views,
 the one-sided index's 2k + 1 copies of A). It hashes them in blocks of
 about `_BLOCK` = 2^12 symbols, each one 2-D gather, one limb multiply, one
 cumsum and one fold, written straight into its prefix matrix. At the
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -89,24 +90,33 @@ class OpCounters:
 
 @dataclass(frozen=True)
 class HashConfig:
-    """Shared hash parameters: the base x mod p = 2^61 - 1 and the seed of
-    the sample draw. Both strings of one comparison must use the same x and
-    the same sample draw for hashes to be comparable."""
+    """Shared hash parameters: the base x, nonzero mod p = 2^61 - 1, and
+    the seed of the sample draw. Both strings of one comparison must use the
+    same x and the same sample draw for hashes to be comparable."""
 
     x: int
     rng_seed: int | None = None
 
+    def __post_init__(self):
+        if self.x % P61 == 0:
+            raise ValueError("hash base must be nonzero mod p")
+
     @classmethod
     def from_seed(cls, seed) -> "HashConfig":
-        ss = np.random.SeedSequence(seed)
-        x_ss, _ = ss.spawn(2)
-        rng = np.random.default_rng(x_ss)
-        x = int(rng.integers(2, P61 - 1))
-        try:
-            seed_val = int(seed)
-        except (TypeError, ValueError):
-            seed_val = None
-        return cls(x=x, rng_seed=seed_val)
+        """The config of a seed: None (fresh entropy) or a non-negative
+        integer, which fixes x and the sample draw."""
+        if seed is not None:
+            refused = ValueError(f"seed must be None or a non-negative "
+                                 f"integer, got {seed!r}")
+            try:
+                seed = operator.index(seed)
+            except TypeError:
+                raise refused from None
+            if seed < 0:
+                raise refused
+        x_ss, _ = np.random.SeedSequence(seed).spawn(2)
+        x = int(np.random.default_rng(x_ss).integers(2, P61 - 1))
+        return cls(x=x, rng_seed=seed)
 
     def sampling_rng(self) -> np.random.Generator:
         ss = np.random.SeedSequence(self.rng_seed)
@@ -114,32 +124,15 @@ class HashConfig:
         return np.random.default_rng(samp_ss)
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Sorted base positions plus an additive offset (a shifted view)."""
-
-    indices: np.ndarray  # sorted unique int64, base positions
-    offset: int = 0
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def shift(self, a: int) -> "SampleSet":
-        return SampleSet(self.indices, self.offset + a)
-
-    def positions(self) -> np.ndarray:
-        return self.indices + self.offset
-
-
 def sample_rate(n: int, granularity: int) -> float:
     return min(4.0 * math.log(n) / granularity, 1.0) if n > 1 else 1.0
 
 
 def draw_sample(n: int, granularity: int, rng: np.random.Generator,
-                force_anchors: np.ndarray | None = None) -> SampleSet:
-    """Include each position of [1, n] independently at rate
-    min(4 ln n / granularity, 1), then union in any forced anchors. The
-    generator is read only below rate 1."""
+                force_anchors: np.ndarray | None = None) -> np.ndarray:
+    """The sample of [1, n], sorted: each position independently at rate
+    min(4 ln n / granularity, 1), then any forced anchors. The generator is
+    read only below rate 1."""
     rate = sample_rate(n, granularity)
     if rate >= 1.0:
         idx = np.arange(1, n + 1, dtype=np.int64)
@@ -150,7 +143,7 @@ def draw_sample(n: int, granularity: int, rng: np.random.Generator,
         anchors = np.asarray(force_anchors, dtype=np.int64)
         anchors = anchors[(anchors >= 1) & (anchors <= n)]
         idx = np.union1d(idx, anchors)
-    return SampleSet(idx)
+    return idx
 
 
 @functools.lru_cache(maxsize=4)
@@ -216,14 +209,6 @@ def _prefix_hashes(syms: np.ndarray, top: int, tables, out: np.ndarray
                                 fwd[0], fwd[1])
 
 
-def check_hash_params(p: int, x: int) -> None:
-    """Raise ValueError unless p is 2^61 - 1 and x is nonzero mod p."""
-    if p != P61:
-        raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
-    if x % p == 0:
-        raise ValueError("hash base must be nonzero mod p")
-
-
 def check_alphabet(n: int, sigma: int) -> None:
     """Raise ValueError unless p > n^2 (sigma + 1), the margin the collision
     guarantee needs for length n over symbols 1 .. sigma + 1 (the sentinel
@@ -242,54 +227,51 @@ def _check_string(string) -> None:
 
 
 class RollingHashState:
-    """Prefix hashes over one shifted view of a sample set on one string."""
+    """Prefix hashes of one string over a sample: sorted int64 positions,
+    S + o for a copy of the string shifted by o."""
 
-    def __init__(self, string, samples: SampleSet, cfg: HashConfig,
+    def __init__(self, string, samples: np.ndarray, cfg: HashConfig,
                  counters: OpCounters | None = None):
-        check_hash_params(P61, cfg.x)
         _check_string(string)
         self.cfg = cfg
         self.samples = samples
         self.counters = counters if counters is not None else OpCounters()
-        m = len(samples)
+        m = samples.size
         tables = _tables_for(cfg.x, m)
         self.xpow = tables[0]
         self.prefix = np.empty(m + 1, dtype=np.uint64)
         # reads outside [1, n] give the sentinel sigma + 1
-        _prefix_hashes(string.gather(samples.positions()), string.sigma + 1,
-                       tables, self.prefix)
+        _prefix_hashes(string.gather(samples), string.sigma + 1, tables,
+                       self.prefix)
         self._lists = None
         self.counters.init_steps += m
 
     def retrieve(self, i: int, j: int) -> int:
-        """Hash of the sampled positions inside [i, j] (view coordinates).
+        """Hash of the sampled positions inside [i, j].
 
-        Reads the base positions, prefix rows and x-powers as Python lists,
+        Reads the sample, prefix rows and x-powers as Python lists,
         located with bisect. The lists are made on the first call, so states
         read only through `retrieve_many` or a `ViewStack` never pay for
         them."""
         self.counters.retrievals += 1
         lists = self._lists
         if lists is None:
-            lists = self._lists = (self.samples.indices.tolist(),
+            lists = self._lists = (self.samples.tolist(),
                                    self.prefix.tolist(), self.xpow.tolist())
         pos, prefix, xpow = lists
-        off = self.samples.offset
-        lo = bisect_left(pos, i - off)
-        hi = bisect_right(pos, j - off)
+        lo = bisect_left(pos, i)
+        hi = bisect_right(pos, j)
         if hi <= lo:
             return 0
         return (prefix[hi] - prefix[lo] * xpow[hi - lo]) % P61
 
     def retrieve_many(self, i_arr: np.ndarray, j_arr: np.ndarray) -> np.ndarray:
         """Vectorized retrieve for parallel ranges."""
-        base = self.samples.indices
-        off = self.samples.offset
         i_arr = np.asarray(i_arr, dtype=np.int64)
         j_arr = np.asarray(j_arr, dtype=np.int64)
         self.counters.retrievals += int(i_arr.size)
-        lo = base.searchsorted(i_arr - off, side="left")
-        hi = base.searchsorted(j_arr - off, side="right")
+        lo = self.samples.searchsorted(i_arr, side="left")
+        hi = self.samples.searchsorted(j_arr, side="right")
         cnt = np.maximum(hi - lo, 0)
         head = mulmod_vec(self.prefix[lo], self.xpow[cnt])
         out = submod_vec(self.prefix[np.maximum(hi, lo)], head)
@@ -297,31 +279,29 @@ class RollingHashState:
 
 
 class ViewStack:
-    """Shifted views of one sample set, built and read together.
+    """Shifted views of one sample S, built and read together.
 
-    Views share `samples.indices`, so a window lands on the same pair of
-    prefix rows in each, at its own offset: view v's hash of [i + off_v,
-    j + off_v] is H_v[h] - H_v[l] x^(h - l), with l and h the counts of
-    base positions below i and up to j. The prefixes are held once, in an
-    (m + 1) x V matrix, one column per view, in the order of `views`:
-    (string, offsets) pairs, each offset one view of that string over the
-    sample. The columns are hashed in blocks of about `_BLOCK` symbols, a
-    2-D gather and one `_prefix_hashes` pass per block; each view folds
-    |S| symbols, as a `RollingHashState` of it would.
+    View v of a string at offset o_v reads it over S + o_v, so a window
+    [i, j] of S lands on the same pair of prefix rows in every view: view
+    v's hash of [i + o_v, j + o_v] is H_v[h] - H_v[l] x^(h - l), with l and
+    h the counts of positions of S below i and up to j. The prefixes are
+    held once, in an (m + 1) x V matrix, one column per view, in the order
+    of `views`: (string, offsets) pairs, each offset one view of that
+    string. The columns are hashed in blocks of about `_BLOCK` symbols, a
+    2-D gather and one `_prefix_hashes` pass per block; each view folds |S|
+    symbols, as a `RollingHashState` over S + o_v would.
     """
 
-    def __init__(self, samples: SampleSet, views, cfg: HashConfig,
+    def __init__(self, samples: np.ndarray, views, cfg: HashConfig,
                  counters: OpCounters):
-        check_hash_params(P61, cfg.x)
         for string, _ in views:
             _check_string(string)
         self.counters = counters
-        pos = samples.positions()
-        m = pos.size
+        m = samples.size
         tables = _tables_for(cfg.x, m)
         self.xpow = tables[0]
-        self.base = samples.indices
-        self.positions = self.base.tolist()
+        self.samples = samples
+        self.positions = samples.tolist()
         self.prefix = np.empty((m + 1, sum(len(o) for _, o in views)),
                                dtype=np.uint64)
         rows = max(_BLOCK // max(m, 1), 1)
@@ -331,26 +311,26 @@ class ViewStack:
             for lo in range(0, offsets.size, rows):
                 block = offsets[lo:lo + rows]
                 end = col + block.size
-                _prefix_hashes(string.gather(block[:, None] + pos),
+                _prefix_hashes(string.gather(block[:, None] + samples),
                                string.sigma + 1, tables,
                                self.prefix[:, col:end].T)
                 col = end
         counters.init_steps += m * col
 
     def window_block(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Every view's hash of every base window [i_s, j_s] (j_s >= i_s - 1),
+        """Every view's hash of every window [i_s, j_s] of S (j_s >= i_s - 1),
         as a len(i) x V block, from one locate and one modular pass. Counts
         no retrievals: the caller counts the entries it reads."""
-        lo = self.base.searchsorted(i, side="left")
-        hi = self.base.searchsorted(j, side="right")
+        lo = self.samples.searchsorted(i, side="left")
+        hi = self.samples.searchsorted(j, side="right")
         x_lo, x_hi = limbs(self.xpow[hi - lo])[:, :, None]
         return submod_vec(self.prefix[hi],
                           mulmod_limbs(self.prefix[lo], x_lo, x_hi))
 
     def first_collision(self, i: int, j: int, a_cols: range, b_cols: range
                         ) -> tuple[int, int] | None:
-        """Scan views a_cols in order for the first whose hash of base
-        window [i, j] equals that of some view in b_cols; return it with the
+        """Scan views a_cols in order for the first whose hash of window
+        [i, j] of S equals that of some view in b_cols; return it with the
         first such b column. Every hash taken counts as one retrieval: all
         of b_cols, then a_cols up to the hit."""
         pos = self.positions

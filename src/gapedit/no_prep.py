@@ -17,9 +17,9 @@ Below rate 1, every candidate shift c in [-k, k] factors as c = a * r + b
 with r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r.
 Instead of hashing one range per shift (2k + 1 states), the oracle keeps
 2q + 1 shifted views of A and r shifted views of B over one shared sample
-set; a shift-c alignment shows up as a hash collision between the view
-pair (a, b). All views reuse the same base positions, so both sides of
-any probe compare exactly the same sampled offsets.
+S; a shift-c alignment shows up as a hash collision between the view
+pair (a, b). A view at offset o reads its string over S + o, so both
+sides of any probe compare the same sampled offsets.
 
 There, probed ranges are shaved by k on both ends, which keeps every
 candidate window inside the strings for every shift; matches are

@@ -70,9 +70,8 @@ import zlib
 import numpy as np
 
 from .greedy import check_index_params
-from .hashing import (HashConfig, OpCounters, RollingHashState, SampleSet,
-                      ViewStack, check_alphabet, check_hash_params,
-                      draw_sample, sample_rate)
+from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
+                      check_alphabet, draw_sample, sample_rate)
 from .mers61 import P61, mulmod_vec, submod_vec
 from .strings import ByteString
 from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, full_sample
@@ -163,7 +162,7 @@ class OneSidedIndex:
     bucket."""
 
     def __init__(self, n: int, k: int, ell: int, buckets: range,
-                 cfg: HashConfig, samples: SampleSet,
+                 cfg: HashConfig, samples: np.ndarray,
                  tables: dict | None = None, dense: list | None = None,
                  syms: list[int] | None = None,
                  counters: OpCounters | None = None):
@@ -212,7 +211,7 @@ class OneSidedIndex:
     def _canonical_starts(self, e: int) -> np.ndarray:
         """Window starts recorded for length 2^e: those that some shift
         |a| <= k keeps inside A."""
-        s, w = self.samples.indices, 1 << e
+        s, w = self.samples, 1 << e
         starts = np.union1d(s + 1, s - w + 1)
         return starts[(starts >= max(2 - w, 1 - self.k))
                       & (starts <= min(self.n + 1, self.n - w + 1 + self.k))]
@@ -287,7 +286,7 @@ class OneSidedIndex:
             layout, s, keys = _LAYOUT_PREFIX, np.empty(0, np.int64), []
             arrays, nh = list(self.dense[0]), self.n + 1
         else:
-            layout, s = _LAYOUT_GENERAL, self.samples.indices
+            layout, s = _LAYOUT_GENERAL, self.samples
             cells = sorted(self.tables.items())
             keys = [(*key, cell.size) for key, cell in cells]
             arrays = [cell for _, cell in cells]
@@ -309,8 +308,8 @@ class OneSidedIndex:
         version raises ValueError, and so does one of the wrong length (its
         length is checked against the header before any read), one whose
         checksum does not match, and one whose header holds an unknown
-        layout, a k or l the builders refuse, hash parameters (p, x) that
-        `RollingHashState` refuses, or shift buckets that neither the
+        layout, a k or l the builders refuse, a p other than 2^61 - 1, an x
+        that `HashConfig` refuses, or shift buckets that neither the
         greedy nor the wave index keeps at its k and l. A prefix body must
         also be the prefix hash, under the header's x, of symbols that pass
         the alphabet guard (`_prefix_symbols`); A's symbols are recovered
@@ -341,7 +340,9 @@ class OneSidedIndex:
                 ", a retired one: build the index again"
                 if layout == _LAYOUT_RETIRED else ""))
         check_index_params(k, ell)
-        check_hash_params(p, x)
+        if p != P61:
+            raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
+        cfg = HashConfig(x=x)
         reach = k // ell + 1  # the wave index keeps buckets -reach .. reach
         if ((b_start, b_stop) != (-reach, reach + 1)
                 and not (ell == k and (b_start, b_stop) == (0, 1))):
@@ -369,7 +370,7 @@ class OneSidedIndex:
         s = view("<i8", ns)
         keys = view("<i8", 4 * nk).reshape(nk, 4).tolist()
         hashes = view("<u8", nh)
-        params = (n, k, ell, range(b_start, b_stop), HashConfig(x=x))
+        params = (n, k, ell, range(b_start, b_stop), cfg)
         if prefix:
             xpow = view("<u8", nh)
             return cls(*params, full_sample(n), dense=[(hashes, xpow)],
@@ -378,7 +379,7 @@ class OneSidedIndex:
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
         tables = {(e, c, b): hashes[lo:hi]
                   for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
-        return cls(*params, SampleSet(s), tables=tables)
+        return cls(*params, s, tables=tables)
 
 
 class OneSidedWaveIndex(OneSidedIndex):

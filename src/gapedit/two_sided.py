@@ -44,17 +44,17 @@ import functools
 import numpy as np
 
 from .greedy import check_index_params
-from .hashing import HashConfig, OpCounters, RollingHashState, SampleSet
+from .hashing import HashConfig, OpCounters, RollingHashState
 from .mers61 import P61
 from .strings import ByteString
 
 
 @functools.lru_cache(maxsize=4)
-def full_sample(n: int) -> SampleSet:
-    """Every position of [1, n]: one read-only set per n, shared."""
+def full_sample(n: int) -> np.ndarray:
+    """Every position of [1, n]: one read-only array per n, shared."""
     idx = np.arange(1, n + 1, dtype=np.int64)
     idx.flags.writeable = False
-    return SampleSet(idx)
+    return idx
 
 
 class TwoSidedIndex:

@@ -321,6 +321,32 @@ class TestBadParameters:
         assert err.strip() == (f"gapedit gen: error: cannot write {stem}: "
                                "No such file or directory")
 
+    @pytest.mark.parametrize("cmd", ["gen", "exact", "gap", "wave", "bench"])
+    @pytest.mark.parametrize("record,reason", [
+        ("absent/r.jsonl", "No such file or directory"),
+        (".", "Is a directory")])
+    def test_unwritable_record(self, small_pair, tmp_path, capsys, cmd,
+                               record, reason):
+        # refused before any work, so gen writes no instance file either
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        path = runs / record
+        pair = [str(small_pair) + ".a", str(small_pair) + ".b", "--sigma",
+                "64"]
+        seed = ["--seed", "1"]
+        opts = {"gen": ["--n", "64", "--out", str(runs / "x"), *seed],
+                "exact": pair,
+                "gap": [*pair, "--k", "4", *seed],
+                "wave": [*pair, "--k", "4", "--ell", "2", *seed],
+                "bench": ["--ns", "64", "--ks", "4", "--trials", "1",
+                          *seed]}[cmd]
+        code = main(["--record", str(path), cmd, *opts])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.strip() == (f"gapedit {cmd}: error: cannot write {path}: "
+                               f"{reason}")
+        assert list(runs.iterdir()) == []
+
     def test_unequal_lengths(self, small_pair, tmp_path, capsys):
         short = tmp_path / "short.b"
         short.write_bytes(Path(str(small_pair) + ".b").read_bytes()[:-1])

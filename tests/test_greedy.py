@@ -159,3 +159,22 @@ class TestOneProtocol:
         }[backend]()
         with pytest.raises(ValueError, match="built for l = 4"):
             greedy_match(a, b, k, orc)
+
+
+class TestSeeds:
+    """An integer seed fixes x and the sample draw, so a run replays; any
+    other seed is refused rather than drawing fresh entropy."""
+
+    # n = 2000, k = 64 samples at rate 4 ln n / k < 1: the draw sets the work
+    INST = gen_planted(2000, 4, 64, seed=3)
+
+    def test_integer_seed_replays_the_sample_draw(self):
+        a, b = self.INST.a, self.INST.b
+        runs = [gap_match(a, b, 64, mode="noprep", seed=s)
+                for s in (7, 7, np.int64(7))]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("seed", [[1, 2], 1.5, "abc"])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gap_match(self.INST.a, self.INST.b, 64, mode="noprep", seed=seed)

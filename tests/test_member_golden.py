@@ -80,13 +80,13 @@ def probes(inst, index, seed) -> list:
 
     def a_hash(shift):
         # A's hash of a window [i, i + w - 1] at shift a that stays inside
-        # A: base positions in the window, symbols of A at base position + a
+        # A: sampled positions in the window, symbols of A at position + a
         e = int(rng.integers(0, (n - abs(shift)).bit_length()))
         w = 1 << e
         i = int(rng.integers(max(1, 1 - shift), min(n, n - shift) - w + 2))
         if shift not in a_states:
             a_states[shift] = RollingHashState(
-                inst.a, index.samples.shift(shift), index.cfg)
+                inst.a, index.samples + shift, index.cfg)
         return e, i, a_states[shift].retrieve(i + shift, i + shift + w - 1)
 
     for _ in range(PROBES_PER_KIND):  # hits from B

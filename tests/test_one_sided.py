@@ -68,7 +68,7 @@ class TestIndexStructure:
         inst = gen_planted(300, 4, 0, seed=0)
         idx = OneSidedIndex.preprocess(inst.a, 7, CFG)
         for pos in anchor_positions(300, 7):
-            assert pos in idx.samples.indices
+            assert pos in idx.samples
 
     def test_prefix_layout_at_rate_one(self):
         # A's prefix hashes over every position, as the two-sided index
@@ -223,7 +223,7 @@ class TestSerialization:
             assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
                 idx.n, idx.k, idx.ell, idx.buckets)
             assert idx2.cfg.x == CFG.x
-            assert list(idx2.samples.indices) == list(idx.samples.indices)
+            assert list(idx2.samples) == list(idx.samples)
             assert idx2.dense is None
             assert idx2.tables.keys() == idx.tables.keys()
             # cells are views of the file's bytes
@@ -412,7 +412,7 @@ class TestSerialization:
                     with pytest.raises(ValueError, match=match):
                         OneSidedIndex.load(path)
                 else:  # the checksum alone would let it load
-                    assert OneSidedIndex.load(path).samples.indices.size == ns
+                    assert OneSidedIndex.load(path).samples.size == ns
 
     @pytest.mark.parametrize("field,change", [
         (4, lambda h: h[4] + 1), (9, lambda h: 1), (10, lambda h: 1)])

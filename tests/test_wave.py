@@ -398,3 +398,19 @@ class TestGapWaveModes:
         inst = gen_planted(64, 4, 0, seed=5)
         with pytest.raises(ValueError):
             gap_wave(inst.a, inst.b, 4, 2, "bogus")
+
+
+class TestSeeds:
+    # n = 2000, l = 32 samples at rate 4 ln n / l < 1: the draw sets the work
+    INST = gen_planted(2000, 4, 64, seed=3)
+
+    def test_integer_seed_replays_the_sample_draw(self):
+        a, b = self.INST.a, self.INST.b
+        runs = [gap_wave(a, b, 64, 32, "noprep", seed=s)
+                for s in (7, 7, np.int64(7))]
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("seed", [[1, 2], 1.5, "abc"])
+    def test_refuses_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            gap_wave(self.INST.a, self.INST.b, 64, 32, "noprep", seed=seed)
