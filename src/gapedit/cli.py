@@ -15,21 +15,18 @@ import secrets
 import sys
 import tempfile
 import time
-import zlib
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import (ByteString, GapVerdict, GreedyTrace, HashConfig, OpCounters,
-               gap_match, gap_wave, gen_large_side, gen_periodic, gen_planted,
-               load_instance, save_instance)
+from . import (ByteString, GapVerdict, GreedyTrace, HashConfig, Instance,
+               OneSidedIndex, OneSidedOracle, OpCounters,
+               edit_distance_at_most, edit_distance_exact, gap_match,
+               gap_wave, gen_large_side, gen_periodic, gen_planted,
+               save_instance)
 from .greedy import check_index_params
-from .hashing import RollingHashState, check_alphabet
-from .instances import Instance
-from .no_prep import NoPrepOracle
-from .one_sided import _HEAD, MAGIC_1S, OneSidedIndex, OneSidedOracle
-from .strings import edit_distance_at_most, edit_distance_exact
+from .hashing import check_alphabet
 
 RECORD_SCHEMA = 1
 MODES = ("exact", "noprep", "onesided", "twosided")
@@ -74,6 +71,11 @@ def _emit(record: dict, path: str | None) -> None:
         with open(path, "a") as f:
             f.write(line + "\n")
     print(line)
+
+
+def _usage_error(command: str, err: ValueError) -> int:
+    print(f"gapedit {command}: error: {err}", file=sys.stderr)
+    return 2
 
 
 def _warn_params(n: int, k: int) -> None:
@@ -140,66 +142,53 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_exact(args) -> int:
+def _pair_command(args) -> int:
+    """`exact`, `gap` and `wave`: read A and B, time the command's one
+    library call and emit one record of its fields. The command's check
+    runs before any file is read."""
     try:
-        if args.at_most is not None and args.at_most < 0:
-            raise ValueError(f"at-most must be at least 0, got "
-                             f"{args.at_most}")
+        args.check(args)
         a = _read_string(args.a, args.sigma)
         b = _read_string(args.b, args.sigma)
+        t0 = time.perf_counter()
+        fields = args.call(args, a, b)
     except ValueError as err:
-        return _usage_error("exact", err)
-    t0 = time.perf_counter()
-    if args.at_most is not None:
-        ok = edit_distance_at_most(a, b, args.at_most)
-        rec = {"at_most": args.at_most, "within": bool(ok)}
+        return _usage_error(args.command, err)
+    _emit({"schema": RECORD_SCHEMA, "command": args.command, **fields,
+           "seconds": round(time.perf_counter() - t0, 6)}, args.record)
+    return 0
+
+
+def _check_at_most(args) -> None:
+    if args.at_most is not None and args.at_most < 0:
+        raise ValueError(f"at-most must be at least 0, got {args.at_most}")
+
+
+def _exact(args, a: ByteString, b: ByteString) -> dict:
+    if args.at_most is None:
+        return {"n": len(a), "m": len(b),
+                "distance": edit_distance_exact(a, b)}
+    return {"n": len(a), "m": len(b), "at_most": args.at_most,
+            "within": bool(edit_distance_at_most(a, b, args.at_most))}
+
+
+def _draw_seed(args) -> None:
+    args.seed = _default_seed(args.seed)
+
+
+def _decide(args, a: ByteString, b: ByteString) -> dict:
+    """`gap` decides k vs 40 k^2 greedily, `wave` k vs 10 k l."""
+    _warn_params(len(b), args.k)
+    rec = {"mode": args.mode, "n": len(b), "k": args.k}
+    if args.command == "gap":
+        verdict, counters = gap_match(a, b, args.k, mode=args.mode,
+                                      seed=args.seed)
     else:
-        rec = {"distance": edit_distance_exact(a, b)}
-    rec.update({"schema": RECORD_SCHEMA, "command": "exact",
-                "n": len(a), "m": len(b),
-                "seconds": round(time.perf_counter() - t0, 6)})
-    _emit(rec, args.record)
-    return 0
-
-
-def _usage_error(command: str, err: ValueError) -> int:
-    print(f"gapedit {command}: error: {err}", file=sys.stderr)
-    return 2
-
-
-def cmd_gap(args) -> int:
-    try:
-        seed = _default_seed(args.seed)
-        a = _read_string(args.a, args.sigma)
-        b = _read_string(args.b, args.sigma)
-        _warn_params(len(b), args.k)
-        t0 = time.perf_counter()
-        verdict, counters = gap_match(a, b, args.k, mode=args.mode, seed=seed)
-    except ValueError as err:
-        return _usage_error("gap", err)
-    _emit({"schema": RECORD_SCHEMA, "command": "gap", "mode": args.mode,
-           "n": len(b), "k": args.k, "seed": seed,
-           "verdict": verdict.value, "counters": asdict(counters),
-           "seconds": round(time.perf_counter() - t0, 6)}, args.record)
-    return 0
-
-
-def cmd_wave(args) -> int:
-    try:
-        seed = _default_seed(args.seed)
-        a = _read_string(args.a, args.sigma)
-        b = _read_string(args.b, args.sigma)
-        _warn_params(len(b), args.k)
-        t0 = time.perf_counter()
         verdict, counters = gap_wave(a, b, args.k, args.ell, args.mode,
-                                     seed=seed)
-    except ValueError as err:
-        return _usage_error("wave", err)
-    _emit({"schema": RECORD_SCHEMA, "command": "wave", "mode": args.mode,
-           "n": len(b), "k": args.k, "ell": args.ell, "seed": seed,
-           "verdict": verdict.value, "counters": asdict(counters),
-           "seconds": round(time.perf_counter() - t0, 6)}, args.record)
-    return 0
+                                     seed=args.seed)
+        rec["ell"] = args.ell
+    return {**rec, "seed": args.seed, "verdict": verdict.value,
+            "counters": asdict(counters)}
 
 
 def cmd_bench(args) -> int:
@@ -274,57 +263,32 @@ def cmd_selftest(args) -> int:
     check("gap noprep, onesided and twosided trace alike",
           traces["noprep"] == traces["onesided"] == traces["twosided"])
 
-    # corrupted index files must be rejected, not silently used
-    with tempfile.TemporaryDirectory() as td:
-        cfg = HashConfig.from_seed(seed)
-        idx = OneSidedIndex.preprocess(inst.a, 4, cfg)
-        p = Path(td) / "x.1s"
-        idx.save(p)
-        raw = bytearray(p.read_bytes())
-        raw[0] ^= 0xFF
-        p.write_bytes(bytes(raw))
-        try:
-            OneSidedIndex.load(p)
-            check("corrupt index rejected", False)
-        except ValueError:
-            check("corrupt index rejected", True)
-
     # below sampling rate 1 (k = 24 > 4 ln 256): noprep's birthday split
     # and the general-layout index, on a pair at the promise's edge ed <= k
     sub = gen_planted(256, 8, 24, seed=seed + 2)
     for mode in ("noprep", "onesided"):
         v, _ = gap_match(sub.a, sub.b, 24, mode=mode, seed=seed)
         check(f"gap {mode} small below rate 1", v == GapVerdict.SMALL)
+
+    # a corrupted index file must be refused, not silently used: in each
+    # layout, one copy with its middle byte flipped and one a byte short
     cfg = HashConfig.from_seed(seed)
-    orc = NoPrepOracle(sub.a, sub.b, 24, cfg)
-    views = ([(sub.a, c * orc.r) for c in range(-orc.q, orc.q + 1)]
-             + [(sub.b, -c) for c in range(orc.r)])
-    check("noprep's stacked views equal one state per view", all(
-        np.array_equal(orc.views.prefix[:, col], RollingHashState(
-            s, orc.samples + o, cfg).prefix)
-        for col, (s, o) in enumerate(views)))
     with tempfile.TemporaryDirectory() as td:
-        p = Path(td) / "g.1s"
-        OneSidedIndex.preprocess(sub.a, 24, cfg).save(p)
-        raw = bytearray(p.read_bytes())
-        # the sample positions moved past n under a recomputed checksum,
-        # and one flipped hash byte under the old one
-        head = len(MAGIC_1S) + _HEAD.size
-        ns = _HEAD.unpack_from(raw, len(MAGIC_1S))[9]
-        moved = raw[:-4]
-        moved[head:head + 8 * ns] = (np.frombuffer(raw, "<i8", ns, head)
-                                     + 1000).tobytes()
-        moved += zlib.crc32(moved[len(MAGIC_1S):]).to_bytes(4, "little")
-        flipped = raw.copy()
-        flipped[-5] ^= 0xFF
-        refused = 0
-        for body in (moved, flipped):
-            p.write_bytes(body)
-            try:
-                OneSidedIndex.load(p)
-            except ValueError:
-                refused += 1
-        check("corrupt general-layout index rejected", refused == 2)
+        p = Path(td) / "x.1s"
+        for layout, a, k in (("rate-1", inst.a, 4),
+                             ("general-layout", sub.a, 24)):
+            OneSidedIndex.preprocess(a, k, cfg).save(p)
+            raw = p.read_bytes()
+            mid = len(raw) // 2
+            refused = 0
+            for body in (raw[:mid] + bytes([raw[mid] ^ 0xFF]) + raw[mid + 1:],
+                         raw[:-1]):
+                p.write_bytes(body)
+                try:
+                    OneSidedIndex.load(p)
+                except ValueError:
+                    refused += 1
+            check(f"corrupt {layout} index rejected", refused == 2)
 
     # fault injection: a degenerate hash (x = 1) sums a window's symbols, so
     # it cannot tell A from B = A with two adjacent unequal symbols swapped
@@ -340,6 +304,8 @@ def cmd_selftest(args) -> int:
         bad(i, i) != referee(inst.a, b, i, i, 4, 4) for i in range(1, 257)))
 
     print("selftest:", "FAIL" if failures else "ok")
+    _emit({"schema": RECORD_SCHEMA, "command": "selftest", "seed": seed,
+           "ok": not failures, "failed": failures}, args.record)
     return 1 if failures else 0
 
 
@@ -365,31 +331,24 @@ def main(argv=None) -> int:
     g.add_argument("--out", required=True, help="output path stem")
     g.set_defaults(func=cmd_gen)
 
-    e = sub.add_parser("exact", help="exact edit distance")
-    e.add_argument("a")
-    e.add_argument("b")
-    e.add_argument("--sigma", type=int, default=256)
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("a")
+    pair.add_argument("b")
+    pair.add_argument("--sigma", type=int, default=256)
+    pair.set_defaults(func=_pair_command)
+    decider = argparse.ArgumentParser(add_help=False, parents=[pair])
+    decider.add_argument("--k", type=int, required=True)
+    decider.add_argument("--mode", default="noprep", choices=MODES)
+    decider.add_argument("--seed", type=int)
+    decider.set_defaults(check=_draw_seed, call=_decide)
+
+    e = sub.add_parser("exact", parents=[pair], help="exact edit distance")
     e.add_argument("--at-most", type=int, dest="at_most")
-    e.set_defaults(func=cmd_exact)
-
-    p = sub.add_parser("gap", help="k vs 40k^2 gap decision")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--mode", default="noprep", choices=MODES)
-    p.add_argument("--sigma", type=int, default=256)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_gap)
-
-    w = sub.add_parser("wave", help="k vs 10kl gap decision")
-    w.add_argument("a")
-    w.add_argument("b")
-    w.add_argument("--k", type=int, required=True)
+    e.set_defaults(check=_check_at_most, call=_exact)
+    sub.add_parser("gap", parents=[decider], help="k vs 40k^2 gap decision")
+    w = sub.add_parser("wave", parents=[decider],
+                       help="k vs 10kl gap decision")
     w.add_argument("--ell", type=int, required=True)
-    w.add_argument("--mode", default="noprep", choices=MODES)
-    w.add_argument("--sigma", type=int, default=256)
-    w.add_argument("--seed", type=int)
-    w.set_defaults(func=cmd_wave)
 
     b = sub.add_parser("bench", help="counter scaling over a grid")
     b.add_argument("--mode", default="noprep", choices=MODES)

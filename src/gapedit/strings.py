@@ -13,10 +13,10 @@ a band of diagonals. `edit_distance_at_most` picks diagonal transition
 (t + 1 rounds over the band of diagonals a path of cost <= t can touch)
 where a measured cost model says it wins, which is small t next to n, and
 Myers with its diagonal cutoff elsewhere (`_use_diagonal`).
-`optimal_edit_script` and `decompose` read one optimal alignment, walked
-once from a quadratic DP (`_alignment`). `max_shift_alignment_bruteforce`
-is the brute-force shift oracle behind exact mode in both deciders: the
-wave asks it at (i_a, i_b) and l, greedy at i_a = i_b and l = k.
+`decompose` reads one optimal alignment, walked once from a quadratic DP
+(`_alignment`). `max_shift_alignment_bruteforce` is the brute-force shift
+oracle behind exact mode in both deciders: the wave asks it at (i_a, i_b)
+and l, greedy at i_a = i_b and l = k.
 """
 
 from __future__ import annotations
@@ -289,9 +289,6 @@ def exact_hwave(a: ByteString, b: ByteString, k: int) -> bool:
     return prev.get(0, neg) >= n
 
 
-Op = tuple[str, int, int]  # (kind, a_pos, b_symbol_or_0)
-
-
 def _alignment(a: ByteString, b: ByteString) -> list[tuple[str, int, int]]:
     """One optimal alignment of a and b, as steps (kind, i, j) in forward
     order, where i and j count the symbols of a and b consumed once the
@@ -326,35 +323,6 @@ def _alignment(a: ByteString, b: ByteString) -> list[tuple[str, int, int]]:
             j -= 1
     steps.reverse()
     return steps
-
-
-def optimal_edit_script(a: ByteString, b: ByteString) -> list[Op]:
-    """One optimal script transforming a into b.
-
-    Ops reference positions in the original a and are ordered by descending
-    position so earlier ops do not invalidate later positions:
-      ("sub", i, c)  replace a[i] with c
-      ("del", i, 0)  delete a[i]
-      ("ins", i, c)  insert c after a[i] (i may be 0)
-    Insertions after the same a[i] are listed last symbol first, the order
-    in which `apply_script` inserts them.
-    """
-    ops = [(kind, i, 0 if kind == "del" else b.at(j))
-           for kind, i, j in reversed(_alignment(a, b)) if kind != "match"]
-    ops.sort(key=lambda op: op[1], reverse=True)
-    return ops
-
-
-def apply_script(a: ByteString, ops: list[Op]) -> ByteString:
-    vals = list(a.data)
-    for kind, i, c in sorted(ops, key=lambda op: op[1], reverse=True):
-        if kind == "sub":
-            vals[i - 1] = c
-        elif kind == "del":
-            del vals[i - 1]
-        else:
-            vals.insert(i, c)
-    return ByteString(np.array(vals, dtype=np.int64), a.sigma)
 
 
 def decompose(a: ByteString, b: ByteString) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:

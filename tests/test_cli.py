@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -144,12 +145,65 @@ class TestBenchAndSelftest:
         assert "selftest: ok" in out
         assert "FAIL" not in out
         assert "ok  gap noprep, onesided and twosided trace alike" in out
-        # one pair below sampling rate 1 (n = 256, k = 24)
+        # one pair below sampling rate 1 (n = 256, k = 24), and a corrupt
+        # index file in each layout
         for line in ("gap noprep small below rate 1",
                      "gap onesided small below rate 1",
-                     "noprep's stacked views equal one state per view",
+                     "corrupt rate-1 index rejected",
                      "corrupt general-layout index rejected"):
             assert f"ok  {line}\n" in out
+
+    def test_selftest_writes_one_record(self, tmp_path, capsys):
+        rec = tmp_path / "runs.jsonl"
+        assert main(["--record", str(rec), "selftest", "--seed", "1"]) == 0
+        lines = rec.read_text().splitlines()
+        assert len(lines) == 1
+        got = json.loads(lines[0])
+        assert got["command"] == "selftest" and got["ok"] is True
+        assert got["failed"] == [] and got["seed"] == 1
+        # printed after the verdict line, as the same record
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["selftest: ok", lines[0]]
+
+
+class TestRecordKeys:
+    DECISION = {"schema", "command", "mode", "n", "k", "seed", "verdict",
+                "counters", "seconds"}
+
+    @pytest.mark.parametrize("argv,keys", [
+        (["gen", "--n", "64", "--seed", "1", "--out", "{out}"],
+         {"schema", "command", "out", "n", "sigma", "label", "seed",
+          "planted_edits", "threshold", "exact_ed"}),
+        (["exact", "{a}", "{b}", "--sigma", "64"],
+         {"schema", "command", "n", "m", "distance", "seconds"}),
+        (["exact", "{a}", "{b}", "--sigma", "64", "--at-most", "4"],
+         {"schema", "command", "n", "m", "at_most", "within", "seconds"}),
+        (["gap", "{a}", "{b}", "--sigma", "64", "--k", "4", "--seed", "1"],
+         DECISION),
+        (["wave", "{a}", "{b}", "--sigma", "64", "--k", "9", "--ell", "3",
+          "--seed", "1"], DECISION | {"ell"}),
+        (["bench", "--ns", "64", "--ks", "4", "--trials", "1", "--seed", "1"],
+         {"schema", "command", "mode", "n", "k", "seed", "trials", "small",
+          "counters", "seconds"}),
+        (["selftest", "--seed", "1"],
+         {"schema", "command", "seed", "ok", "failed"}),
+    ])
+    def test_record_has_exactly_its_fields(self, small_pair, tmp_path,
+                                           capsys, argv, keys):
+        paths = {"a": f"{small_pair}.a", "b": f"{small_pair}.b",
+                 "out": str(tmp_path / "x")}
+        code, recs = run(capsys, *(arg.format(**paths) for arg in argv))
+        assert code == 0 and len(recs) == 1
+        assert set(recs[0]) == keys
+
+
+def test_cli_imports_no_private_name():
+    # the front end reaches the library through its public names only
+    tree = ast.parse((SRC / "gapedit" / "cli.py").read_text())
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
 
 
 class TestBadParameters:

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gapedit.strings import (ByteString, _diagonal_at_most, _use_diagonal,
-                             apply_script, check_decomposition,
-                             decompose, edit_distance_at_most,
-                             edit_distance_exact, edit_distance_quadratic,
-                             exact_hwave, has_approximate_alignment,
-                             max_shift_alignment_bruteforce,
-                             optimal_edit_script)
+                             check_decomposition, decompose,
+                             edit_distance_at_most, edit_distance_exact,
+                             edit_distance_quadratic, exact_hwave,
+                             has_approximate_alignment,
+                             max_shift_alignment_bruteforce)
 
 
 def bs(vals, sigma=4):
@@ -191,16 +190,6 @@ class TestHWave:
             exact_hwave(bs([1]), bs([1, 2]), 1)
 
 
-class TestEditScript:
-    def test_script_is_optimal_and_applies(self):
-        rng = np.random.default_rng(3)
-        for _ in range(120):
-            a, b = rand_pair(rng)
-            ops = optimal_edit_script(a, b)
-            assert len(ops) == edit_distance_quadratic(a, b)
-            assert np.array_equal(apply_script(a, ops).data, b.data)
-
-
 class TestDecompose:
     def test_random_pairs_validate(self):
         rng = np.random.default_rng(4)
@@ -211,30 +200,24 @@ class TestDecompose:
             assert len(ai) <= 2 * d + 1
             assert check_decomposition(a, b, ai, bi)
 
-    # a, b, then the a intervals, b intervals and ops they must give
+    # a, b, then the a intervals and b intervals they must give
     FIXED = {
-        "two empty strings": ([], [], [], [], []),
-        "A empty": ([], [2, 3], [(1, 0), (1, 0)], [(1, 1), (2, 2)],
-                    [("ins", 0, 3), ("ins", 0, 2)]),
-        "B empty": ([1, 2], [], [(1, 1), (2, 2)], [(1, 0), (1, 0)],
-                    [("del", 2, 0), ("del", 1, 0)]),
+        "two empty strings": ([], [], [], []),
+        "A empty": ([], [2, 3], [(1, 0), (1, 0)], [(1, 1), (2, 2)]),
+        "B empty": ([1, 2], [], [(1, 1), (2, 2)], [(1, 0), (1, 0)]),
         "two insertions after one a[i]": (
             [1, 2, 1], [1, 2, 3, 4, 1],
-            [(1, 2), (3, 2), (3, 2), (3, 3)], [(1, 2), (3, 3), (4, 4), (5, 5)],
-            [("ins", 2, 4), ("ins", 2, 3)]),
+            [(1, 2), (3, 2), (3, 2), (3, 3)],
+            [(1, 2), (3, 3), (4, 4), (5, 5)]),
         "a deletion at each end": (
             [3, 1, 2, 1, 4], [1, 2, 1],
-            [(1, 1), (2, 4), (5, 5)], [(1, 0), (1, 3), (4, 3)],
-            [("del", 5, 0), ("del", 1, 0)]),
-        "a == b": ([1, 2, 3, 1], [1, 2, 3, 1], [(1, 4)], [(1, 4)], []),
+            [(1, 1), (2, 4), (5, 5)], [(1, 0), (1, 3), (4, 3)]),
+        "a == b": ([1, 2, 3, 1], [1, 2, 3, 1], [(1, 4)], [(1, 4)]),
     }
 
     def test_fixed_pairs_give_recorded_pieces(self):
-        for name, (x, y, want_a, want_b, want_ops) in self.FIXED.items():
-            a, b = bs(x), bs(y)
-            assert decompose(a, b) == (want_a, want_b), name
-            assert optimal_edit_script(a, b) == want_ops, name
-            assert list(apply_script(a, want_ops).data) == y, name
+        for name, (x, y, want_a, want_b) in self.FIXED.items():
+            assert decompose(bs(x), bs(y)) == (want_a, want_b), name
 
 
 class TestBruteforceAlignment:
