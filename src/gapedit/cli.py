@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import secrets
 import sys
@@ -78,10 +77,18 @@ def _usage_error(command: str, err: ValueError) -> int:
     return 2
 
 
-def _warn_params(n: int, k: int) -> None:
-    if k * k > n:
-        print(f"warning: k={k} exceeds sqrt(n)={math.isqrt(n)}; the gap "
-              f"thresholds may leave no LARGE regime at this length",
+def _warn_params(args, n: int) -> None:
+    """Refuse a k or l the deciders refuse; then warn when the decider's far
+    threshold is at least n: no two strings of length n are farther apart
+    than n."""
+    if args.command == "gap":
+        ell, name, far = None, "40 k^2", 40 * args.k * args.k
+    else:
+        ell, name, far = args.ell, "10 k l", 10 * args.k * args.ell
+    check_index_params(args.k, ell)
+    if far >= n:
+        print(f"warning: the far threshold {name} = {far} is at least "
+              f"n = {n}; no LARGE regime is left at this length",
               file=sys.stderr)
 
 
@@ -178,7 +185,7 @@ def _draw_seed(args) -> None:
 
 def _decide(args, a: ByteString, b: ByteString) -> dict:
     """`gap` decides k vs 40 k^2 greedily, `wave` k vs 10 k l."""
-    _warn_params(len(b), args.k)
+    _warn_params(args, len(b))
     rec = {"mode": args.mode, "n": len(b), "k": args.k}
     if args.command == "gap":
         verdict, counters = gap_match(a, b, args.k, mode=args.mode,

@@ -51,14 +51,15 @@ lists located with `bisect`. `member` boxes the hash once and makes one
 File format, version 2, little-endian, every section 8-byte aligned:
 
     magic  b"GEDT1S"
-    head   version u8, layout u8 (0 general: the tables; 2 prefix: rate 1;
-           1 is retired and refused), p, x, n, k, l, first and one-past-last
-           shift bucket, sample count, key count and hash count (u64 each,
-           buckets i64)
+    head   version u8, layout u8 (0 general: the tables; 3 symbols: rate 1;
+           1 and 2 are retired and refused), p, x, n, k, l, first and
+           one-past-last shift bucket, sample count, key count and hash
+           count (u64 each, buckets i64; the symbols layout counts its n
+           symbols as hashes)
     int64  sample positions (general layout)
     int64  keys: one (exponent, column, bucket, count) row per cell (general)
-    uint64 the hashes of every key, in key order (general), or H (prefix)
-    uint64 prefix layout only: x^0 .. x^n
+    uint64 the hashes of every key, in key order (general layout)
+    int64  A's symbols (symbols layout), from which `load` rebuilds the index
     u32    zlib.crc32 of everything after the magic
 """
 
@@ -71,8 +72,8 @@ import numpy as np
 
 from .greedy import check_index_params
 from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
-                      check_alphabet, draw_sample, sample_rate)
-from .mers61 import P61, mulmod_vec, submod_vec
+                      draw_sample, sample_rate)
+from .mers61 import P61
 from .strings import ByteString
 from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, full_sample
 
@@ -80,7 +81,7 @@ MAGIC_1S = b"GEDT1S"
 FORMAT_VERSION = 2
 _HEAD = struct.Struct("<BBQQQQQqqQQQ")
 _CRC = struct.Struct("<I")
-_LAYOUT_GENERAL, _LAYOUT_RETIRED, _LAYOUT_PREFIX = 0, 1, 2
+_LAYOUT_GENERAL, _LAYOUT_RETIRED, _LAYOUT_SYMBOLS = 0, (1, 2), 3
 
 
 def anchor_positions(n: int, k: int) -> np.ndarray:
@@ -133,29 +134,6 @@ def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
     return keys[fresh], distinct[rank[fresh]]
 
 
-def _prefix_symbols(h: np.ndarray, xpow: np.ndarray, x: int) -> list[int]:
-    """A's symbols c_t = H[t] - x H[t - 1] mod p, read from a prefix body.
-
-    The body is refused with ValueError unless H[0] = 0, every H[t] < p,
-    the x-powers are 1, x, x^2, ... under x, and every symbol is at least 1
-    and passes the alphabet guard. Then H is the prefix hash of those
-    symbols under x, so comparing symbols answers as comparing length-1
-    window hashes does."""
-    if h[0] != 0 or np.any(h >= P61):
-        raise ValueError("prefix hashes must start at 0 and lie below p")
-    x = np.array([x % P61], dtype=np.uint64)
-    # each power is checked against the checked one before it, so the
-    # first bad power fails its check whatever it multiplies to
-    if xpow[0] != 1 or np.any(mulmod_vec(xpow[:-1], x) != xpow[1:]):
-        raise ValueError("the x-power table does not match the header's x")
-    syms = submod_vec(h[1:], mulmod_vec(h[:-1], x))
-    if syms.size:
-        if syms.min() < 1:
-            raise ValueError("prefix hashes decode to a symbol below 1")
-        check_alphabet(syms.size, int(syms.max()))
-    return syms.tolist()
-
-
 class OneSidedIndex:
     """A's prefix hashes at sampling rate 1; below it, sampled window
     hashes of shifted copies of A, by window length, start column and shift
@@ -163,14 +141,13 @@ class OneSidedIndex:
 
     def __init__(self, n: int, k: int, ell: int, buckets: range,
                  cfg: HashConfig, samples: np.ndarray,
-                 tables: dict | None = None, dense: list | None = None,
-                 syms: list[int] | None = None,
+                 tables: dict | None = None,
                  counters: OpCounters | None = None):
         self.n, self.k, self.ell, self.buckets = n, k, ell, buckets
         self.cfg, self.samples = cfg, samples
         self.tables = tables  # (e, col, bucket) -> sorted uint64 hashes
-        self.dense = dense  # rate 1: [(H, x-powers)], as perfbench reads it
-        self.syms = syms  # rate 1: A's symbols, A[t] at t - 1
+        self.dense = None  # rate 1: [(H, x-powers)], as perfbench reads it
+        self.syms = None  # rate 1: A's symbols, A[t] at t - 1
         self.counters = counters if counters is not None else OpCounters()
         self.num_cols = -(-n // ell)
         self.exponents = max(n, 1).bit_length() - 1
@@ -282,9 +259,9 @@ class OneSidedIndex:
 
     def save(self, path) -> None:
         """Write the index in format version 2 (module docstring)."""
-        if self.dense is not None:  # H and the x-powers, n + 1 of each
-            layout, s, keys = _LAYOUT_PREFIX, np.empty(0, np.int64), []
-            arrays, nh = list(self.dense[0]), self.n + 1
+        if self.dense is not None:  # A's n symbols
+            layout, s, keys = _LAYOUT_SYMBOLS, np.empty(0, np.int64), []
+            arrays, nh = [np.asarray(self.syms, dtype=np.int64)], self.n
         else:
             layout, s = _LAYOUT_GENERAL, self.samples
             cells = sorted(self.tables.items())
@@ -310,11 +287,12 @@ class OneSidedIndex:
         checksum does not match, and one whose header holds an unknown
         layout, a k or l the builders refuse, a p other than 2^61 - 1, an x
         that `HashConfig` refuses, or shift buckets that neither the
-        greedy nor the wave index keeps at its k and l. A prefix body must
-        also be the prefix hash, under the header's x, of symbols that pass
-        the alphabet guard (`_prefix_symbols`); A's symbols are recovered
-        from it. A general body's sample positions must pass
-        `_check_samples`. Arrays are views of the file's bytes."""
+        greedy nor the wave index keeps at its k and l. A symbols body must
+        give sampling rate 1 at its n and l, and its symbols must be at
+        least 1 and pass the guards of `RollingHashState`: the index is then
+        built from them by `_build`, as `preprocess` builds it. A general
+        body's sample positions must pass `_check_samples`, and its cells
+        are views of the file's bytes."""
         with open(path, "rb") as f:
             raw = f.read()
         size = len(raw)
@@ -335,10 +313,10 @@ class OneSidedIndex:
         (_, layout, p, x, n, k, ell, b_start, b_stop, ns, nk,
          nh) = _HEAD.unpack_from(raw, off)
         off += _HEAD.size
-        if layout not in (_LAYOUT_GENERAL, _LAYOUT_PREFIX):
+        if layout not in (_LAYOUT_GENERAL, _LAYOUT_SYMBOLS):
             raise ValueError(f"unknown index layout {layout}" + (
                 ", a retired one: build the index again"
-                if layout == _LAYOUT_RETIRED else ""))
+                if layout in _LAYOUT_RETIRED else ""))
         check_index_params(k, ell)
         if p != P61:
             raise ValueError("only the Mersenne prime 2^61 - 1 is supported")
@@ -348,11 +326,14 @@ class OneSidedIndex:
                 and not (ell == k and (b_start, b_stop) == (0, 1))):
             raise ValueError(f"shift buckets [{b_start}, {b_stop}) fit "
                              f"neither index at k = {k}, l = {ell}")
-        prefix = layout == _LAYOUT_PREFIX
-        if prefix and (ns, nk, nh) != (0, 0, n + 1):
-            raise ValueError(f"a prefix layout holds n + 1 = {n + 1} hashes "
-                             f"and no samples or keys")
-        need = off + 8 * (ns + 4 * nk + nh * (2 if prefix else 1)) + _CRC.size
+        symbols = layout == _LAYOUT_SYMBOLS
+        if symbols and (ns, nk, nh) != (0, 0, n):
+            raise ValueError(f"a symbols layout holds n = {n} symbols and no "
+                             f"samples or keys")
+        if symbols and sample_rate(n, ell) < 1.0:
+            raise ValueError(f"a symbols layout needs sampling rate 1, and "
+                             f"n = {n}, l = {ell} give less")
+        need = off + 8 * (ns + 4 * nk + nh) + _CRC.size
         if size < need:
             raise short(f"{ns} samples, {nk} keys and {nh} hashes", need)
         if size > need:
@@ -369,17 +350,17 @@ class OneSidedIndex:
 
         s = view("<i8", ns)
         keys = view("<i8", 4 * nk).reshape(nk, 4).tolist()
+        buckets = range(b_start, b_stop)
+        if symbols:
+            syms = view("<i8", nh)
+            return cls._build(ByteString(syms, int(syms.max()) if n else 1),
+                              k, ell, buckets, cfg)
         hashes = view("<u8", nh)
-        params = (n, k, ell, range(b_start, b_stop), cfg)
-        if prefix:
-            xpow = view("<u8", nh)
-            return cls(*params, full_sample(n), dense=[(hashes, xpow)],
-                       syms=_prefix_symbols(hashes, xpow, x))
         _check_samples(s, n, ell)
         ends = np.cumsum([key[3] for key in keys], dtype=np.int64).tolist()
         tables = {(e, c, b): hashes[lo:hi]
                   for (e, c, b, _), lo, hi in zip(keys, [0, *ends], ends)}
-        return cls(*params, s, tables=tables)
+        return cls(n, k, ell, buckets, cfg, s, tables=tables)
 
 
 class OneSidedWaveIndex(OneSidedIndex):

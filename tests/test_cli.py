@@ -131,6 +131,27 @@ class TestGapAndWave:
               "--k", "64", "--mode", "exact", "--sigma", "64"])
         assert "warning" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,warns", [
+        (("wave", "--k", "64", "--ell", "8"), "10 k l = 5120"),
+        (("wave", "--k", "100", "--ell", "1"), None),  # 1000
+        (("gap", "--k", "10"), None),  # 4000
+        (("gap", "--k", "11"), "40 k^2 = 4840"),
+    ])
+    def test_warns_when_the_far_threshold_reaches_n(self, tmp_path, capsys,
+                                                    argv, warns):
+        stem = str(tmp_path / "p")
+        assert main(["gen", "--n", "4096", "--sigma", "4", "--edits", "8",
+                     "--seed", "0", "--out", stem]) == 0
+        capsys.readouterr()
+        assert main([argv[0], stem + ".a", stem + ".b", *argv[1:],
+                     "--mode", "exact", "--seed", "1"]) == 0
+        err = capsys.readouterr().err
+        if warns:
+            assert (f"warning: the far threshold {warns} is at least "
+                    f"n = 4096") in err
+        else:
+            assert "warning" not in err
+
 
 class TestBenchAndSelftest:
     def test_bench_grid(self, capsys):

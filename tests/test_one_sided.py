@@ -9,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from gapedit import (GapVerdict, GreedyTrace, WaveTable, gap_match, gap_wave,
                      greedy_match)
+from gapedit import hashing
 from gapedit.hashing import HashConfig, sample_rate
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.mers61 import P61
 from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
                                OneSidedIndex, OneSidedOracle,
                                OneSidedWaveIndex, anchor_positions)
+from gapedit.strings import ByteString
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
 
 CFG = HashConfig.from_seed(77)
@@ -25,9 +27,9 @@ HEAD_END = 88
 
 
 def both_indexes(a, rate_one):
-    """The greedy decider's and the wave decider's index of one A of
-    length 40 to 150: at sampling rate 1 (the prefix layout), or below it
-    (the general layout)."""
+    """The greedy decider's and the wave decider's index of one A: at
+    sampling rate 1 (the symbols layout; A of length at most 150), or below
+    it (the general layout; A of length 40 to 150)."""
     if rate_one:
         out = [OneSidedIndex.preprocess(a, 4, CFG),
                OneSidedWaveIndex.preprocess(a, 6, 3, CFG)]
@@ -230,26 +232,35 @@ class TestSerialization:
             assert not any(c.flags.owndata for c in idx2.tables.values())
             assert answers(idx2, inst.b) == answers(idx, inst.b)
 
-    def test_prefix_roundtrip(self, tmp_path):
+    def test_symbols_roundtrip(self, tmp_path):
+        # A's symbols, from which load rebuilds the index: over 1..4, over
+        # symbols up to 10^8 (hashed with c_s x^-s reduced first, and the
+        # alphabet taken from the largest symbol), and at n = 0 and n = 1
         inst = gen_planted(150, 4, 2, seed=6)
+        big = np.random.default_rng(6).integers(1, 10**8 + 1, 150)
+        big_b = big.copy()
+        big_b[[20, 90]] = big[[21, 91]]
+        assert 150 * (int(big.max()) + 1) >= hashing._DIRECT_LIMIT
         path = tmp_path / "a.gedt1s"
-        for idx in both_indexes(inst.a, rate_one=True):
-            idx.save(path)
-            idx2 = type(idx).load(path)
-            assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
-                idx.n, idx.k, idx.ell, idx.buckets)
-            assert idx2.cfg.x == CFG.x
-            assert idx2.tables is None and len(idx2.dense) == 1
-            (h2, xpow2), = idx2.dense
-            (h, xpow), = idx.dense
-            assert h2.tolist() == h.tolist() and xpow2.tolist() == xpow.tolist()
-            # the arrays are views of the file's bytes
-            assert not h2.flags.owndata and not xpow2.flags.owndata
-            # H and the x-powers, n + 1 of each; no samples and no keys
-            assert path.stat().st_size == HEAD_END + 16 * 151 + 4
-            # A's symbols, recovered from H
-            assert idx2.syms == idx.syms == inst.a.data.tolist()
-            assert answers(idx2, inst.b) == answers(idx, inst.b)
+        for a, b in [(inst.a, inst.b),
+                     (ByteString(big, 10**8), ByteString(big_b, 10**8)),
+                     (ByteString(np.empty(0, np.int64), 4),) * 2,
+                     (ByteString(np.array([3]), 4),
+                      ByteString(np.array([2]), 4))]:
+            for idx in both_indexes(a, rate_one=True):
+                idx.save(path)
+                # n symbols; no samples, no keys
+                assert path.stat().st_size == HEAD_END + 8 * len(a) + 4
+                idx2 = type(idx).load(path)
+                assert type(idx2) is type(idx)
+                assert (idx2.n, idx2.k, idx2.ell, idx2.buckets) == (
+                    idx.n, idx.k, idx.ell, idx.buckets)
+                assert idx2.cfg.x == CFG.x
+                assert idx2.tables is None and len(idx2.dense) == 1
+                assert all(np.array_equal(got, want) for got, want
+                           in zip(idx2.dense[0], idx.dense[0]))
+                assert idx2.syms == idx.syms == a.data.tolist()
+                assert answers(idx2, b) == answers(idx, b)
         # the greedy decider's trace over the loaded index is the source's
         idx = OneSidedIndex.preprocess(inst.a, 4, CFG)
         idx.save(path)
@@ -264,8 +275,10 @@ class TestSerialization:
 
     def test_files_of_format_version_2(self):
         # saved before the rate-1 layout changed: a general-layout index of
-        # A = gen_planted(16, 4, 0, seed=3).a at k = 12 still loads, and a
-        # file of the retired rate-1 layout (k = 4) is refused
+        # A = gen_planted(16, 4, 0, seed=3).a at k = 12 still loads, and
+        # files of the retired rate-1 layouts of that A at k = 4 (1: every
+        # power-of-two window; 2: the prefix hashes and x-powers) are
+        # refused
         a = gen_planted(16, 4, 0, seed=3).a
         old = OneSidedIndex.load(DATA / "general_layout_v2.gedt1s")
         new = OneSidedIndex.preprocess(a, 12, CFG)
@@ -275,6 +288,9 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^unknown index layout 1, a "
                                              "retired one"):
             OneSidedIndex.load(DATA / "retired_layout_v2.gedt1s")
+        with pytest.raises(ValueError, match="^unknown index layout 2, a "
+                                             "retired one"):
+            OneSidedIndex.load(DATA / "retired_prefix_layout_v2.gedt1s")
 
     def test_corrupt_rejected(self, tmp_path):
         inst = gen_planted(100, 4, 1, seed=7)
@@ -302,8 +318,9 @@ class TestSerialization:
     # header fields after the magic: version, layout, p, x, n, k, l, first
     # and one-past-last shift bucket, sample, key and hash counts
     @pytest.mark.parametrize("field,change,match", [
-        (1, lambda h: 3, "unknown index layout 3"),
+        (1, lambda h: 4, "unknown index layout 4"),
         (1, lambda h: 1, "unknown index layout 1, a retired one"),
+        (1, lambda h: 2, "unknown index layout 2, a retired one"),
         (1, lambda h: 255, "unknown index layout 255"),
         (5, lambda h: 0, "k must be at least 1"),
         (6, lambda h: 0, "need 1 <= l <= k"),
@@ -333,50 +350,49 @@ class TestSerialization:
                 else:  # the checksum alone would let it load
                     assert OneSidedIndex.load(path).k == head[5]
 
-    # edits of a prefix body under a good checksum: the header's x alone,
-    # the header's x with the x-powers recomputed under it (H stays that of
-    # the old x), or one entry of H or of the x-powers
-    @pytest.mark.parametrize("part,t,change,match", [
-        ("x", None, lambda v: v + 1, "x-power table does not match"),
-        ("x", None, lambda v: 2, "x-power table does not match"),
-        ("x and powers", None, lambda v: v + 1,
-         "symbol below 1|modulus too small"),
-        ("H", 0, lambda v: 1, "must start at 0"),
-        ("H", 3, lambda v: v + P61, "lie below p"),
-        ("H", 1, lambda v: 0, "symbol below 1"),
-        ("H", 5, lambda v: P61 - 1, "modulus too small"),
-        ("powers", 0, lambda v: 2, "x-power table does not match"),
-        ("powers", 7, lambda v: v + 1, "x-power table does not match"),
-        ("powers", -1, lambda v: 0, "x-power table does not match"),
+    # edits of a symbols body under a good checksum: a symbol of 0 or -1,
+    # the smallest symbol past the alphabet guard at n = 40 (40^2 (sigma + 1)
+    # >= p) and the largest one within it, k = l = 16 (n = 40 samples below
+    # rate 1 there), or another x
+    @pytest.mark.parametrize("head_edits,sym_edits,match", [
+        ({}, {5: 0}, "symbol out of range"),
+        ({}, {5: -1}, "symbol out of range"),
+        ({}, {7: P61 // 1600}, "modulus too small"),
+        ({}, {7: P61 // 1600 - 1}, None),
+        ({5: 16, 6: 16, 7: 0, 8: 1}, {}, "needs sampling rate 1"),
+        ({3: CFG.x + 1}, {}, None),
     ])
-    def test_prefix_body_checked_under_a_good_checksum(
-            self, saved_files, tmp_path, part, t, change, match):
+    def test_symbols_body_checked_under_a_good_checksum(
+            self, saved_files, tmp_path, head_edits, sym_edits, match):
         path = tmp_path / "edited.gedt1s"
         for raw in saved_files[:2]:  # greedy and wave, at rate 1
             for edit in (False, True):
                 head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
-                assert head[1] == 2
-                nh = head[11]
-                h = np.frombuffer(raw, "<u8", nh, HEAD_END).copy()
-                xpow = np.frombuffer(raw, "<u8", nh, HEAD_END + 8 * nh).copy()
-                if edit and part.startswith("x"):
-                    head[3] = change(head[3])
-                    if part == "x and powers":
-                        xpow = np.array([pow(head[3], e, P61)
-                                         for e in range(nh)], dtype="<u8")
-                elif edit:
-                    arr = h if part == "H" else xpow
-                    arr[t] = change(int(arr[t]))
-                body = bytearray(raw[:-4])
+                assert head[1] == 3 and head[4] == head[11] == 40
+                syms = np.frombuffer(raw, "<i8", 40, HEAD_END).copy()
+                if edit:
+                    for field, value in head_edits.items():
+                        head[field] = value
+                    for t, value in sym_edits.items():
+                        syms[t] = value
+                body = bytearray(raw[:HEAD_END])
                 _HEAD.pack_into(body, len(MAGIC_1S), *head)
-                body[HEAD_END:] = h.tobytes() + xpow.tobytes()
+                body += syms.tobytes()
                 crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
                 path.write_bytes(bytes(body) + struct.pack("<I", crc))
-                if edit:
+                if edit and match:
                     with pytest.raises(ValueError, match=match):
                         OneSidedIndex.load(path)
-                else:  # the checksum alone would let it load
-                    assert OneSidedIndex.load(path).n == head[4]
+                    continue
+                # the checksum alone would let it load: as A's index under
+                # the header's x
+                got = OneSidedIndex.load(path)
+                want = OneSidedIndex._build(
+                    ByteString(syms, int(syms.max())), head[5], head[6],
+                    range(head[7], head[8]), HashConfig(x=head[3]))
+                assert got.cfg.x == head[3] and got.syms == want.syms
+                assert all(np.array_equal(g, w) for g, w
+                           in zip(got.dense[0], want.dense[0]))
 
     # edits of a general body's sample positions under a good checksum:
     # reversed, moved past n, or without one anchor (n = 40, l = 24: the
@@ -416,26 +432,26 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field,change", [
         (4, lambda h: h[4] + 1), (9, lambda h: 1), (10, lambda h: 1)])
-    def test_prefix_header_counts_checked(self, saved_files, tmp_path,
-                                          field, change):
-        # n, and the sample and key counts, which the prefix layout holds
+    def test_symbols_header_counts_checked(self, saved_files, tmp_path,
+                                           field, change):
+        # n, and the sample and key counts, which the symbols layout holds
         # none of, under a good checksum
         raw = saved_files[0]
         head = list(_HEAD.unpack_from(raw, len(MAGIC_1S)))
-        assert head[1] == 2  # the greedy index at rate 1
+        assert head[1] == 3  # the greedy index at rate 1
         head[field] = change(head)
         body = bytearray(raw[:-4])
         _HEAD.pack_into(body, len(MAGIC_1S), *head)
         crc = zlib.crc32(memoryview(body)[len(MAGIC_1S):])
         path = tmp_path / "edited.gedt1s"
         path.write_bytes(bytes(body) + struct.pack("<I", crc))
-        with pytest.raises(ValueError, match="prefix layout holds n \\+ 1"):
+        with pytest.raises(ValueError, match="symbols layout holds n = "):
             OneSidedIndex.load(path)
 
     def test_truncated_or_overlong_file_rejected(self, tmp_path):
         inst = gen_planted(12, 4, 1, seed=8)
         path = tmp_path / "a.gedt1s"
-        # k = 10: the general layout (rate 0.99); k = 3: the prefix layout
+        # k = 10: the general layout (rate 0.99); k = 3: the symbols layout
         for k in (10, 3):
             idx = OneSidedIndex.preprocess(inst.a, k, CFG)
             idx.save(path)
@@ -445,15 +461,15 @@ class TestSerialization:
     @staticmethod
     def _check_cuts(path, raw, idx):
         # the header ends with the sample, key and hash counts; then come
-        # the samples, (e, col, bucket, count) keys, hashes, in the prefix
-        # layout the x-powers, and the checksum
+        # the samples, (e, col, bucket, count) keys and hashes, or in the
+        # symbols layout A's symbols, and the checksum
         ns, nk, nh = struct.unpack_from("<QQQ", raw, HEAD_END - 24)
         if idx.tables is not None:
             assert len(raw) == HEAD_END + 8 * (ns + 4 * nk + nh) + 4
             assert nk == len(idx.tables) > 1
         else:
-            assert (ns, nk, nh) == (0, 0, 13)
-            assert len(raw) == HEAD_END + 16 * nh + 4
+            assert (ns, nk, nh) == (0, 0, 12)
+            assert len(raw) == HEAD_END + 8 * nh + 4
         for cut in range(len(raw)):
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match=rf"^truncated index file: "

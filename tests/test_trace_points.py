@@ -44,7 +44,7 @@ def test_every_wrapped_attribute_is_the_owners_own():
     assert missing == []
 
 
-def test_the_tracer_counts_the_entries_of_every_index():
+def test_the_tracer_counts_the_entries_of_every_index(tmp_path):
     entries = _tracing()._entries
     a = gen_planted(256, 4, 0, seed=1).a
     cfg = HashConfig.from_seed(2)
@@ -54,6 +54,10 @@ def test_the_tracer_counts_the_entries_of_every_index():
     wave_at_one = gapedit.OneSidedWaveIndex.preprocess(a, 24, 8, cfg)
     assert entries(greedy) > 0 and entries(wave_below) > 0
     assert entries(wave_at_one) == 257  # A's prefix hashes H[0 .. n]
+    # loading rebuilds a rate-1 index from A's symbols: the same H
+    wave_at_one.save(tmp_path / "a.gedt1s")
+    loaded = gapedit.OneSidedWaveIndex.load(tmp_path / "a.gedt1s")
+    assert entries(loaded) == 257
 
 
 def _package_chains(source: str) -> set[tuple[str, ...]]:

@@ -6,7 +6,6 @@ from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
 from gapedit.mers61 import P61
-from gapedit.one_sided import _prefix_symbols
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
 from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle, full_sample
 
@@ -169,9 +168,7 @@ class TestGallopSearch:
         """`align` against the brute-force referee, and against the search
         run probe by probe through `member` and B's `retrieve`: the same d,
         and the same retrievals and table lookups, at i_a = i_b with l = k
-        and at i_a - i_b in {0, +-l, +-k} with a drawn l. An index whose
-        symbols are recovered from H, as `OneSidedIndex.load` recovers
-        them, gives the same d, hint and counts."""
+        and at i_a - i_b in {0, +-l, +-k} with a drawn l."""
         a, b, k = pair
         n = len(a)
         ell = data.draw(st.integers(1, k))
@@ -179,13 +176,8 @@ class TestGallopSearch:
         idx = TwoSidedIndex.preprocess(a, k, cfg)
         ref = OpCounters()
         ref_idx = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, idx.syms, ref)
-        syms = _prefix_symbols(np.array(idx.prefix, dtype=np.uint64),
-                               np.array(idx.xpow, dtype=np.uint64), cfg.x)
-        assert syms == a.data.tolist()
-        rec = TwoSidedIndex(k, cfg, idx.prefix, idx.xpow, syms, OpCounters())
         st_ = RollingHashState(b, full_sample(n), cfg, ref)
         rows, b_syms = st_.prefix.tolist(), b.data.tolist()
-        booked = [0, 0]  # what the calls below book on idx
         for i_b in range(1, n + 1):
             assert (idx.align(rows, b_syms, i_b, i_b, k)[0]
                     == max_shift_alignment_bruteforce(a, b, i_b, i_b, k, k)), i_b
@@ -194,19 +186,15 @@ class TestGallopSearch:
             for i_a, l_ in [(i_b, k)] + [(i_a, ell) for i_a in wave]:
                 before = (idx.counters.retrievals, idx.counters.table_lookups,
                           ref.retrievals, ref.table_lookups)
-                d, c = idx.align(rows, b_syms, i_a, i_b, l_)
+                d = idx.align(rows, b_syms, i_a, i_b, l_)[0]
                 delta = i_a - i_b
                 shifts = range(max(delta - l_, -k), min(delta + l_, k) + 1)
                 assert d == member_search(ref_idx, st_, i_b, shifts)
                 assert d == max_shift_alignment_bruteforce(a, b, i_a, i_b,
                                                            l_, k)
-                booked[0] += idx.counters.retrievals - before[0]
-                booked[1] += idx.counters.table_lookups - before[1]
                 assert (idx.counters.retrievals - before[0],
                         idx.counters.table_lookups - before[1]) == (
                     ref.retrievals - before[2], ref.table_lookups - before[3])
-                assert rec.align(rows, b_syms, i_a, i_b, l_) == (d, c)
-        assert [rec.counters.retrievals, rec.counters.table_lookups] == booked
 
 
 def shifted_copies(ref, n, k, i, j):
