@@ -17,9 +17,8 @@ from .no_prep import NoPrepOracle
 from .one_sided import OneSidedIndex, OneSidedOracle
 from .strings import (ByteString, edit_distance_at_most, edit_distance_exact,
                       exact_hwave)
-from .two_sided import TwoSidedIndex, TwoSidedOracle
-from .wave import (BruteForceShiftOracle, OneSidedWaveIndex, WaveTable,
-                   gap_wave)
+from .two_sided import SymbolShiftOracle, TwoSidedIndex, TwoSidedOracle
+from .wave import OneSidedWaveIndex, WaveTable, gap_wave
 
 __all__ = [
     "ByteString", "GapVerdict", "GreedyTrace", "HashConfig", "Instance",
@@ -35,17 +34,18 @@ def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
               seed=None, trace: GreedyTrace | None = None):
     """Decide the k versus 40 k^2 gap. Returns (verdict, query counters).
 
-    Modes: "noprep" hashes both strings per call, "onesided" preprocesses
+    Modes: "noprep" builds its oracle per pair (hashed views of a sample,
+    or at sampling rate 1 the symbol comparison), "onesided" preprocesses
     A, "twosided" preprocesses both (cells computed lazily from A's
-    hashes; B's hashing is booked on the query counters), "exact" asks the
-    brute-force shift referee `BruteForceShiftOracle` built for l = k, as
-    exact `gap_wave` does at its l. The seed picks the hash draw.
+    hashes; B's hashing is booked on the query counters), "exact" compares
+    symbols (`SymbolShiftOracle` built for l = k, as exact `gap_wave` does
+    at its l). The seed picks the hash draw of the modes that hash.
     """
     check_gap_params(a, b, k)
     cfg = HashConfig.from_seed(seed)
     counters = OpCounters()
     if mode == "exact":
-        oracle = BruteForceShiftOracle(a, b, k, k)
+        oracle = SymbolShiftOracle(a, b, k, k, counters)
     elif mode == "noprep":
         oracle = NoPrepOracle(a, b, k, cfg, counters)
     elif mode == "onesided":

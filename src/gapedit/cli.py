@@ -266,9 +266,11 @@ def cmd_selftest(args) -> int:
         # ed(big) > 200 > 10 k l = 80
         v, _ = gap_wave(big.a, big.b, 4, 2, mode, seed=seed)
         check(f"wave {mode} large", v == GapVerdict.LARGE)
-    # at sampling rate 1 (k = 4 <= 4 ln 256) the three ask one oracle
-    check("gap noprep, onesided and twosided trace alike",
-          traces["noprep"] == traces["onesided"] == traces["twosided"])
+    # at sampling rate 1 (k = 4 <= 4 ln 256) the four run one search, over
+    # symbols (exact, noprep) or over hashes (onesided, twosided)
+    check("gap exact, noprep, onesided and twosided trace alike",
+          traces["exact"] == traces["noprep"] == traces["onesided"]
+          == traces["twosided"])
 
     # below sampling rate 1 (k = 24 > 4 ln 256): noprep's birthday split
     # and the general-layout index, on a pair at the promise's edge ed <= k

@@ -77,7 +77,7 @@ class OpCounters:
     """Work accounting for sublinearity measurements."""
 
     init_steps: int = 0  # characters folded into prefix hashes
-    retrievals: int = 0  # range-hash retrievals answered
+    retrievals: int = 0  # range-hash retrievals, or symbols compared
     table_lookups: int = 0  # membership probes against tables or an index
     oracle_queries: int = 0  # alignment-oracle invocations
 

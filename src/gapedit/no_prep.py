@@ -9,9 +9,13 @@ and one length search serve both deciders.
 
 At sampling rate 1 (k <= 4 ln n) the birthday split would fold the same
 n positions per string and save nothing, so the oracle is
-`two_sided.TwoSidedShiftOracle` over an index of A it builds per pair:
-2n folds, then O(log n) probes of at most 2k + 1 copies of A per call,
-O(n + k^2 log n) per decision, inside the bound.
+`two_sided.SymbolShiftOracle`, which hashes nothing and answers exactly:
+O(log n) probes per call, each comparing at most 2k + 1 copies of A with
+B symbol for symbol, and only past the last hit length. After d = 1 the
+lengths compared add up to less than 3d per copy tested, d the call's
+answer, so a call where one copy survives reads O(d + k) symbols, and a
+periodic pair, where every copy survives, O(k d); each test is one
+`bytes` comparison at memory speed.
 
 Below rate 1, every candidate shift c in [-k, k] factors as c = a * r + b
 with r = ceil(sqrt(k)), |a| <= q = ceil(k / r) <= r and 0 <= b < r.

@@ -15,8 +15,9 @@ where a measured cost model says it wins, which is small t next to n, and
 Myers with its diagonal cutoff elsewhere (`_use_diagonal`).
 `decompose` reads one optimal alignment, walked once from a quadratic DP
 (`_alignment`). `max_shift_alignment_bruteforce` is the brute-force shift
-oracle behind exact mode in both deciders: the wave asks it at (i_a, i_b)
-and l, greedy at i_a = i_b and l = k.
+oracle that the tests check every shift oracle against, exact mode's
+(`two_sided.SymbolShiftOracle`) included: the wave asks at (i_a, i_b) and
+l, greedy at i_a = i_b and l = k.
 """
 
 from __future__ import annotations

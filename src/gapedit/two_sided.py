@@ -32,13 +32,22 @@ The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k, through one call, `oracle(i_a, i_b)`: the wave asks for
 the shifts delta + c, delta = i_a - i_b, |c| <= l, |delta + c| <= k;
 greedy asks an oracle built for l = k at (i_b, i_b). At sampling rate 1
-(l <= 4 ln n) the noprep and one-sided oracles are `TwoSidedShiftOracle`
-too: over an index of A built per pair (`wave.NoPrepShiftOracle`), or
-over the prefix of A a one-sided index keeps (`IndexedShiftOracle`).
+(l <= 4 ln n) the one-sided oracles are `TwoSidedShiftOracle` too, over
+the prefix of A a one-sided index keeps (`IndexedShiftOracle`).
+
+`SymbolShiftOracle` runs the same search, with the same survivors, over
+A's and B's symbols instead of their hashes: a probe compares the part of
+each surviving copy past the last hit length with B's, as one `bytes`
+comparison at memory speed. It folds nothing and draws no hash, so its
+answers are exact with no collision term. It is exact mode's oracle in
+both deciders, and the noprep oracle at sampling rate 1
+(`wave.NoPrepShiftOracle`), where the birthday split would fold every
+position of both strings and save nothing.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 
 import numpy as np
@@ -74,13 +83,9 @@ class TwoSidedIndex:
     @classmethod
     def preprocess(cls, a: ByteString, k: int,
                    cfg: HashConfig) -> "TwoSidedIndex":
+        """The index of A, its n folds booked on counters of its own."""
         check_index_params(k)
-        return cls.build(a, k, cfg, OpCounters())
-
-    @classmethod
-    def build(cls, a: ByteString, k: int, cfg: HashConfig,
-              counters: OpCounters) -> "TwoSidedIndex":
-        """The index of A, its n folds booked on `counters`."""
+        counters = OpCounters()
         state = RollingHashState(a, full_sample(len(a)), cfg, counters)
         return cls(k, cfg, state.prefix.tolist(), state.xpow.tolist(),
                    a.data.tolist(), counters)
@@ -197,3 +202,92 @@ class TwoSidedOracle(TwoSidedShiftOracle):
 
     # an entry of its own, so a trace can time greedy's calls alone
     __call__ = TwoSidedShiftOracle.__call__
+
+
+class SymbolShiftOracle:
+    """Exact shift-alignment oracle that compares symbols: the longest d
+    with B[i_b .. i_b+d-1] equal to A[i_a+c .. i_a+c+d-1] for some |c| <= l
+    with |i_a + c - i_b| <= k. After a call, `last_hint` is a c that
+    matches at the returned d (0 when d is 0).
+
+    The search is `TwoSidedIndex.align`'s gallop and bisection over the
+    same survivors, with each window tested symbol for symbol. A and B are
+    held as `bytes` of fixed-width words, one word per symbol: 1 byte for
+    sigma <= 255, else 2, 4 or 8, with slice offsets scaled by the width.
+    The first probe, d = 1, finds B[i_b]'s word in A's range of starting
+    copies with `bytes.find`, keeping the hits that fall on a word
+    boundary. Every survivor matched B up to the last hit length lo, so a
+    later probe at d compares only the words from lo to d: one
+    `startswith` per surviving copy, against one memoryview slice of B.
+    Nothing is folded, so `init_steps` stays 0; each probe counts one
+    table lookup, and each symbol of A it compares one retrieval, the
+    first probe one per starting copy."""
+
+    def __init__(self, a: ByteString, b: ByteString, k: int, ell: int,
+                 counters: OpCounters | None = None):
+        if len(a) != len(b):
+            raise ValueError("equal lengths required")
+        self.n, self.k, self.ell = len(b), k, ell
+        self.counters = counters if counters is not None else OpCounters()
+        # the narrowest word that holds every symbol 1 .. sigma
+        word = np.min_scalar_type(min(max(a.sigma, b.sigma), 1 << 63))
+        self.width = word.itemsize
+        self.a_words = a.data.astype(word).tobytes()
+        self.b_words = memoryview(b.data.astype(word).tobytes())
+        self.last_hint = None
+
+    def __call__(self, i_a: int, i_b: int) -> int:
+        self.counters.oracle_queries += 1
+        n, w = self.n, self.width
+        delta = i_a - i_b
+        before = i_b - 1
+        hi = n - before
+        self.last_hint = 0
+        if hi <= 0:
+            return 0
+        # d = 1: the shifts a = delta + c relative to i_b whose copies of
+        # B[i_b] lie in A and equal it, found by `bytes.find` in A's range
+        first = max(delta - self.ell, -self.k, -before)
+        last = min(delta + self.ell, self.k, hi - 1)
+        a_words, b_words = self.a_words, self.b_words
+        sym = b_words[before * w:i_b * w]
+        find, alive = a_words.find, []
+        at, end = (before + first) * w, max(i_b + last, 0) * w
+        while (at := find(sym, at, end)) >= 0:
+            if at % w == 0:
+                alive.append(at // w - before)
+            at += 1
+        probes, compared = 1, max(last - first + 1, 0)
+        lo, hi = (1, hi) if alive else (0, 0)
+        starts_with = a_words.startswith
+        galloping = True
+        while lo < hi:
+            if galloping:
+                d = 2 * lo
+                if d > hi:
+                    d = hi
+            else:
+                d = (lo + hi + 1) // 2
+            j = before + d
+            # the copies that end inside A: a <= n - j
+            tested = (alive if alive[-1] <= n - j
+                      else alive[:bisect.bisect_right(alive, n - j)])
+            start = (before + lo) * w
+            window = b_words[start:j * w]
+            if len(tested) == 1:  # the common case past d = 1
+                got = tested if starts_with(window,
+                                            start + tested[0] * w) else []
+            else:
+                got = [a for a in tested
+                       if starts_with(window, start + a * w)]
+            probes += 1
+            compared += len(tested) * (d - lo)
+            if got:
+                lo, alive = d, got
+            else:
+                hi, galloping = d - 1, False
+        self.counters.table_lookups += probes
+        self.counters.retrievals += compared
+        if lo:
+            self.last_hint = alive[0] - delta
+        return lo

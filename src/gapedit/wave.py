@@ -15,19 +15,21 @@ The pair is declared within distance k when h[k][0] reaches past n.
 
 `align(i_a, i_b)` approximates the longest d with B[i_b .. i_b+d-1] equal
 to A[i_a+c .. i_a+c+d-1] for some |c| <= l, under the promise
-|i_a - i_b| <= k. Three interchangeable backends are provided: a per-pair
+|i_a - i_b| <= k. Four interchangeable backends are provided: a per-pair
 oracle (no preprocessing), an indexed one over the wave A-index (A
-preprocessed for one l), and the greedy decider's exact two-sided oracle
-asked for each call's shift window (`two_sided.TwoSidedShiftOracle`: one
-index of A serves every l, and B is hashed once per decision). At
-sampling rate 1 (l <= 4 ln n, nearly every wave run) the first two are
-that oracle (`two_sided` module docstring), so their tables equal
-`exact` mode's up to hash collisions. Below rate 1 the per-pair oracle is
-a birthday split of shifts, which needs l >= ceil(sqrt(k)): it finds its d
-by galloping up from the floor 2l and then bisecting, scanning only the
-views at or after the last hit's, and it builds only the A views its calls
-can scan. The greedy decider asks the same oracles, built for l = k, at
-i_a = i_b (`greedy.greedy_match`).
+preprocessed for one l), the greedy decider's two-sided oracle asked for
+each call's shift window (`two_sided.TwoSidedShiftOracle`: one index of A
+serves every l, and B is hashed once per decision), and exact mode's
+symbol comparison (`two_sided.SymbolShiftOracle`), which hashes nothing.
+At sampling rate 1 (l <= 4 ln n, nearly every wave run) the per-pair
+oracle is that symbol comparison, so its tables are exact mode's, and the
+indexed one is the two-sided search over A's prefix hashes, so its tables
+equal exact mode's up to hash collisions. Below rate 1 the per-pair oracle
+is a birthday split of shifts, which needs l >= ceil(sqrt(k)): it finds
+its d by galloping up from the floor 2l and then bisecting, scanning only
+the views at or after the last hit's, and it builds only the A views its
+calls can scan. The greedy decider asks the same oracles, built for l = k,
+at i_a = i_b (`greedy.greedy_match`).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .hashing import (HashConfig, OpCounters, ViewStack, draw_sample,
                       sample_rate)
 from .one_sided import IndexedShiftOracle, OneSidedWaveIndex
 from .strings import ByteString, max_shift_alignment_bruteforce
-from .two_sided import TwoSidedIndex, TwoSidedShiftOracle
+from .two_sided import SymbolShiftOracle, TwoSidedIndex, TwoSidedShiftOracle
 
 NEG_INF = float("-inf")
 
@@ -122,12 +124,13 @@ def wave_jump_violations(table: WaveTable, ell: int, n: int) -> list:
     return out
 
 
-class NoPrepShiftOracle(TwoSidedShiftOracle):
+class NoPrepShiftOracle(SymbolShiftOracle):
     """Shift-alignment oracle without preprocessing.
 
     The sample has rate min(4 ln n / l, 1). At rate 1 (l <= 4 ln n, nearly
-    every wave run) it is `two_sided.TwoSidedShiftOracle` over a
-    `TwoSidedIndex` of A built per pair, folding A and B once each.
+    every wave run) it is `two_sided.SymbolShiftOracle`, which compares A's
+    and B's symbols: exact, with no fold, no view and no hash draw, and
+    `views` is None.
 
     Below rate 1, shifts relative to B factor as a * r + b_off with
     r = ceil(sqrt(k)) and b_off in [0, r). The oracle keeps r views of B,
@@ -162,20 +165,19 @@ class NoPrepShiftOracle(TwoSidedShiftOracle):
     def _build(self, a: ByteString, b: ByteString, k: int, ell: int,
                reach: int, cfg: HashConfig,
                counters: OpCounters | None) -> None:
-        """Fold A and B at rate 1, else draw the sample and build the
-        views for calls with |i_a - i_b| <= reach; `NoPrepOracle.__init__`
-        runs it at l = k and reach 0."""
+        """At rate 1 hold A's and B's symbols, else draw the sample and
+        build the views for calls with |i_a - i_b| <= reach;
+        `NoPrepOracle.__init__` runs it at l = k and reach 0."""
         n = len(b)
+        if sample_rate(n, ell) >= 1:
+            SymbolShiftOracle.__init__(self, a, b, k, ell, counters)
+            self.views = None
+            return
         if len(a) != n:
             raise ValueError("equal lengths required")
-        counters = counters if counters is not None else OpCounters()
-        if sample_rate(n, ell) >= 1:
-            index = TwoSidedIndex.build(a, k, cfg, counters)
-            TwoSidedShiftOracle.__init__(self, index, b, ell, counters)
-            return
         self.n, self.k, self.ell = n, k, ell
-        self.counters, self.last_hint = counters, None
-        self.index = None
+        self.counters = counters if counters is not None else OpCounters()
+        self.last_hint = None
         r = math.isqrt(k - 1) + 1  # ceil(sqrt(k))
         if ell < r:
             raise ValueError("granularity below sqrt(k) is unsupported "
@@ -190,8 +192,8 @@ class NoPrepShiftOracle(TwoSidedShiftOracle):
         self.b_cols = range(2 * q + 1, 2 * q + 1 + r)
 
     def __call__(self, i_a: int, i_b: int) -> int:
-        if self.index is not None:
-            return TwoSidedShiftOracle.__call__(self, i_a, i_b)
+        if self.views is None:
+            return SymbolShiftOracle.__call__(self, i_a, i_b)
         self.counters.oracle_queries += 1
         ell, r, q = self.ell, self.r, self.q
         delta = i_a - i_b
@@ -221,8 +223,8 @@ class NoPrepShiftOracle(TwoSidedShiftOracle):
 
 
 class BruteForceShiftOracle:
-    """Exact shift-alignment oracle: the referee for tests and the exact
-    mode of both deciders (greedy builds it at l = k)."""
+    """Exact shift-alignment oracle that scans every shift to the end of
+    the string: the referee that tests check the other oracles against."""
 
     def __init__(self, a: ByteString, b: ByteString, k: int, ell: int):
         self.a, self.b, self.k, self.ell = a, b, k, ell
@@ -236,17 +238,19 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
              seed=None, table: WaveTable | None = None):
     """Decide the k versus 10 k l gap. Returns (verdict, query counters).
 
-    Modes: "noprep" builds hashes per pair; "onesided" preprocesses A into
-    the wave index for this l; "twosided" preprocesses A into the
+    Modes: "noprep" builds its oracle per pair (hashed views of a sample,
+    or at sampling rate 1 the symbol comparison); "onesided" preprocesses
+    A into the wave index for this l; "twosided" preprocesses A into the
     exact `TwoSidedIndex` and asks it for each call's shift window; "exact"
-    uses the brute-force referee oracle. The indexed modes hash B once, on
-    the query counters, as `gap_match` does. The seed picks the hash draw.
+    compares symbols (`SymbolShiftOracle`), as noprep does at sampling
+    rate 1. The indexed modes hash B once, on the query counters, as
+    `gap_match` does. The seed picks the hash draw of the modes that hash.
     """
     check_gap_params(a, b, k, ell)
     cfg = HashConfig.from_seed(seed)
     query_counters = OpCounters()
     if mode == "exact":
-        oracle = BruteForceShiftOracle(a, b, k, ell)
+        oracle = SymbolShiftOracle(a, b, k, ell, query_counters)
     elif mode == "noprep":
         oracle = NoPrepShiftOracle(a, b, k, ell, cfg, query_counters)
     elif mode == "onesided":

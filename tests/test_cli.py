@@ -165,7 +165,8 @@ class TestBenchAndSelftest:
         out = capsys.readouterr().out
         assert "selftest: ok" in out
         assert "FAIL" not in out
-        assert "ok  gap noprep, onesided and twosided trace alike" in out
+        assert ("ok  gap exact, noprep, onesided and twosided trace alike"
+                in out)
         # one pair below sampling rate 1 (n = 256, k = 24), and a corrupt
         # index file in each layout
         for line in ("gap noprep small below rate 1",

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from gapedit import gap_match
+from gapedit import edit_distance_at_most, gap_match
 from gapedit.greedy import GapVerdict, GreedyTrace, greedy_match
 from gapedit.hashing import HashConfig, OpCounters, sample_rate
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
 from gapedit.one_sided import (IndexedShiftOracle, OneSidedIndex,
                                OneSidedOracle, OneSidedWaveIndex)
-from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle,
-                               TwoSidedShiftOracle)
+from gapedit.two_sided import (SymbolShiftOracle, TwoSidedIndex,
+                               TwoSidedOracle, TwoSidedShiftOracle)
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
 from gapedit.wave import BruteForceShiftOracle, NoPrepShiftOracle
 
@@ -75,13 +75,44 @@ class TestGreedyMatch:
             with pytest.raises(ValueError, match="built for k = 3"):
                 greedy_match(inst.a, inst.b, 4, orc)
             assert greedy_match(inst.a, inst.b, 3, orc) is GapVerdict.SMALL
-        # below sampling rate 1 (64 > 4 ln 2000) the noprep oracle holds no
-        # index, and is refused all the same
+        # below sampling rate 1 (64 > 4 ln 2000) the noprep oracle holds
+        # views of a sample, and is refused all the same
         inst = gen_planted(2000, 4, 0, seed=4)
         orc = NoPrepOracle(inst.a, inst.b, 64, cfg)
-        assert orc.index is None
+        assert orc.views is not None
         with pytest.raises(ValueError, match="built for k = 64"):
             greedy_match(inst.a, inst.b, 16, orc)
+
+
+class TestZigZag:
+    @pytest.mark.parametrize("k,pieces", [(4, 8), (8, 6), (8, 16)])
+    def test_pieces_at_alternating_shifts_are_crossed(self, k, pieces):
+        """B made of an even number of pieces, at most 2k + 1, of A at
+        shifts +k, -k, +k, .., -k (an odd count would end on +k, past A):
+        greedy crosses it piece by piece, each jump reaching at least
+        the end of the piece it starts in, so exact mode and noprep at
+        sampling rate 1 (k <= 4 ln n) say SMALL with one trace, hints
+        included, on a pair whose edit distance is far above k."""
+        n = 480
+        assert k <= 4 * np.log(n) and pieces <= 2 * k + 1
+        a = ByteString(np.random.default_rng(k).integers(1, 5, n), 4)
+        bounds = np.linspace(0, n, pieces + 1).astype(int)
+        b_data = a.data.copy()
+        for t in range(pieces):
+            lo, hi = bounds[t], bounds[t + 1]
+            shift = k if t % 2 == 0 else -k
+            b_data[lo:hi] = a.data[lo + shift:hi + shift]
+        b = ByteString(b_data, 4)
+        runs = {}
+        for mode in ("exact", "noprep"):
+            trace = GreedyTrace()
+            verdict, _ = gap_match(a, b, k, mode, seed=k, trace=trace)
+            assert verdict is GapVerdict.SMALL
+            runs[mode] = (trace.starts, trace.jumps, trace.hints)
+        assert runs["exact"] == runs["noprep"]
+        assert len(runs["exact"][0]) <= pieces
+        assert set(runs["exact"][2]) <= {-k, k}
+        assert not edit_distance_at_most(a, b, 4 * k)
 
 
 def decide(a, b, k, oracle, counters):
@@ -127,19 +158,27 @@ class TestOneProtocol:
                              OneSidedOracle)
         elif backend == "noprep":
             # below rate 1 the greedy class builds only the views of
-            # i_a = i_b, so the two agree at rate 1 only
+            # i_a = i_b, so the two agree at rate 1 only, where both compare
+            # symbols as exact mode does
             ctr = OpCounters()
             orc = NoPrepShiftOracle(a, b, k, k, cfg, ctr)
-            assert orc.index is not None
+            assert orc.views is None
             shift = decide(a, b, k, orc, ctr)
             ctr = OpCounters()
             greedy = decide(a, b, k, NoPrepOracle(a, b, k, cfg, ctr), ctr)
+            trace = GreedyTrace()
+            exact = gap_match(a, b, k, "exact", trace=trace)
+            assert greedy == (exact[0], (trace.starts, trace.jumps,
+                                         trace.hints), exact[1])
         else:
-            shift = decide(a, b, k, BruteForceShiftOracle(a, b, k, k),
-                           OpCounters())
+            ctr = OpCounters()
+            shift = decide(a, b, k, SymbolShiftOracle(a, b, k, k, ctr), ctr)
             trace = GreedyTrace()
             verdict, ctr = gap_match(a, b, k, "exact", trace=trace)
             greedy = verdict, (trace.starts, trace.jumps, trace.hints), ctr
+            # the jumps are the brute-force referee's
+            ref = decide(a, b, k, BruteForceShiftOracle(a, b, k, k), None)
+            assert shift[1][:2] == ref[1][:2]
         assert shift == greedy
         assert len(shift[1][0]) > 1  # more than one round was asked
 
@@ -155,7 +194,7 @@ class TestOneProtocol:
                 OneSidedWaveIndex.preprocess(a, k, ell, cfg), b),
             "twosided": lambda: TwoSidedShiftOracle(
                 TwoSidedIndex.preprocess(a, k, cfg), b, ell),
-            "exact": lambda: BruteForceShiftOracle(a, b, k, ell),
+            "exact": lambda: SymbolShiftOracle(a, b, k, ell),
         }[backend]()
         with pytest.raises(ValueError, match="built for l = 4"):
             greedy_match(a, b, k, orc)

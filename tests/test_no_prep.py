@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from gapedit import GapVerdict, gap_match
-from gapedit.hashing import HashConfig
+from gapedit.hashing import HashConfig, OpCounters
 from gapedit.instances import gen_large_side, gen_planted
 from gapedit.no_prep import NoPrepOracle
-from gapedit.strings import (has_approximate_alignment,
+from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
 
 
@@ -39,7 +39,7 @@ class TestNoPrepOracle:
         b = inst.b
         b.data[10:90] = (b.data[10:90] % 4) + 1  # heavy damage mid-string
         orc = NoPrepOracle(inst.a, b, 20, HashConfig.from_seed(5))
-        assert orc.index is None  # below rate 1
+        assert orc.views is not None  # below rate 1
         assert orc(20, 20) >= 40
 
     def test_state_count_is_birthday_split(self):
@@ -48,20 +48,26 @@ class TestNoPrepOracle:
         k = 64
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
         r = 8
-        assert orc.index is None  # below rate 1
+        assert orc.views is not None  # below rate 1
         # columns: 2q + 1 A views (q = ceil(k / r) = r here), then r B views
         assert orc.views.prefix.shape[1] == 3 * r + 1
         # every view folds each sampled position once: the work AC06 fits
         assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
 
-    def test_rate_one_folds_each_string_once(self):
-        # n = 120, k = 10 samples at rate 1: A and B are each folded once,
-        # with no views, and the search reads their prefixes: the work AC06
-        # fits in its saturated column
-        inst = gen_planted(120, 4, 0, seed=1)
-        orc = NoPrepOracle(inst.a, inst.b, 10, HashConfig.from_seed(6))
-        assert orc.index is not None and not hasattr(orc, "views")
-        assert orc.counters.init_steps == 2 * 120
+    def test_rate_one_folds_nothing(self):
+        # n = 120, k = 10 samples at rate 1: the search compares A's and
+        # B's symbols, with no views and no fold, and each symbol of A it
+        # compares is one retrieval: the work AC06 fits in its saturated
+        # column
+        a = ByteString(np.arange(1, 121), 120)  # no symbol repeats
+        orc = NoPrepOracle(a, a, 10, HashConfig.from_seed(6))
+        assert orc.views is None and orc.counters == OpCounters()
+        assert orc(1, 1) == 120 and orc.last_hint == 0
+        # d = 1 tests the 11 in-range copies, shifts 0 .. 10, one symbol
+        # each; only shift 0 survives, and d = 2, 4, .., 64, 120 compare
+        # its next 1, 2, .., 32, 56 symbols: 8 probes, 11 + 119 symbols
+        assert orc.counters == OpCounters(init_steps=0, retrievals=130,
+                                          table_lookups=8, oracle_queries=1)
 
     def test_rejects_unequal_lengths(self):
         a = gen_planted(50, 4, 0, seed=2).a

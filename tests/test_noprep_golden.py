@@ -12,8 +12,12 @@ rate-1 cells (k, or l for the wave, at most 4 ln n) were recorded again
 when noprep there became the exact shift search over A's and B's
 prefixes, each folded once: their traces, rows and counters now equal
 those of an exact search (the rows and jumps equal exact mode's), and the
-rate < 1 records did not move. Any change to hashing, sampling or the
-oracles' scan order shows up here as a diff.
+rate < 1 records did not move. Their counters were recorded again when
+that search began to compare symbols instead of hashes: no fold, and one
+retrieval per symbol compared; their verdicts, traces, hints and rows did
+not move, and their records now equal exact mode's decisions. Any change
+to hashing, sampling or the oracles' scan order shows up here as a
+diff.
 
 `tests/data/indexed_golden.json` holds the same records for the same cells
 decided in the onesided and twosided modes, each record tagged with its
@@ -163,8 +167,9 @@ def test_noprep_rate_one_records_equal_exact():
     want = json.loads(GOLDEN.read_text())
     exact = compute_grid("exact")
     checked = 0
-    for key, fields in (("greedy", ("verdict", "starts", "jumps")),
-                        ("wave", ("verdict", "rows"))):
+    for key, fields in (("greedy", ("verdict", "starts", "jumps", "hints",
+                                    "counters")),
+                        ("wave", ("verdict", "rows", "counters"))):
         for g, e in zip(want[key], exact[key]):
             if _rate_one(g["cell"], key):
                 checked += 1

@@ -129,8 +129,9 @@ class TestRateOne:
     def test_rate_one_decisions_equal_twosided(self, seed, n, sigma, greedy,
                                                data):
         """Both deciders in onesided and noprep modes at rate 1 give
-        twosided's verdict, greedy trace (hints included) or wave rows, and
-        counters; noprep folds A on the query counters too, n more folds."""
+        twosided's verdict and greedy trace (hints included) or wave rows.
+        Onesided books twosided's counters too. Noprep compares symbols: it
+        folds nothing, and it makes the same calls and probes."""
         rate_one_l = int(4 * math.log(n)) if n > 1 else 20
         ell = data.draw(st.integers(1, max(1, min(rate_one_l, 12))))
         k = ell if greedy else data.draw(st.integers(ell, 2 * ell))
@@ -149,8 +150,11 @@ class TestRateOne:
                                         table=table)
                 got[mode] = (verdict, ctr, table.rows)
         assert got["onesided"] == got["twosided"]
-        got["noprep"][1].init_steps -= n
-        assert got["noprep"] == got["twosided"]
+        (v, ctr, answers), (v2, ctr2, answers2) = got["noprep"], got["twosided"]
+        assert (v, answers) == (v2, answers2)
+        assert ctr.init_steps == 0 and ctr2.init_steps == n
+        assert ((ctr.oracle_queries, ctr.table_lookups)
+                == (ctr2.oracle_queries, ctr2.table_lookups))
 
 
 class TestQuery:

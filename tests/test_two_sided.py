@@ -7,7 +7,8 @@ from gapedit.hashing import HashConfig, OpCounters, RollingHashState
 from gapedit.instances import gen_planted
 from gapedit.mers61 import P61
 from gapedit.strings import ByteString, max_shift_alignment_bruteforce
-from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle, full_sample
+from gapedit.two_sided import (SymbolShiftOracle, TwoSidedIndex,
+                               TwoSidedOracle, full_sample)
 
 CFG = HashConfig.from_seed(1234)
 
@@ -243,6 +244,100 @@ class TestMemberEquivalence:
                 assert idx.counters.retrievals - before == (
                     in_range(n, i, j, some, k) if j >= i else 0)
         assert outcomes == {True, False}
+
+
+# alphabets of 1-, 2-, 4- and 8-byte words; past sigma = 4 each holds two
+# symbols that differ only in their high bytes
+WORD_ALPHABETS = {1: [1], 2: [1, 2], 4: [1, 2, 3, 4],
+                  300: [1, 2, 257, 300], 70_000: [1, 2, 65_537, 70_000],
+                  1 << 40: [1, 2, (1 << 32) + 1, 1 << 40]}
+
+
+@st.composite
+def word_pairs(draw):
+    """(A, B, k, l) over one of `WORD_ALPHABETS`: A random or periodic,
+    B a few substitutions, and maybe an insertion and a deletion, away."""
+    sigma = draw(st.sampled_from(sorted(WORD_ALPHABETS)))
+    symbol = st.sampled_from(WORD_ALPHABETS[sigma])
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        period = draw(st.lists(symbol, min_size=1, max_size=3))
+        a = (period * n)[:n]
+    else:
+        a = draw(st.lists(symbol, min_size=n, max_size=n))
+    b = list(a)
+    for _ in range(draw(st.integers(0, 3))):
+        b[draw(st.integers(0, n - 1))] = draw(symbol)
+    if draw(st.booleans()):
+        b.insert(draw(st.integers(0, n)), draw(symbol))
+        del b[draw(st.integers(0, n))]
+    k = draw(st.integers(1, 10))
+    return (ByteString(np.array(a), sigma), ByteString(np.array(b), sigma),
+            k, draw(st.integers(1, k)))
+
+
+class TestSymbolSearch:
+    @given(word_pairs(), st.integers(0, 1 << 32))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_referee_with_a_matching_hint(self, pair, seed):
+        """`SymbolShiftOracle` gives the brute-force referee's d at every
+        promised (i_a, i_b), 1 <= i_a <= n and |i_a - i_b| <= k, with a
+        hint that matches at d (0 when d is 0), folding nothing. It runs
+        `align`'s search: the same probes as `align` under a drawn base.
+        `align` never reports less than the referee, under a drawn base
+        and under the degenerate base x = 1, where windows with equal
+        symbol sums collide."""
+        a, b, k, ell = pair
+        n = len(a)
+        ctr = OpCounters()
+        orc = SymbolShiftOracle(a, b, k, ell, ctr)
+        assert orc.width == {1: 1, 2: 1, 4: 1, 300: 2, 70_000: 4}.get(
+            a.sigma, 8)
+        cfgs = (HashConfig.from_seed(seed), HashConfig(x=1))
+        aligns = [(TwoSidedIndex.preprocess(a, k, cfg), b_lists(b, cfg))
+                  for cfg in cfgs]
+        for i_b in range(1, n + 1):
+            for i_a in range(max(1, i_b - k), min(n, i_b + k) + 1):
+                want = max_shift_alignment_bruteforce(a, b, i_a, i_b, ell, k)
+                start = ctr.table_lookups
+                assert orc(i_a, i_b) == want, (i_a, i_b)
+                c = orc.last_hint
+                if want == 0:
+                    assert c == 0
+                else:
+                    assert abs(c) <= ell and abs(i_a + c - i_b) <= k
+                    assert np.array_equal(
+                        a.window(i_a + c, i_a + c + want - 1),
+                        b.window(i_b, i_b + want - 1))
+                probes = ctr.table_lookups - start
+                for t, (idx, lists) in enumerate(aligns):
+                    before = idx.counters.table_lookups
+                    assert idx.align(*lists, i_a, i_b, ell)[0] >= want
+                    if t == 0:  # a drawn base: no collision in practice
+                        assert idx.counters.table_lookups - before == probes
+        assert ctr.init_steps == 0
+        assert ctr.oracle_queries == sum(
+            min(n, i + k) - max(1, i - k) + 1 for i in range(1, n + 1))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_calls_outside_the_promise_answer_as_the_referee(self, seed):
+        # i_a past either end of A, and |i_a - i_b| > k: copies starting
+        # before A read nothing (the referee pads them with a sentinel)
+        rng = np.random.default_rng(seed)
+        a = ByteString(rng.integers(1, 3, 24), 2)
+        b = ByteString(rng.integers(1, 3, 24), 2)
+        for k, ell in ((1, 1), (5, 2), (8, 8)):
+            orc = SymbolShiftOracle(a, b, k, ell)
+            for i_b in range(1, 25):
+                for i_a in range(-12, 38):
+                    assert orc(i_a, i_b) == max_shift_alignment_bruteforce(
+                        a, b, i_a, i_b, ell, k), (k, ell, i_a, i_b)
+
+    def test_refuses_unequal_lengths(self):
+        a = gen_planted(50, 4, 0, seed=2).a
+        b = gen_planted(40, 4, 0, seed=3).a
+        with pytest.raises(ValueError, match="equal lengths"):
+            SymbolShiftOracle(a, b, 3, 3)
 
 
 class TestBadIndexParameters:

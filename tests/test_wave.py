@@ -12,8 +12,8 @@ from gapedit.no_prep import NoPrepOracle
 from gapedit.one_sided import OneSidedIndex, OneSidedOracle
 from gapedit.strings import (ByteString, has_approximate_alignment,
                              max_shift_alignment_bruteforce)
-from gapedit.two_sided import (TwoSidedIndex, TwoSidedOracle,
-                               TwoSidedShiftOracle)
+from gapedit.two_sided import (SymbolShiftOracle, TwoSidedIndex,
+                               TwoSidedOracle, TwoSidedShiftOracle)
 from gapedit.wave import (BruteForceShiftOracle, IndexedShiftOracle,
                           NoPrepShiftOracle, OneSidedWaveIndex, WaveTable,
                           gap_wave, greedy_wave, wave_jump_violations)
@@ -62,11 +62,11 @@ class TestGreedyWaveExact:
             with pytest.raises(ValueError, match="built for l = 3"):
                 greedy_wave(inst.a, inst.b, 6, 2, orc)
             assert greedy_wave(inst.a, inst.b, 6, 3, orc) is GapVerdict.SMALL
-        # below sampling rate 1 (32 > 4 ln 2000) the noprep oracle holds no
-        # index, and is refused all the same
+        # below sampling rate 1 (32 > 4 ln 2000) the noprep oracle holds
+        # views of a sample, and is refused all the same
         inst = gen_planted(2000, 4, 0, seed=4)
         orc = NoPrepShiftOracle(inst.a, inst.b, 64, 32, CFG)
-        assert orc.index is None
+        assert orc.views is not None
         with pytest.raises(ValueError, match="built for l = 32"):
             greedy_wave(inst.a, inst.b, 64, 16, orc)
         with pytest.raises(ValueError, match="built for k = 64"):
@@ -221,7 +221,7 @@ class TestNoPrepShiftOracle:
         for k, ell in ((25, 25), (9, 9)):
             orc = (NoPrepOracle(a, b, k, CFG) if greedy
                    else NoPrepShiftOracle(a, b, k, ell, CFG))
-            subsampled = orc.index is None
+            subsampled = orc.views is not None
             assert subsampled == (ell == 25)
             # below rate 1 nothing under the floor 2l is probed
             floor = 2 * ell if subsampled else 0
@@ -286,16 +286,18 @@ def rate_one_cell(data) -> tuple[int, int, int]:
 
 
 class TestExactHints:
-    @pytest.mark.parametrize("mode", ["noprep", "onesided", "twosided"])
+    @pytest.mark.parametrize("mode", ["noprep", "onesided", "twosided",
+                                      "exact"])
     @given(st.integers(0, 10**6), st.sampled_from([2, 3]), st.booleans(),
            st.data())
     @settings(max_examples=25, deadline=None)
     def test_hint_is_a_shift_that_matches(self, mode, seed, sigma, greedy,
                                           data):
-        """Every exact-answer oracle (noprep and onesided at rate 1, and
-        twosided, in both deciders) sets `last_hint` to a c with B[i_b .. i_b+d-1]
-        equal to A[i_a+c .. i_a+c+d-1] symbol for symbol, |c| <= l and
-        |i_a + c - i_b| <= k; after a call with d = 0 it is 0."""
+        """Every exact-answer oracle (noprep and onesided at rate 1,
+        twosided, and exact mode's, in both deciders) sets `last_hint` to a
+        c with B[i_b .. i_b+d-1] equal to A[i_a+c .. i_a+c+d-1] symbol for
+        symbol, |c| <= l and |i_a + c - i_b| <= k; after a call with d = 0
+        it is 0."""
         n, ell, k = rate_one_cell(data)
         if greedy:
             k = ell
@@ -306,6 +308,9 @@ class TestExactHints:
         if mode == "noprep":
             orc = (NoPrepOracle(a, b, k, cfg) if greedy
                    else NoPrepShiftOracle(a, b, k, ell, cfg))
+            assert orc.views is None  # noprep at rate 1 searches exactly
+        elif mode == "exact":
+            orc = SymbolShiftOracle(a, b, k, ell)
         elif mode == "onesided":
             orc = (OneSidedOracle(OneSidedIndex.preprocess(a, k, cfg), b)
                    if greedy else IndexedShiftOracle(
@@ -315,7 +320,6 @@ class TestExactHints:
             index = TwoSidedIndex.preprocess(a, k, cfg)
             orc = (TwoSidedOracle(index, b) if greedy
                    else TwoSidedShiftOracle(index, b, ell))
-        assert orc.index is not None  # noprep at rate 1 searches exactly
         for i_b in range(1, n + 1):
             for i_a in ([i_b] if greedy
                         else range(max(1, i_b - k), min(n, i_b + k) + 1)):
