@@ -21,15 +21,28 @@ uint64. With m sampled positions and every symbol c_s <= c (the sentinel
 sigma + 1 included) they stay below m c 2^31, exact while m c < 2^33. For
 larger m c (a huge alphabet, or m near MAX_N) c_s x^-s is reduced mod p
 first and its own limbs are summed; those sums stay below m 2^31 <= 2^57.
-Both sums are folded mod p (2^61 = 1 mod p) and multiplied by x^t, so H
-equals the recurrence bit for bit.
+Both sums are folded mod p (2^61 = 1 mod p) into the prefix sums
 
-One kernel, `_prefix_hashes`, hashes a block of rows, one view per row.
-A `RollingHashState` is one row. A `ViewStack` holds the shifted views of
-one sample on one or two strings (the noprep oracle's A and B views,
-the one-sided index's 2k + 1 copies of A). It hashes them in blocks of
-about `_BLOCK` = 2^12 symbols, each one 2-D gather, one limb multiply, one
-cumsum and one fold, written straight into its prefix matrix. At the
+    G[t] = sum_{s <= t} c_s x^-s   (mod p)
+
+and a state multiplies G[t] by x^t, so its H equals the recurrence bit for
+bit.
+
+One kernel, `_prefix_sums`, sums a block of rows, one view per row. A
+`RollingHashState` is one row, multiplied out to H. A `ViewStack` holds
+the shifted views of one sample on one or two strings (the noprep
+oracle's A and B views, the one-sided index's 2k + 1 copies of A), and it
+keeps G, reduced to [0, p). Every window it is asked for lands on the same
+pair of prefix positions (lo, hi) in every view, and there
+
+    H[hi] - H[lo] x^(hi - lo) = x^hi (G[hi] - G[lo])   (mod p)
+
+With x nonzero mod p, two views hash a window alike exactly when their G
+differences are equal, so a probe compares differences with no power of
+x, and `window_block` multiplies by x^hi once per hash it returns. The
+stack sums its views in blocks of about `_BLOCK` = 2^12 symbols, each one
+gather from the sentinel-padded span the views read, one limb multiply,
+one cumsum and one fold, written straight into its rows. At the
 benchmark's sizes (|S| of a few hundred to a few thousand) a view alone is
 too small for numpy's per-call cost to vanish. A block much larger than
 2^12 symbols makes temporaries past about 200 KB; those come from fresh
@@ -53,8 +66,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mers61 import (P61, fold_limbs, limbs, mulmod, mulmod_limbs, mulmod_vec,
-                     submod_vec)
+from .mers61 import (P61, canonical61, fold_limbs, limbs, mulmod, mulmod_limbs,
+                     mulmod_vec, submod_vec)
 
 MAX_N = 1 << 26
 
@@ -185,28 +198,26 @@ def _tables_for(x: int, m: int
     return _power_tables(x, m)
 
 
-def _prefix_hashes(syms: np.ndarray, top: int, tables, out: np.ndarray
-                   ) -> None:
-    """Prefix hashes of a block of rows of symbols, one view per row.
+def _prefix_sums(syms: np.ndarray, top: int, inv: np.ndarray
+                 ) -> np.ndarray:
+    """Prefix sums of a block of views, one view per row.
 
-    A row (the last axis of `syms`; a 1-D array is one row) holds the
-    symbols c_1..c_m of one view, each at most `top`, and the same row of
-    `out` (last axis m + 1) gets its H[0..m]: H[t] = x^t * (sum over s <= t
-    of c_s x^-s), summed exactly in uint64 over the two limbs of each
-    summand and folded mod p once at the end. `tables` are those of
+    Row v of `syms` (rows x m) holds the symbols c_1..c_m of one view, each
+    at most `top`, and row v of the result (rows x m) its G[1..m]:
+    G[t] = sum over s <= t of c_s x^-s mod p, summed exactly in uint64 over
+    the two limbs of each summand and folded mod p once at the end, to at
+    most p + 2 (as `mulmod_limbs` accepts; `canonical61` makes it G mod p).
+    G[0] = 0 is left to the caller. `inv` is the limb table of x^-t in
     `_tables_for(x, m)`.
     """
-    _, fwd, inv = tables
     c = syms.view(np.uint64)  # int64 symbols >= 1: the same bits
-    if syms.shape[-1] * top < _DIRECT_LIMIT:
-        parts = c[..., None, :] * inv  # c_s times each limb of x^-s
+    if syms.shape[1] * top < _DIRECT_LIMIT:
+        parts = inv[:, None, :] * c  # each limb of x^-s times c_s
     else:
         # symbols too large for the limb sums: reduce c_s x^-s first
-        parts = np.moveaxis(limbs(mulmod_limbs(c, inv[0], inv[1])), 0, -2)
-    np.cumsum(parts, axis=-1, out=parts)
-    out[..., 0] = 0
-    out[..., 1:] = mulmod_limbs(fold_limbs(parts[..., 0, :], parts[..., 1, :]),
-                                fwd[0], fwd[1])
+        parts = limbs(mulmod_limbs(c, inv[0], inv[1]))
+    np.cumsum(parts, axis=2, out=parts)
+    return fold_limbs(parts[0], parts[1])
 
 
 def check_alphabet(n: int, sigma: int) -> None:
@@ -240,9 +251,11 @@ class RollingHashState:
         tables = _tables_for(cfg.x, m)
         self.xpow = tables[0]
         self.prefix = np.empty(m + 1, dtype=np.uint64)
-        # reads outside [1, n] give the sentinel sigma + 1
-        _prefix_hashes(string.gather(samples), string.sigma + 1, tables,
-                       self.prefix)
+        self.prefix[0] = 0
+        # H[t] = x^t G[t]; reads outside [1, n] give the sentinel sigma + 1
+        sums = _prefix_sums(string.gather(samples)[None], string.sigma + 1,
+                            tables[2])
+        self.prefix[1:] = mulmod_limbs(sums[0], *tables[1])
         self._lists = None
         self.counters.init_steps += m
 
@@ -282,14 +295,17 @@ class ViewStack:
     """Shifted views of one sample S, built and read together.
 
     View v of a string at offset o_v reads it over S + o_v, so a window
-    [i, j] of S lands on the same pair of prefix rows in every view: view
-    v's hash of [i + o_v, j + o_v] is H_v[h] - H_v[l] x^(h - l), with l and
-    h the counts of positions of S below i and up to j. The prefixes are
-    held once, in an (m + 1) x V matrix, one column per view, in the order
-    of `views`: (string, offsets) pairs, each offset one view of that
-    string. The columns are hashed in blocks of about `_BLOCK` symbols, a
-    2-D gather and one `_prefix_hashes` pass per block; each view folds |S|
-    symbols, as a `RollingHashState` over S + o_v would.
+    [i, j] of S lands on the same pair of prefix positions in every view:
+    view v's hash of [i + o_v, j + o_v] is x^h (G_v[h] - G_v[l]), with l
+    and h the counts of positions of S below i and up to j, and G_v the
+    view's prefix sums (module docstring). `prefix` holds G once, in a
+    V x (m + 1) matrix, one row per view, in the order of `views`:
+    (string, offsets) pairs, each offset one view of that string. The
+    rows are summed in blocks of about `_BLOCK` symbols, one gather and
+    one `_prefix_sums` pass per block; each view folds |S| symbols, as a
+    `RollingHashState` over S + o_v would. The gathers of a string's views
+    read one sentinel-padded copy of the stretch they cover, as long as
+    the span of S plus the spread of the string's offsets.
     """
 
     def __init__(self, samples: np.ndarray, views, cfg: HashConfig,
@@ -302,51 +318,60 @@ class ViewStack:
         self.xpow = tables[0]
         self.samples = samples
         self.positions = samples.tolist()
-        self.prefix = np.empty((m + 1, sum(len(o) for _, o in views)),
+        self.prefix = np.zeros((sum(len(o) for _, o in views), m + 1),
                                dtype=np.uint64)
-        rows = max(_BLOCK // max(m, 1), 1)
-        col = 0
+        per_block = max(_BLOCK // max(m, 1), 1)
+        row = 0
         for string, offsets in views:
             offsets = np.asarray(offsets, dtype=np.int64)
-            for lo in range(0, offsets.size, rows):
-                block = offsets[lo:lo + rows]
-                end = col + block.size
-                _prefix_hashes(string.gather(block[:, None] + samples),
-                               string.sigma + 1, tables,
-                               self.prefix[:, col:end].T)
-                col = end
-        counters.init_steps += m * col
+            if not (m and offsets.size):  # nothing to sum: the rows stay 0
+                row += offsets.size
+                continue
+            # every symbol the views read, sentinel outside [1, n]
+            first = int(samples[0] + offsets.min())
+            reads = string.window(first, int(samples[-1] + offsets.max()))
+            base = samples - first
+            for lo in range(0, offsets.size, per_block):
+                block = offsets[lo:lo + per_block]
+                end = row + block.size
+                self.prefix[row:end, 1:] = canonical61(_prefix_sums(
+                    reads.take(block[:, None] + base), string.sigma + 1,
+                    tables[2]))
+                row = end
+        counters.init_steps += m * row
 
     def window_block(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Every view's hash of every window [i_s, j_s] of S (j_s >= i_s - 1),
-        as a len(i) x V block, from one locate and one modular pass. Counts
-        no retrievals: the caller counts the entries it reads."""
+        as a len(i) x V block, from one locate, one difference of sums and
+        one multiply by x^h. Counts no retrievals: the caller counts the
+        entries it reads."""
         lo = self.samples.searchsorted(i, side="left")
         hi = self.samples.searchsorted(j, side="right")
-        x_lo, x_hi = limbs(self.xpow[hi - lo])[:, :, None]
-        return submod_vec(self.prefix[hi],
-                          mulmod_limbs(self.prefix[lo], x_lo, x_hi))
+        diff = submod_vec(self.prefix[:, hi], self.prefix[:, lo])
+        return mulmod_limbs(diff, *limbs(self.xpow[hi])).T
 
     def first_collision(self, i: int, j: int, a_cols: range, b_cols: range
                         ) -> tuple[int, int] | None:
         """Scan views a_cols in order for the first whose hash of window
         [i, j] of S equals that of some view in b_cols; return it with the
-        first such b column. Every hash taken counts as one retrieval: all
-        of b_cols, then a_cols up to the hit."""
+        first such b view. Every view's hash is x^h times its difference
+        G_v[h] - G_v[l] mod p, and x^h is nonzero, so the scan compares the
+        differences, the same collisions as the hashes. Every hash taken
+        counts as one retrieval: all of b_cols, then a_cols up to the
+        hit."""
         pos = self.positions
         lo = bisect_left(pos, i)
         hi = max(bisect_right(pos, j), lo)
-        lo_row = self.prefix[lo].tolist()
-        hi_row = self.prefix[hi].tolist()
-        xp = int(self.xpow[hi - lo])
+        at_lo = self.prefix[:, lo].tolist()
+        at_hi = self.prefix[:, hi].tolist()
         b_hashes = {}
         for v in b_cols:
-            b_hashes.setdefault((hi_row[v] - lo_row[v] * xp) % P61, v)
+            b_hashes.setdefault((at_hi[v] - at_lo[v]) % P61, v)
         taken = len(b_cols)
         hit = None
         for v in a_cols:
             taken += 1
-            w = b_hashes.get((hi_row[v] - lo_row[v] * xp) % P61)
+            w = b_hashes.get((at_hi[v] - at_lo[v]) % P61)
             if w is not None:
                 hit = v, w
                 break

@@ -33,6 +33,11 @@ def _fold61(v: np.ndarray) -> np.ndarray:
     return np.minimum(v, v - _MASK61)
 
 
+def canonical61(v: np.ndarray) -> np.ndarray:
+    """The residues in [0, p) of uint64 v <= p + 7, as `_fold61` ends."""
+    return np.minimum(v, v - _MASK61)
+
+
 def mulmod_vec(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise (a * b) mod (2^61 - 1) for uint64 arrays with values < 2^62."""
     return mulmod_limbs(a, *limbs(b))

@@ -37,11 +37,12 @@ about 12 n ln n / sqrt(k): the n / sqrt(k) law up to its log factor. The
 views are hashed together into one `hashing.ViewStack`, a few views per
 numpy pass (blocks of about 2^12 symbols), so at small |S| the build pays
 numpy's per-call cost per block rather than per view. A probe window
-lands on the same pair of prefix rows in every view, so a probe is one
-locate (two binary searches) plus reads of those two rows of the
-ViewStack, then at most 2q + 1 + r modular combinations. A call gallops
-up the length from the floor 2k and then bisects, scanning after each hit
-only the A views from the hit's on.
+lands on the same pair of prefix positions (l, h) in every view, where
+each view's hash is x^h times the difference of its prefix sums, so a
+probe is one locate (two binary searches) plus reads of those two columns
+of the ViewStack, then at most 2q + 1 + r subtractions mod p and no power
+of x. A call gallops up the length from the floor 2k and then bisects,
+scanning after each hit only the A views from the hit's on.
 """
 
 from __future__ import annotations

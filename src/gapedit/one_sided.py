@@ -34,10 +34,12 @@ bucket its diagonals probe, such as the greedy index's.
 
 Below rate 1 the tables are built in a few numpy passes per window length.
 The 2k + 1 shifted views of A share one sample set, so a canonical start's
-window lands on the same pair of prefix rows in every view. The views'
-prefixes are hashed straight into one matrix (`hashing.ViewStack`), in
-blocks of about 2^12 symbols with no state per view, and the hashes of
-every (start, shift) pair come from one locate and one modular pass. The
+window lands on the same pair of prefix positions (l, h) in every view.
+The views' prefix sums G are summed straight into one matrix
+(`hashing.ViewStack`), in blocks of about 2^12 symbols with no state per
+view, and the hash of every (start, shift) pair, x^h (G[h] - G[l]), comes
+from one locate, one subtraction and one multiply per entry: the same
+hashes a state per view would give. The
 entries are sorted by hash once, before the fan-out; each is then copied to
 its up to 3 (greedy) or 9 (wave) cell keys, one stable sort on the narrow
 key array (a radix sort while the keys fit in int16) orders the copies by

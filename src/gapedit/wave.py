@@ -185,7 +185,7 @@ class NoPrepShiftOracle(SymbolShiftOracle):
         q = -(-(reach + ell) // r)
         self.r, self.q = r, q
         self.samples = draw_sample(n, ell, cfg.sampling_rng())
-        # columns: A views ac = -q..q, then B views bo = 0..r-1
+        # view rows: A views ac = -q..q, then B views bo = 0..r-1
         self.views = ViewStack(self.samples,
                                [(a, range(-q * r, q * r + 1, r)),
                                 (b, range(0, -r, -1))], cfg, self.counters)

@@ -235,9 +235,9 @@ class TestAcceptance:
         # The sampling rate min(4 ln n / k, 1) is below 1 only for
         # k > 4 ln n. There the 3 ceil(sqrt k) + 1 views fold about
         # 12 n ln n / sqrt(k) positions: the n / sqrt(k) law up to its log
-        # factor. For smaller k the rate is 1 and the oracle folds A and B
-        # once each, exactly 2n folds, so work is linear in n and carries
-        # no k^-1/2 dependence.
+        # factor. For smaller k the rate is 1 and the oracle folds nothing:
+        # it compares A's and B's symbols, and its work is the symbols
+        # compared, linear in n with no k^-1/2 dependence.
         sub = [(n, k, w) for n, k, w in rows if k > 4 * math.log(n)]
         sat = [(n, k, w) for n, k, w in rows if k <= 4 * math.log(n)]
         assert {n for n, _, _ in sub} == {4096, 16384, 65536}

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from gapedit import hashing
 from gapedit.hashing import (HashConfig, OpCounters, RollingHashState,
                              ViewStack, draw_sample, sample_rate)
-from gapedit.mers61 import (P61, _fold61, fold_limbs, limbs, mulmod,
-                            mulmod_limbs, mulmod_vec, submod_vec)
+from gapedit.mers61 import (P61, _fold61, canonical61, fold_limbs, limbs,
+                            mulmod, mulmod_limbs, mulmod_vec, submod_vec)
 from gapedit.strings import ByteString
 
 
@@ -46,6 +46,11 @@ class TestMersenne61:
         vals = [0, 1, P61 - 1, P61, P61 + 1, 2 * P61, P61 + 7, (1 << 62) - 1,
                 (1 << 63) - 1, (1 << 64) - 1]
         got = _fold61(np.array(vals, dtype=np.uint64))
+        assert [int(v) for v in got] == [v % P61 for v in vals]
+
+    def test_canonical_edge_values(self):
+        vals = [0, 1, P61 - 1, P61, P61 + 1, P61 + 2, P61 + 7]
+        got = canonical61(np.array(vals, dtype=np.uint64))
         assert [int(v) for v in got] == [v % P61 for v in vals]
 
     def test_mulmod_vec_edge_values(self):
@@ -149,7 +154,7 @@ class TestVectorisedPrefix:
                                                                   cfg.x)
         stack = ViewStack(samples, [(s, [0, 1])], cfg, OpCounters())
         assert hashing._cached_power_tables.cache_info().currsize == 0
-        assert np.array_equal(stack.prefix[:, 0], state.prefix)
+        assert_row_gives_prefix(stack, 0, state)
         RollingHashState(s, samples[:100], cfg)
         assert hashing._cached_power_tables.cache_info().currsize == 1
         ViewStack(samples[:100], [(s, [0, 1])], cfg, OpCounters())
@@ -211,14 +216,22 @@ def stack_and_states(a, a_offsets, b, b_offsets, samples, cfg):
     return stack, ctr, states, ref_ctr
 
 
+def assert_row_gives_prefix(stack, v, state):
+    """The stack's invariant: row v holds prefix sums G in [0, p) with
+    G[t] x^t = H[t] mod p, H the prefix hashes of view v's state."""
+    sums = stack.prefix[v]
+    assert np.all(sums < P61)
+    assert np.array_equal(stack.xpow, state.xpow)
+    assert np.array_equal(mulmod_vec(sums, stack.xpow), state.prefix)
+
+
 def assert_stack_equals_states(a, a_offsets, b, b_offsets, samples, cfg):
     stack, ctr, states, ref_ctr = stack_and_states(a, a_offsets, b,
                                                    b_offsets, samples, cfg)
     v = len(a_offsets) + len(b_offsets)
-    assert stack.prefix.shape == (len(samples) + 1, v)
+    assert stack.prefix.shape == (v, len(samples) + 1)
     for col, state in enumerate(states):
-        assert np.array_equal(stack.prefix[:, col], state.prefix)
-        assert np.array_equal(stack.xpow, state.xpow)
+        assert_row_gives_prefix(stack, col, state)
     assert ctr.init_steps == ref_ctr.init_steps == v * len(samples)
 
 
@@ -265,6 +278,11 @@ class TestViewStack:
     # 200 (10^8 + 1) >= 2^33: the reduced limb sums, over a block of rows
     @example(edge_case(200, 10**8, 200, 1 << 12, 5, 3))
     @example(edge_case(30, 4, 0, 20, 3, 2))  # an empty sample
+    # x = -1 mod p over 1 1 1 ..: G[2] = x^-1 + x^-2 = 0, which the limb
+    # fold leaves as p, and the stack stores as 0
+    @example((ByteString(np.ones(8, dtype=np.int64), 2), [0, 1],
+              ByteString(np.ones(8, dtype=np.int64), 2), [-1],
+              np.arange(1, 9), HashConfig(x=P61 - 1), 16))
     def test_columns_equal_one_state_per_view(self, case):
         *views, block = case
         with mock.patch.object(hashing, "_BLOCK", block):
@@ -306,6 +324,31 @@ class TestViewStack:
                 break
         assert stack.first_collision(i, j, a_cols, b_cols) == want
         assert ctr.retrievals == taken
+
+    @given(stacks(), st.sampled_from([None, 1, P61 - 1]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_window_block_matches_per_view_retrieve(self, case, x, data):
+        a, a_offsets, b, b_offsets, samples, cfg, block = case
+        if x is not None:
+            cfg = HashConfig(x=x)
+        with mock.patch.object(hashing, "_BLOCK", block):
+            stack, ctr, states, _ = stack_and_states(a, a_offsets, b,
+                                                     b_offsets, samples, cfg)
+        n = len(a)
+        # windows [i, i + w - 1]: empty ones (w = 0), and ones that start
+        # or end past either end of the (shifted) sample
+        windows = data.draw(st.lists(st.tuples(st.integers(-n - 8, n + 8),
+                                               st.integers(0, n + 8)),
+                                     min_size=1, max_size=8))
+        i = np.array([s for s, _ in windows], dtype=np.int64)
+        j = np.array([s + w - 1 for s, w in windows], dtype=np.int64)
+        got = stack.window_block(i, j)
+        assert ctr.retrievals == 0
+        offsets = a_offsets + b_offsets
+        assert got.shape == (len(windows), len(offsets))
+        assert got.tolist() == [
+            [state.retrieve(s + o, e + o) for state, o in zip(states, offsets)]
+            for s, e in zip(i.tolist(), j.tolist())]
 
     def test_refuses_what_a_state_refuses(self, monkeypatch):
         rng = np.random.default_rng(24)

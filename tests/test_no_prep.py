@@ -49,8 +49,8 @@ class TestNoPrepOracle:
         orc = NoPrepOracle(inst.a, inst.b, k, HashConfig.from_seed(6))
         r = 8
         assert orc.views is not None  # below rate 1
-        # columns: 2q + 1 A views (q = ceil(k / r) = r here), then r B views
-        assert orc.views.prefix.shape[1] == 3 * r + 1
+        # rows: 2q + 1 A views (q = ceil(k / r) = r here), then r B views
+        assert orc.views.prefix.shape[0] == 3 * r + 1
         # every view folds each sampled position once: the work AC06 fits
         assert orc.counters.init_steps == (3 * r + 1) * len(orc.samples)
 
