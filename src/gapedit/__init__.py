@@ -36,7 +36,8 @@ def gap_match(a: ByteString, b: ByteString, k: int, mode: str = "noprep",
 
     Modes: "noprep" builds its oracle per pair (hashed views of a sample,
     or at sampling rate 1 the symbol comparison), "onesided" preprocesses
-    A, "twosided" preprocesses both (cells computed lazily from A's
+    A (at sampling rate 1 keeping A itself for the symbol comparison),
+    "twosided" preprocesses both (cells computed lazily from A's
     hashes; B's hashing is booked on the query counters), "exact" compares
     symbols (`SymbolShiftOracle` built for l = k, as exact `gap_wave` does
     at its l). The seed picks the hash draw of the modes that hash.

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import (ByteString, GapVerdict, GreedyTrace, HashConfig, Instance,
-               OneSidedIndex, OneSidedOracle, OpCounters,
+               OneSidedIndex, OpCounters, TwoSidedIndex, TwoSidedOracle,
                edit_distance_at_most, edit_distance_exact, gap_match,
                gap_wave, gen_large_side, gen_periodic, gen_planted,
                save_instance)
@@ -267,7 +267,7 @@ def cmd_selftest(args) -> int:
         v, _ = gap_wave(big.a, big.b, 4, 2, mode, seed=seed)
         check(f"wave {mode} large", v == GapVerdict.LARGE)
     # at sampling rate 1 (k = 4 <= 4 ln 256) the four run one search, over
-    # symbols (exact, noprep) or over hashes (onesided, twosided)
+    # symbols (exact, noprep, onesided) or over hashes (twosided)
     check("gap exact, noprep, onesided and twosided trace alike",
           traces["exact"] == traces["noprep"] == traces["onesided"]
           == traces["twosided"])
@@ -300,14 +300,15 @@ def cmd_selftest(args) -> int:
             check(f"corrupt {layout} index rejected", refused == 2)
 
     # fault injection: a degenerate hash (x = 1) sums a window's symbols, so
-    # it cannot tell A from B = A with two adjacent unequal symbols swapped
-    # (past position 2); the brute-force referee must disagree on some query
+    # the two-sided oracle cannot tell A from B = A with two adjacent unequal
+    # symbols swapped (past position 2); the brute-force referee must
+    # disagree on some query
     from .strings import max_shift_alignment_bruteforce as referee
     syms = inst.a.data.copy()
     t = 2 + int(np.flatnonzero(syms[3:] != syms[2:-1])[0])
     syms[[t, t + 1]] = syms[[t + 1, t]]
     b = ByteString(syms, inst.a.sigma)
-    bad = OneSidedOracle(OneSidedIndex.preprocess(inst.a, 4, HashConfig(x=1)),
+    bad = TwoSidedOracle(TwoSidedIndex.preprocess(inst.a, 4, HashConfig(x=1)),
                          b)
     check("degenerate hash detected", any(
         bad(i, i) != referee(inst.a, b, i, i, 4, 4) for i in range(1, 257)))

@@ -127,13 +127,14 @@ class HashConfig:
                 raise refused from None
             if seed < 0:
                 raise refused
-        x_ss, _ = np.random.SeedSequence(seed).spawn(2)
+        # x from child 0 of `SeedSequence(seed).spawn(2)`, the sample from
+        # child 1, each built directly without its parent
+        x_ss = np.random.SeedSequence(seed, spawn_key=(0,))
         x = int(np.random.default_rng(x_ss).integers(2, P61 - 1))
         return cls(x=x, rng_seed=seed)
 
     def sampling_rng(self) -> np.random.Generator:
-        ss = np.random.SeedSequence(self.rng_seed)
-        _, samp_ss = ss.spawn(2)
+        samp_ss = np.random.SeedSequence(self.rng_seed, spawn_key=(1,))
         return np.random.default_rng(samp_ss)
 
 

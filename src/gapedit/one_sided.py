@@ -1,10 +1,9 @@
 """Gap decision with only A preprocessed: one A-index for both deciders.
 
 The index samples A at rate min(4 ln n / l, 1), l its column width. At
-rate 1 a query hashes all of B anyway, so the index keeps only A's prefix
-hashes H[0 .. n], x^0 .. x^n and A's symbols, and the oracles are
-`two_sided.TwoSidedShiftOracle` over them (`OneSidedIndex.exact_search`):
-exact up to hash collisions, with hints.
+rate 1 a query reads all of B anyway, so the index keeps A itself (`a`),
+and the oracles are `two_sided.SymbolShiftOracle` over A and B: exact mode's
+search, exact for every hash draw, with hints, and folding no symbol of B.
 
 Below rate 1 the index stores, for every window length 2^e, the
 sampled-window hashes of A under every shift |a| <= k, recorded at
@@ -77,7 +76,7 @@ from .hashing import (HashConfig, OpCounters, RollingHashState, ViewStack,
                       draw_sample, sample_rate)
 from .mers61 import P61
 from .strings import ByteString
-from .two_sided import TwoSidedIndex, TwoSidedShiftOracle, full_sample
+from .two_sided import SymbolShiftOracle, full_sample
 
 MAGIC_1S = b"GEDT1S"
 FORMAT_VERSION = 2
@@ -137,9 +136,8 @@ def _distinct_cells(h: np.ndarray, group: np.ndarray, fan: np.ndarray,
 
 
 class OneSidedIndex:
-    """A's prefix hashes at sampling rate 1; below it, sampled window
-    hashes of shifted copies of A, by window length, start column and shift
-    bucket."""
+    """A itself at sampling rate 1; below it, sampled window hashes of
+    shifted copies of A, by window length, start column and shift bucket."""
 
     def __init__(self, n: int, k: int, ell: int, buckets: range,
                  cfg: HashConfig, samples: np.ndarray,
@@ -148,12 +146,14 @@ class OneSidedIndex:
         self.n, self.k, self.ell, self.buckets = n, k, ell, buckets
         self.cfg, self.samples = cfg, samples
         self.tables = tables  # (e, col, bucket) -> sorted uint64 hashes
-        self.dense = None  # rate 1: [(H, x-powers)], as perfbench reads it
-        self.syms = None  # rate 1: A's symbols, A[t] at t - 1
+        # rate 1: [(H, x-powers)]. No query reads them; perfbench's tracer
+        # counts their entries (`tracing._entries`, pinned by
+        # tests/test_trace_points.py), so they stay until ROADMAP.md item 1
+        self.dense = None
+        self.a = None  # rate 1: A, the `ByteString` the oracles compare
         self.counters = counters if counters is not None else OpCounters()
         self.num_cols = -(-n // ell)
         self.exponents = max(n, 1).bit_length() - 1
-        self._rows = None  # the prefix as Python lists, made on first use
 
     @classmethod
     def preprocess(cls, a: ByteString, k: int,
@@ -170,22 +170,13 @@ class OneSidedIndex:
             idx = cls(n, k, ell, buckets, cfg, full_sample(n))
             state = RollingHashState(a, idx.samples, cfg, idx.counters)
             idx.dense = [(state.prefix, state.xpow)]
-            idx.syms = a.data.tolist()
+            idx.a = a
         else:
             idx = cls(n, k, ell, buckets, cfg, draw_sample(
                 n, ell, cfg.sampling_rng(),
                 force_anchors=anchor_positions(n, ell)))
             idx._build_tables(a)
         return idx
-
-    def exact_search(self) -> TwoSidedIndex | None:
-        """At rate 1, A's prefix as a `TwoSidedIndex` that books its work on
-        this index's counters; below rate 1, None."""
-        if self.dense is None:
-            return None
-        self._rows = self._rows or [arr.tolist() for arr in self.dense[0]]
-        return TwoSidedIndex(self.k, self.cfg, *self._rows, self.syms,
-                             self.counters)
 
     def _canonical_starts(self, e: int) -> np.ndarray:
         """Window starts recorded for length 2^e: those that some shift
@@ -261,9 +252,9 @@ class OneSidedIndex:
 
     def save(self, path) -> None:
         """Write the index in format version 2 (module docstring)."""
-        if self.dense is not None:  # A's n symbols
+        if self.a is not None:  # A's n symbols
             layout, s, keys = _LAYOUT_SYMBOLS, np.empty(0, np.int64), []
-            arrays, nh = [np.asarray(self.syms, dtype=np.int64)], self.n
+            arrays, nh = [np.ascontiguousarray(self.a.data)], self.n
         else:
             layout, s = _LAYOUT_GENERAL, self.samples
             cells = sorted(self.tables.items())
@@ -405,25 +396,25 @@ def max_shift_align(index: OneSidedIndex, b_state: RollingHashState,
     return cur - i_b
 
 
-class IndexedShiftOracle(TwoSidedShiftOracle):
+class IndexedShiftOracle(SymbolShiftOracle):
     """Wave shift-alignment oracle over an A-index, for the index's l: at
-    rate 1 `two_sided.TwoSidedShiftOracle` over the index's
-    `exact_search()`, with hints; below rate 1 `max_shift_align` at the
-    asked (i_a, i_b), with no hint.
+    rate 1 `two_sided.SymbolShiftOracle` over the index's A and B, exact,
+    with hints; below rate 1 `max_shift_align` at the asked (i_a, i_b), with
+    no hint.
 
     `buckets` records the shift buckets a call can probe: below rate 1 the
-    index's, at rate 1 None, since the exact search serves every shift."""
+    index's, at rate 1 None, since the symbol search serves every shift."""
 
     def __init__(self, index: OneSidedIndex, b: ByteString,
                  counters: OpCounters | None = None):
-        exact = index.exact_search()
-        if exact is not None:
-            TwoSidedShiftOracle.__init__(self, exact, b, index.ell, counters)
-            self.buckets = None
-            return
         if len(b) != index.n:
             raise ValueError(f"B has length {len(b)}, the index was built "
                              f"for n = {index.n}")
+        if index.a is not None:
+            SymbolShiftOracle.__init__(self, index.a, b, index.k, index.ell,
+                                       counters)
+            self.buckets = None
+            return
         self.index, self.buckets = index, index.buckets
         self.k, self.ell = index.k, index.ell
         self.counters = counters if counters is not None else OpCounters()
@@ -434,7 +425,7 @@ class IndexedShiftOracle(TwoSidedShiftOracle):
 
     def __call__(self, i_a: int, i_b: int) -> int:
         if self.buckets is None:
-            return TwoSidedShiftOracle.__call__(self, i_a, i_b)
+            return SymbolShiftOracle.__call__(self, i_a, i_b)
         self.counters.oracle_queries += 1
         return max_shift_align(self.index, self.b_state, i_a, i_b)
 

@@ -31,18 +31,19 @@ with no call per probe.
 The index does not depend on l, so one preprocessed A serves both deciders
 at every l <= k, through one call, `oracle(i_a, i_b)`: the wave asks for
 the shifts delta + c, delta = i_a - i_b, |c| <= l, |delta + c| <= k;
-greedy asks an oracle built for l = k at (i_b, i_b). At sampling rate 1
-(l <= 4 ln n) the one-sided oracles are `TwoSidedShiftOracle` too, over
-the prefix of A a one-sided index keeps (`IndexedShiftOracle`).
+greedy asks an oracle built for l = k at (i_b, i_b). `align` and
+`TwoSidedShiftOracle` serve the twosided mode only.
 
 `SymbolShiftOracle` runs the same search, with the same survivors, over
 A's and B's symbols instead of their hashes: a probe compares the part of
 each surviving copy past the last hit length with B's, as one `bytes`
 comparison at memory speed. It folds nothing and draws no hash, so its
 answers are exact with no collision term. It is exact mode's oracle in
-both deciders, and the noprep oracle at sampling rate 1
+both deciders, and at sampling rate 1 the noprep oracle
 (`wave.NoPrepShiftOracle`), where the birthday split would fold every
-position of both strings and save nothing.
+position of both strings and save nothing, and the onesided one
+(`one_sided.IndexedShiftOracle`, over the A a rate-1 index keeps), where a
+query reads all of B anyway.
 """
 
 from __future__ import annotations

@@ -22,9 +22,8 @@ each call's shift window (`two_sided.TwoSidedShiftOracle`: one index of A
 serves every l, and B is hashed once per decision), and exact mode's
 symbol comparison (`two_sided.SymbolShiftOracle`), which hashes nothing.
 At sampling rate 1 (l <= 4 ln n, nearly every wave run) the per-pair
-oracle is that symbol comparison, so its tables are exact mode's, and the
-indexed one is the two-sided search over A's prefix hashes, so its tables
-equal exact mode's up to hash collisions. Below rate 1 the per-pair oracle
+oracle and the indexed one are both that symbol comparison, so their tables
+are exact mode's, counters included. Below rate 1 the per-pair oracle
 is a birthday split of shifts, which needs l >= ceil(sqrt(k)): it finds
 its d by galloping up from the floor 2l and then bisecting, scanning only
 the views at or after the last hit's, and it builds only the A views its
@@ -240,11 +239,13 @@ def gap_wave(a: ByteString, b: ByteString, k: int, ell: int, mode: str,
 
     Modes: "noprep" builds its oracle per pair (hashed views of a sample,
     or at sampling rate 1 the symbol comparison); "onesided" preprocesses
-    A into the wave index for this l; "twosided" preprocesses A into the
-    exact `TwoSidedIndex` and asks it for each call's shift window; "exact"
-    compares symbols (`SymbolShiftOracle`), as noprep does at sampling
-    rate 1. The indexed modes hash B once, on the query counters, as
-    `gap_match` does. The seed picks the hash draw of the modes that hash.
+    A into the wave index for this l (at sampling rate 1 A itself, searched
+    by the symbol comparison); "twosided" preprocesses A into the exact
+    `TwoSidedIndex` and asks it for each call's shift window; "exact"
+    compares symbols (`SymbolShiftOracle`), as noprep and onesided do at
+    sampling rate 1. Where an indexed mode hashes B, it does so once, on
+    the query counters, as `gap_match` does. The seed picks the hash draw
+    of the modes that hash.
     """
     check_gap_params(a, b, k, ell)
     cfg = HashConfig.from_seed(seed)

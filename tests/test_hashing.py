@@ -485,3 +485,14 @@ class TestConfig:
         r1 = c.sampling_rng().integers(0, 1000, 5)
         r2 = c.sampling_rng().integers(0, 1000, 5)
         assert list(r1) == list(r2)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789, 2**62, 2**64 + 3])
+    def test_draws_are_those_of_the_seeds_two_spawned_children(self, seed):
+        # x comes from SeedSequence(seed).spawn(2)[0] and the sample from
+        # [1], as recorded in every golden file; the children are built
+        # directly now, and must draw the same numbers
+        x_ss, samp_ss = np.random.SeedSequence(seed).spawn(2)
+        c = HashConfig.from_seed(seed)
+        assert c.x == int(np.random.default_rng(x_ss).integers(2, P61 - 1))
+        assert (c.sampling_rng().random(50).tolist()
+                == np.random.default_rng(samp_ss).random(50).tolist())

@@ -16,8 +16,9 @@ from gapedit.mers61 import P61
 from gapedit.one_sided import (_HEAD, MAGIC_1S, IndexedShiftOracle,
                                OneSidedIndex, OneSidedOracle,
                                OneSidedWaveIndex, anchor_positions)
-from gapedit.strings import ByteString
-from gapedit.two_sided import TwoSidedIndex, TwoSidedOracle
+from gapedit.strings import ByteString, max_shift_alignment_bruteforce
+from gapedit.two_sided import (SymbolShiftOracle, TwoSidedIndex,
+                               TwoSidedOracle)
 
 CFG = HashConfig.from_seed(77)
 DATA = Path(__file__).parent / "data"
@@ -109,36 +110,58 @@ class TestBadIndexParameters:
 
 
 class TestRateOne:
-    def test_rate_one_equals_twosided(self):
+    def test_rate_one_is_the_symbol_search(self):
+        """At rate 1 the greedy index's oracle is `SymbolShiftOracle` over A
+        and B: its answers, hints and counters. Twosided hashes, so only its
+        answers and hints agree."""
         for t in range(4):
             n, k = 180, 5
             inst = gen_planted(n, 4, 3, seed=t)
             one = OneSidedOracle(OneSidedIndex.preprocess(inst.a, k, CFG),
                                  inst.b)
+            sym = SymbolShiftOracle(inst.a, inst.b, k, k)
             two = TwoSidedOracle(TwoSidedIndex.preprocess(inst.a, k, CFG),
                                  inst.b)
             for i_b in range(1, n + 1):
-                assert ((one(i_b, i_b), one.last_hint)
-                        == (two(i_b, i_b), two.last_hint))
-            assert one.counters == two.counters
+                got = (one(i_b, i_b), one.last_hint)
+                assert got == (sym(i_b, i_b), sym.last_hint)
+                assert got == (two(i_b, i_b), two.last_hint)
+            assert one.counters == sym.counters
+            assert one.counters.init_steps == 0  # no symbol of B folded
+
+    def test_rate_one_is_exact_under_a_degenerate_hash(self):
+        """x = 1 sums a window's symbols, so a hashed search cannot tell A
+        from A with two adjacent unequal symbols swapped; the rate-1 oracle
+        compares symbols and matches the brute-force referee anyway."""
+        a = gen_planted(256, 4, 0, seed=0).a
+        syms = a.data.copy()
+        t = 2 + int(np.flatnonzero(syms[3:] != syms[2:-1])[0])
+        syms[[t, t + 1]] = syms[[t + 1, t]]
+        b = ByteString(syms, a.sigma)
+        orc = OneSidedOracle(OneSidedIndex.preprocess(a, 4, HashConfig(x=1)),
+                             b)
+        assert orc.buckets is None
+        for i in range(1, 257):
+            assert orc(i, i) == max_shift_alignment_bruteforce(a, b, i, i, 4,
+                                                               4)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(1, 160),
            sigma=st.sampled_from([2, 4]), greedy=st.booleans(),
            data=st.data())
-    def test_rate_one_decisions_equal_twosided(self, seed, n, sigma, greedy,
+    def test_rate_one_decisions_are_exact_modes(self, seed, n, sigma, greedy,
                                                data):
-        """Both deciders in onesided and noprep modes at rate 1 give
-        twosided's verdict and greedy trace (hints included) or wave rows.
-        Onesided books twosided's counters too. Noprep compares symbols: it
-        folds nothing, and it makes the same calls and probes."""
+        """Both deciders at rate 1: onesided and noprep compare symbols, as
+        exact mode does, and give its verdict, counters and greedy trace
+        (hints included) or wave rows. Twosided hashes: it gives the same
+        verdict and trace or rows, and folds every symbol of B."""
         rate_one_l = int(4 * math.log(n)) if n > 1 else 20
         ell = data.draw(st.integers(1, max(1, min(rate_one_l, 12))))
         k = ell if greedy else data.draw(st.integers(ell, 2 * ell))
         inst = gen_planted(n, sigma, data.draw(st.integers(0, min(n, 2 * k))),
                            seed=seed)
         got = {}
-        for mode in ("noprep", "onesided", "twosided"):
+        for mode in ("exact", "noprep", "onesided", "twosided"):
             if greedy:
                 trace = GreedyTrace()
                 verdict, ctr = gap_match(inst.a, inst.b, k, mode, seed,
@@ -149,8 +172,8 @@ class TestRateOne:
                 verdict, ctr = gap_wave(inst.a, inst.b, k, ell, mode, seed,
                                         table=table)
                 got[mode] = (verdict, ctr, table.rows)
-        assert got["onesided"] == got["twosided"]
-        (v, ctr, answers), (v2, ctr2, answers2) = got["noprep"], got["twosided"]
+        assert got["exact"] == got["noprep"] == got["onesided"]
+        (v, ctr, answers), (v2, ctr2, answers2) = got["exact"], got["twosided"]
         assert (v, answers) == (v2, answers2)
         assert ctr.init_steps == 0 and ctr2.init_steps == n
         assert ((ctr.oracle_queries, ctr.table_lookups)
@@ -237,9 +260,10 @@ class TestSerialization:
             assert answers(idx2, inst.b) == answers(idx, inst.b)
 
     def test_symbols_roundtrip(self, tmp_path):
-        # A's symbols, from which load rebuilds the index: over 1..4, over
-        # symbols up to 10^8 (hashed with c_s x^-s reduced first, and the
-        # alphabet taken from the largest symbol), and at n = 0 and n = 1
+        # A's symbols, from which load rebuilds the index: over 1..4 (also
+        # held in a reversed view, not contiguous), over symbols up to 10^8
+        # (hashed with c_s x^-s reduced first, and the alphabet taken from
+        # the largest symbol), and at n = 0 and n = 1
         inst = gen_planted(150, 4, 2, seed=6)
         big = np.random.default_rng(6).integers(1, 10**8 + 1, 150)
         big_b = big.copy()
@@ -247,6 +271,8 @@ class TestSerialization:
         assert 150 * (int(big.max()) + 1) >= hashing._DIRECT_LIMIT
         path = tmp_path / "a.gedt1s"
         for a, b in [(inst.a, inst.b),
+                     (ByteString(inst.a.data[::-1], 4),
+                      ByteString(inst.b.data[::-1], 4)),
                      (ByteString(big, 10**8), ByteString(big_b, 10**8)),
                      (ByteString(np.empty(0, np.int64), 4),) * 2,
                      (ByteString(np.array([3]), 4),
@@ -263,7 +289,8 @@ class TestSerialization:
                 assert idx2.tables is None and len(idx2.dense) == 1
                 assert all(np.array_equal(got, want) for got, want
                            in zip(idx2.dense[0], idx.dense[0]))
-                assert idx2.syms == idx.syms == a.data.tolist()
+                assert (idx2.a.data.tolist() == idx.a.data.tolist()
+                        == a.data.tolist())
                 assert answers(idx2, b) == answers(idx, b)
         # the greedy decider's trace over the loaded index is the source's
         idx = OneSidedIndex.preprocess(inst.a, 4, CFG)
@@ -394,7 +421,8 @@ class TestSerialization:
                 want = OneSidedIndex._build(
                     ByteString(syms, int(syms.max())), head[5], head[6],
                     range(head[7], head[8]), HashConfig(x=head[3]))
-                assert got.cfg.x == head[3] and got.syms == want.syms
+                assert got.cfg.x == head[3]
+                assert got.a.data.tolist() == want.a.data.tolist()
                 assert all(np.array_equal(g, w) for g, w
                            in zip(got.dense[0], want.dense[0]))
 

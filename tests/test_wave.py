@@ -89,7 +89,7 @@ class TestGreedyWaveExact:
         assert len(set(tab.rows[1].values())) == 1  # every diagonal reached
         assert greedy_match(inst.a, inst.b, 64, OneSidedOracle(
             wave_index, inst.b)) is GapVerdict.SMALL
-        # at rate 1 the exact search serves every shift: greedy's index
+        # at rate 1 the symbol search serves every shift: greedy's index
         # answers the wave at l = k, as exact mode does
         inst = gen_planted(64, 4, 1, seed=4)
         orc = IndexedShiftOracle(OneSidedIndex.preprocess(inst.a, 6, CFG),
@@ -246,20 +246,25 @@ class TestNoPrepShiftOracle:
 
 
 class TestOneSidedWaveIndex:
-    def test_rate_one_equals_twosided(self):
+    def test_rate_one_is_the_symbol_search(self):
+        """At rate 1 the wave index's oracle is `SymbolShiftOracle` over A
+        and B: its answers, hints and counters. Twosided hashes, so only its
+        answers and hints agree."""
         for t in range(3):
             n, k, ell = 160, 9, 3
             inst = gen_planted(n, 4, 4, seed=t)
             index = OneSidedWaveIndex.preprocess(inst.a, k, ell, CFG)
-            assert index.dense is not None
+            assert index.a is not None
             one = IndexedShiftOracle(index, inst.b)
+            sym = SymbolShiftOracle(inst.a, inst.b, k, ell)
             two = TwoSidedShiftOracle(TwoSidedIndex.preprocess(inst.a, k, CFG),
                                       inst.b, ell)
             for i_b in range(1, n + 1, 2):
                 for i_a in (max(1, i_b - 3), i_b, min(n, i_b + 3)):
-                    assert ((one(i_a, i_b), one.last_hint)
-                            == (two(i_a, i_b), two.last_hint))
-            assert one.counters == two.counters
+                    got = (one(i_a, i_b), one.last_hint)
+                    assert got == (sym(i_a, i_b), sym.last_hint)
+                    assert got == (two(i_a, i_b), two.last_hint)
+            assert one.counters == sym.counters
 
     def test_no_hint_below_rate_one(self):
         inst = gen_planted(200, 4, 4, seed=5)
