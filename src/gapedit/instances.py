@@ -64,9 +64,9 @@ def gen_planted(n: int, sigma: int, edits: int, seed=None,
 def gen_large_side(n: int, sigma: int, threshold: int, seed=None,
                    max_tries: int = 20) -> Instance:
     """Random pair certified to have edit distance strictly above
-    `threshold` (checked by `edit_distance_at_most`: Myers' bit-vector DP
-    with its diagonal cutoff for thresholds large next to n, diagonal
-    transition for small ones).
+    `threshold` (checked by `edit_distance_at_most`: Landau-Vishkin for
+    small thresholds, Myers' bit-vector DP with its diagonal cutoff for ones
+    large next to n, such as 2560 at n = 4096, where LV takes seconds).
     Raises if `threshold` is not reachable for this alphabet; random pairs
     concentrate around a distance proportional to n with a constant that
     grows with sigma."""

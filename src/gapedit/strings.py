@@ -9,10 +9,11 @@ The exact oracles here (Myers' bit-vector DP, a diagonal-transition
 threshold check, a quadratic referee, and an h-wave variant) serve both the
 public `exact` entry points and the test suite's independent ground truth.
 `edit_distance_exact` is Myers: a full distance has no threshold to bound
-a band of diagonals. `edit_distance_at_most` picks diagonal transition
-(t + 1 rounds over the band of diagonals a path of cost <= t can touch)
-where a measured cost model says it wins, which is small t next to n, and
-Myers with its diagonal cutoff elsewhere (`_use_diagonal`).
+a band of diagonals. `edit_distance_at_most` picks Landau-Vishkin diagonal
+transition (t + 1 rounds over the band of diagonals a path of cost <= t
+can touch, each slide a comparison of `symbol_words`) where a measured
+cost model says it wins, which is small t next to n, and Myers with its
+diagonal cutoff elsewhere (`_use_diagonal`).
 `decompose` reads one optimal alignment, walked once from a quadratic DP
 (`_alignment`). `max_shift_alignment_bruteforce` is the brute-force shift
 oracle that the tests check every shift oracle against, exact mode's
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -148,91 +148,94 @@ def _myers_ed(a: np.ndarray, b: np.ndarray, cutoff: int | None = None) -> int:
 # Route cost model for edit_distance_at_most, in microseconds of CPU time
 # on a close pair, fitted on a 2-core x86-64 machine (CPython 3.11, numpy
 # 2.4). With w = t + 1 diagonals and N >= M the two lengths:
-#   diagonal check: 43 + 4.8 w + 0.051 w^2 + 0.0019 w (n + 1)
-#                   (set-up, numpy calls per round, per diagonal per round,
-#                   per mismatch cell)
+#   diagonal check: 12 + 3.2 w + 0.135 w^2 + 0.0016 N
+#                   (set-up, per round, per slide of about w^2 / 2, per
+#                   symbol encoded and compared)
 #   Myers scan:     30 + N (0.95 + 0.019 ceil(M / 64))
 #                   (set-up, per column, per 64-bit word of a column)
-# The fit is off by up to 40% (low at large t, where the slides' binary
-# searches leave the cache), so the diagonal check runs only where its
-# estimate is below 0.6 of Myers': where the two are close, Myers keeps
-# the work. Its mismatch cells (about 9 bytes each) are capped, so its
-# memory stays bounded whatever t and n are.
-_DIAGONAL_MARGIN = 0.6
-_DIAGONAL_CELL_CAP = 1 << 23
+# The fit is off by up to 50% (high at small n, low at large n), so the
+# diagonal check runs only where its estimate is below 0.6 of Myers':
+# where the two are close, Myers keeps the work.
 
 
 def _use_diagonal(n: int, m: int, t: int) -> bool:
     """Whether edit_distance_at_most answers ed <= t for lengths n and m
     by the diagonal check rather than by Myers' scan."""
     w = t + 1
-    if w * (n + 1) > _DIAGONAL_CELL_CAP:
-        return False
     big, small = max(n, m), min(n, m)
-    diagonal = 43 + 4.8 * w + 0.051 * w * w + 0.0019 * w * (n + 1)
+    diagonal = 12 + 3.2 * w + 0.135 * w * w + 0.0016 * big
     myers = 30 + big * (0.95 + 0.019 * -(-small // 64))
-    return diagonal < _DIAGONAL_MARGIN * myers
+    return diagonal < 0.6 * myers
 
 
-def _mismatch_keys(a: np.ndarray, b: np.ndarray, klo: int, w: int,
-                   rows: int) -> np.ndarray:
-    """Flat indices, sorted, of the mismatch cells of a (w, rows + 1) grid:
-    cell (q, i) with i < rows is a mismatch when a[i] != b[i + klo + q], b
-    read as -1 outside its range, and every cell of column `rows` is one."""
-    bpad = np.full(rows + w - 1, -1, dtype=np.int64)
-    lo, hi = max(klo, 0), min(b.size, rows + klo + w - 1)
-    bpad[lo - klo:hi - klo] = b[lo:hi]
-    cells = np.ones((w, rows + 1), dtype=bool)
-    np.not_equal(a[:rows], sliding_window_view(bpad, rows),
-                 out=cells[:, :rows])
-    return np.flatnonzero(cells)
+def symbol_words(a: ByteString,
+                 b: ByteString) -> tuple[int, bytes, memoryview]:
+    """The width of the narrowest word that holds every symbol of both
+    strings (1 byte for sigma <= 255, else 2, 4 or 8), then A's and B's
+    symbols at that width: A as `bytes` to search in, B as a `memoryview`
+    to slice probes from without a copy."""
+    word = np.min_scalar_type(min(max(a.sigma, b.sigma), 1 << 63))
+    return (word.itemsize, a.data.astype(word).tobytes(),
+            memoryview(b.data.astype(word).tobytes()))
 
 
-def _diagonal_at_most(a: np.ndarray, b: np.ndarray, t: int) -> bool:
+def _extension(a_words: bytes, b_words: memoryview, width: int, i: int,
+               j: int, most: int) -> int:
+    """The longest d <= most with A's words i .. i + d - 1 equal to B's
+    words j .. j + d - 1: probes d = 2, 4, 8, ... up to the first miss (hi
+    is still most), then bisects, each probe one `startswith` over the
+    words past the last one matched."""
+    lo, hi, d = 0, most, min(2, most)
+    while lo < hi:
+        if a_words.startswith(b_words[(j + lo) * width:(j + d) * width],
+                              (i + lo) * width):
+            lo = d
+        else:
+            hi = d - 1
+        d = min(2 * lo, hi) if hi == most else (lo + hi + 1) // 2
+    return lo
+
+
+def _diagonal_at_most(a: ByteString, b: ByteString, t: int) -> bool:
     """ed(a, b) <= t by diagonal transition (Ukkonen 1985; Landau & Vishkin
     1989); False at once for t < |len(a) - len(b)|, so for every t < 0.
 
     D[i][j] is the distance of a[:i] and b[:j], and diagonal k holds the
     cells (i, i + k). Round e keeps, per diagonal, the furthest row i with
     D[i][i + k] <= e: the best of a substitution, a deletion and an
-    insertion from round e - 1, clipped to the diagonal's last row, then
-    slid along its run of matches. A path of cost <= t
-    reaches diagonal k after at least |k| edits and needs |k - (m - n)|
-    more to end, so round e touches only the diagonals where both fit, a
-    band of about t + 1 diagonals, each in one numpy step. A slide is one
-    `searchsorted` into the sorted mismatch cells of the band. Those are
-    built up to row 4t + 64 first, enough for a pair far above t, whose
-    slides stay short, and for all n rows once a slide reaches that row."""
-    n, m = a.size, b.size
+    insertion from round e - 1, then slid along its run of matches. A path
+    of cost <= t reaches diagonal k after at least |k| edits and needs
+    |k - (m - n)| more to end, so round e touches only the diagonals where
+    both fit, and the check makes about (t + 1)^2 / 2 slides whatever n is.
+    That budget covers the |k - (m - n)| edits from the last row of
+    diagonal k too, so a row that reaches it (all of a or b read) is True. A
+    slide tests its first symbol's low byte, which ends most slides off
+    the alignment's path, then runs `_extension` over the `symbol_words`."""
+    n, m = len(a), len(b)
     delta = m - n
     if t < abs(delta):
         return False
+    w, a_words, b_words = symbol_words(a, b)
     klo = max(-((t - delta) // 2), -n)
     khi = min((t + delta) // 2, m)
-    w = khi - klo + 1
-    limit = np.minimum(n, m - np.arange(klo, khi + 1))
-    rows = min(n, 4 * t + 64)
-    keys = _mismatch_keys(a, b, klo, w, rows)
-    base = np.arange(w) * (rows + 1)
-    fr = np.full(w + 2, -n - 2, dtype=np.int64)  # diagonal klo + q at q + 1
+    fr = [-n - 2] * (khi - klo + 3)  # diagonal k at k - klo + 1
     fr[1 - klo] = -1  # round 0 starts at row 0 of diagonal 0
-    end = 1 + delta - klo
     for e in range(t + 1):
-        q0 = max(-e, delta - t + e, klo) - klo
+        q0 = max(-e, delta - t + e, klo) - klo + 1
         q1 = min(e, delta + t - e, khi) - klo + 1
-        cand = np.maximum(fr[q0 + 1:q1 + 1], fr[q0 + 2:q1 + 2])
-        cand += 1
-        np.maximum(cand, fr[q0:q1], out=cand)
-        np.minimum(cand, limit[q0:q1], out=cand)
-        got = keys[keys.searchsorted(cand + base[q0:q1])] - base[q0:q1]
-        if rows < n and got.max() >= rows:
-            rows = n
-            keys = _mismatch_keys(a, b, klo, w, rows)
-            base = np.arange(w) * (rows + 1)
-            got = keys[keys.searchsorted(cand + base[q0:q1])] - base[q0:q1]
-        fr[q0 + 1:q1 + 1] = got
-        if fr[end] >= n:
-            return True
+        left = fr[q0 - 1]  # round e - 1's row on the diagonal below
+        for q in range(q0, q1 + 1):
+            here, right = fr[q], fr[q + 1]
+            row = (here if here > right else right) + 1
+            if left > row:
+                row = left
+            left, k = here, q + klo - 1
+            end = m - k if m - k < n else n
+            if row < end and a_words[row * w] == b_words[(row + k) * w]:
+                row += _extension(a_words, b_words, w, row, row + k, end - row)
+            if row >= end:
+                return True
+            fr[q] = row
     return False
 
 
@@ -250,7 +253,7 @@ def edit_distance_at_most(a: ByteString, b: ByteString, t: int) -> bool:
     if t >= max(len(a), len(b)):
         return True
     if _use_diagonal(len(a), len(b), t):
-        return _diagonal_at_most(a.data, b.data, t)
+        return _diagonal_at_most(a, b, t)
     return _myers_ed(a.data, b.data, t) <= t
 
 

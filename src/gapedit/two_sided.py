@@ -56,7 +56,7 @@ import numpy as np
 from .greedy import check_index_params
 from .hashing import HashConfig, OpCounters, RollingHashState
 from .mers61 import P61
-from .strings import ByteString
+from .strings import ByteString, symbol_words
 
 
 @functools.lru_cache(maxsize=4)
@@ -212,9 +212,8 @@ class SymbolShiftOracle:
     matches at the returned d (0 when d is 0).
 
     The search is `TwoSidedIndex.align`'s gallop and bisection over the
-    same survivors, with each window tested symbol for symbol. A and B are
-    held as `bytes` of fixed-width words, one word per symbol: 1 byte for
-    sigma <= 255, else 2, 4 or 8, with slice offsets scaled by the width.
+    same survivors, with each window tested symbol for symbol over the
+    fixed-width words of `strings.symbol_words`, offsets scaled by width.
     The first probe, d = 1, finds B[i_b]'s word in A's range of starting
     copies with `bytes.find`, keeping the hits that fall on a word
     boundary. Every survivor matched B up to the last hit length lo, so a
@@ -230,11 +229,7 @@ class SymbolShiftOracle:
             raise ValueError("equal lengths required")
         self.n, self.k, self.ell = len(b), k, ell
         self.counters = counters if counters is not None else OpCounters()
-        # the narrowest word that holds every symbol 1 .. sigma
-        word = np.min_scalar_type(min(max(a.sigma, b.sigma), 1 << 63))
-        self.width = word.itemsize
-        self.a_words = a.data.astype(word).tobytes()
-        self.b_words = memoryview(b.data.astype(word).tobytes())
+        self.width, self.a_words, self.b_words = symbol_words(a, b)
         self.last_hint = None
 
     def __call__(self, i_a: int, i_b: int) -> int:

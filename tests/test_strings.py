@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gapedit.strings import (ByteString, _diagonal_at_most, _use_diagonal,
                              check_decomposition, decompose,
@@ -8,6 +8,7 @@ from gapedit.strings import (ByteString, _diagonal_at_most, _use_diagonal,
                              edit_distance_quadratic, exact_hwave,
                              has_approximate_alignment,
                              max_shift_alignment_bruteforce)
+from gapedit.instances import gen_planted
 
 
 def bs(vals, sigma=4):
@@ -160,17 +161,42 @@ class TestBitParallel:
 
 class TestDiagonalCheck:
     @given(distance_cases())
+    # one symbol, so every slide runs to a diagonal's last row
+    @example((bs([1] * 12, 1), bs([1] * 5, 1)))
+    @example((bs([1] * 3, 1), bs([1] * 9, 1)))
+    @example((bs([], 1), bs([1] * 4, 1)))
+    # distance |n - m|: the band at t = |n - m| is the diagonals between 0
+    # and the end diagonal
+    @example((bs([1, 2, 3, 4, 1, 2]), bs([3, 4, 1])))
+    @example((bs([2, 1]), bs([3, 2, 4, 4, 1, 3])))
     @settings(max_examples=200, deadline=None)
     def test_matches_quadratic_at_every_threshold(self, pair):
         # the core itself, whichever route edit_distance_at_most would take
         a, b = pair
         d = edit_distance_quadratic(a, b)
         for t in range(-1, d + 3):
-            assert _diagonal_at_most(a.data, b.data, t) == (d <= t)
+            assert _diagonal_at_most(a, b, t) == (d <= t)
 
     def test_route(self):
-        assert _use_diagonal(512, 512, 16) and _use_diagonal(256, 256, 8)
-        assert not _use_diagonal(512, 512, 128)
+        for n, t in ((512, 16), (256, 8), (2**20, 16), (65536, 128)):
+            assert _use_diagonal(n, n, t), (n, t)
+        for n, t in ((4096, 2560), (512, 128)):
+            assert not _use_diagonal(n, n, t), (n, t)
+
+    def test_far_pair_at_large_t(self):
+        # a symbol absent from a at 128 positions of b: distance exactly 128
+        rng = np.random.default_rng(10)
+        a = rng.integers(1, 16, 65536)
+        b = a.copy()
+        b[rng.choice(65536, size=128, replace=False)] = 16
+        a, b = ByteString(a, 16), ByteString(b, 16)
+        assert edit_distance_at_most(a, b, 128)
+        assert not edit_distance_at_most(a, b, 127)
+
+    def test_close_pair_at_large_n(self):
+        # 16 length-preserving edits, so distance at most 16
+        inst = gen_planted(2**20, 4, 16, seed=11)
+        assert edit_distance_at_most(inst.a, inst.b, 16)
 
 
 class TestHWave:
